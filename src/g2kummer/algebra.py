@@ -246,7 +246,7 @@ def _split_linear(p: Poly, rng_state: int = 1) -> list:
     if q <= (1 << 16):
         # exhaustive scan is cheap for small fields
         roots = []
-        for v in _iterate_field(F):
+        for v in range(q):
             if p(v) == F.zero:
                 roots.append(v)
         return roots
@@ -289,14 +289,6 @@ def _pow_poly_mod(base: Poly, n: int, mod: Poly) -> Poly:
         b = (b * b) % mod
         n >>= 1
     return r
-
-
-def _iterate_field(F: Field):
-    q = F.order()
-    if F.kind == "prime":
-        yield from range(q)
-    else:
-        yield from range(q)
 
 
 def roots(p: Poly) -> list[tuple[object, int]]:
@@ -741,35 +733,68 @@ def eval_form(F: Field, basis: MonomialBasis, coeffs: list, *points) -> object:
 
 
 def eval_quartic(F: Field, coeffs: list, point) -> object:
-    if len(coeffs) != QUARTIC4.size:
-        raise LengthMismatch("quartic coefficient vector must have 35 entries")
-    mono = monomial_values_quartic(F, point)
-    acc = F.zero
-    for c, m in zip(coeffs, mono):
-        if c != F.zero and m != F.zero:
-            acc = F.add(acc, F.mul(c, m))
-    return acc
+    return quartic_values(F, [coeffs], point)[0]
 
 
 def eval_biquadratic(F: Field, coeffs: list, x, y) -> object:
-    if len(coeffs) != BIQUADRATIC44.size:
-        raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
+    return biquadratic_values(F, [coeffs], x, y)[0]
+
+
+# The evaluators below skip only coefficients that are zero, never monomial
+# values that happen to vanish, so their operation count depends on the forms
+# alone and not on the point.
+
+
+def quartic_values(F: Field, forms, point) -> list:
+    """Values of QUARTIC4 forms at one point, sharing the 35 monomials."""
+    mono = monomial_values_quartic(F, point)
+    zero, add, mul = F.zero, F.add, F.mul
+    out = []
+    for coeffs in forms:
+        if len(coeffs) != QUARTIC4.size:
+            raise LengthMismatch("quartic coefficient vector must have 35 entries")
+        acc = zero
+        for c, m in zip(coeffs, mono):
+            if c != zero:
+                acc = add(acc, mul(c, m))
+        out.append(acc)
+    return out
+
+
+def biquadratic_rows(F: Field, forms, x) -> list[list]:
+    """Substitute x into BIQUADRATIC44 forms: per form, the ten
+    coefficients of the quadratic form in y that remains."""
     qx = monomial_values_deg2(F, x)
-    qy = monomial_values_deg2(F, y)
+    zero, add, mul = F.zero, F.add, F.mul
+    out = []
+    for coeffs in forms:
+        if len(coeffs) != BIQUADRATIC44.size:
+            raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
+        row = [zero] * 10
+        for i, xi in enumerate(qx):
+            base = 10 * i
+            for j in range(10):
+                c = coeffs[base + j]
+                if c != zero:
+                    row[j] = add(row[j], mul(c, xi))
+        out.append(row)
+    return out
+
+
+def quadratic_value(F: Field, row, qy) -> object:
+    """Value of a quadratic form, given by the ten coefficients from
+    ``biquadratic_rows``, at the point whose monomial values are ``qy``."""
+    add, mul = F.add, F.mul
     acc = F.zero
-    for i in range(10):
-        xi = qx[i]
-        if xi == F.zero:
-            continue
-        row = F.zero
-        base = 10 * i
-        for j in range(10):
-            c = coeffs[base + j]
-            if c != F.zero and qy[j] != F.zero:
-                row = F.add(row, F.mul(c, qy[j]))
-        if row != F.zero:
-            acc = F.add(acc, F.mul(xi, row))
+    for c, m in zip(row, qy):
+        acc = add(acc, mul(c, m))
     return acc
+
+
+def biquadratic_values(F: Field, forms, x, y) -> list:
+    """Values of BIQUADRATIC44 forms at one argument pair."""
+    qy = monomial_values_deg2(F, y)
+    return [quadratic_value(F, row, qy) for row in biquadratic_rows(F, forms, x)]
 
 
 def biquadratic_values_vector(F: Field, x, y) -> list:

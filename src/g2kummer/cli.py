@@ -16,10 +16,12 @@ import sys
 from . import errors
 from .curve import CurveModel, curve_from_text, validate
 from .field import field_from_spec
-from .jacobian import working_model
 from .kummer import (
+    KummerPoint,
     kummer_coords,
     kummer_point_from_text,
+    on_surface,
+    quartic_from_curve,
     two_torsion_classes,
     w_matrix_char2,
 )
@@ -55,6 +57,15 @@ def _load_formulas(path: str, curve: CurveModel):
             "formula file does not match the curve (stale cache rejected)"
         )
     return fs
+
+
+def _load_surface_point(c: CurveModel, text: str) -> KummerPoint:
+    """Parse k1:k2:k3:k4; a point off the curve's Kummer surface is a usage
+    error (exit 2), since the formulas would map it to garbage."""
+    k = kummer_point_from_text(c.field, text)
+    if not on_surface(quartic_from_curve(c), k):
+        raise ValueError(f"point {text} is not on the Kummer surface of the curve")
+    return k
 
 
 def _print_seed(seed: int):
@@ -111,14 +122,14 @@ def cmd_dbl(args) -> int:
     c = _load_curve(args.curve)
     fs = _load_formulas(args.formulas, c)
     ctx = make_context(c, fs)
-    k = kummer_point_from_text(c.field, args.point)
+    k = _load_surface_point(c, args.point)
     print(xdbl(ctx, k).normalized().text())
     return 0
 
 
 def cmd_translate(args) -> int:
     c = _load_curve(args.curve)
-    k = kummer_point_from_text(c.field, args.point)
+    k = _load_surface_point(c, args.point)
     classes = two_torsion_classes(c)
     target = None
     for T in classes:
@@ -142,8 +153,6 @@ def cmd_translate(args) -> int:
             raise errors.FormulaSetMissing(
                 f"formula file holds no translation matrix for class {args.cls!r}"
             )
-    from .kummer import KummerPoint
-
     print(KummerPoint(c.field, W.apply(list(k.coords))).normalized().text())
     return 0
 
@@ -152,7 +161,7 @@ def cmd_ladder(args) -> int:
     c = _load_curve(args.curve)
     fs = _load_formulas(args.formulas, c)
     ctx = make_context(c, fs)
-    k = kummer_point_from_text(c.field, args.point)
+    k = _load_surface_point(c, args.point)
     print(run_ladder(ctx, k, args.n).normalized().text())
     return 0
 

@@ -18,6 +18,7 @@ key is labelled "+".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import Matrix, Poly, roots
 from .errors import (
@@ -70,12 +71,6 @@ class CurveModel:
 
     def __repr__(self):
         return f"CurveModel({self.field!r}, f={self.f!r}, h={self.h!r})"
-
-    def fc(self, i: int):
-        return self.f[i]
-
-    def hc(self, i: int):
-        return self.h[i]
 
     def on_curve(self, P: CurvePoint) -> bool:
         F = self.field
@@ -248,7 +243,7 @@ def _rational_roots(p: Poly) -> list:
     # clear denominators to an integer polynomial
     denlcm = 1
     for co in p.coeffs:
-        denlcm = denlcm * co.denominator // _gcd_int(denlcm, co.denominator)
+        denlcm = denlcm * co.denominator // gcd(denlcm, co.denominator)
     ints = [int(co * denlcm) for co in p.coeffs]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor out x; x = 0 handled below
@@ -264,12 +259,6 @@ def _rational_roots(p: Poly) -> list:
                 if p(cand) == 0:
                     out.add(cand)
     return sorted(out)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -584,21 +573,11 @@ def _transport_irreducible_quadratic(c, iso, a: Poly, b: Poly):
     def rmul(p, q):
         return (p * q) % a
 
-    def rinv(p):
-        # inverse in R by extended gcd against a
-        r0, r1 = a, p % a
-        t0, t1 = Poly(F, []), Poly.const(F, F.one)
-        while not r1.is_zero():
-            q, r = r0.divrem(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        if r0.degree != 0:
-            raise UnsupportedDivisor("non-invertible element in transport ring")
-        return t0.scale(F.inv(r0[0])) % a
-
     wbar = Poly(F, [de, ga]) % a
     Bbar = (b.scale(e) + u) % a
-    winv = rinv(wbar)
+    g, _s, winv = a.xgcd(wbar)
+    if g.degree != 0:
+        raise UnsupportedDivisor("non-invertible element in transport ring")
     w3inv = rmul(rmul(winv, winv), winv)
     xi = rmul(Bbar, w3inv)
     mbar = rmul(Poly(F, [be, al]) % a, winv)

@@ -136,16 +136,16 @@ def gf2_poly_is_irreducible(mod: int) -> bool:
 class OpCounter:
     """Mutable multiplication/squaring/inversion counter for benchmarks."""
 
-    __slots__ = ("mul", "sqr", "inv", "add")
+    __slots__ = ("mul", "sqr", "inv")
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.mul = self.sqr = self.inv = self.add = 0
+        self.mul = self.sqr = self.inv = 0
 
     def snapshot(self) -> dict:
-        return {"mul": self.mul, "sqr": self.sqr, "inv": self.inv, "add": self.add}
+        return {"mul": self.mul, "sqr": self.sqr, "inv": self.inv}
 
 
 class Field:

@@ -29,6 +29,7 @@ from .curve import (
 )
 from .errors import (
     ExhaustedRetries,
+    NoSolutionCertificate,
     NonGenericDivisor,
     NoRationalWeierstrassPoint,
     UnsupportedDivisor,
@@ -298,7 +299,7 @@ def small_rational_sampler(
             x = Fraction(n, d)
             try:
                 ys = F.quad_solve(F.zero, g(x))
-            except Exception:
+            except NoSolutionCertificate:
                 continue
             for y in ys:
                 if y != 0:

@@ -35,7 +35,7 @@ from .algebra import (
     irreducible_quadratic_factors,
     roots,
 )
-from .curve import CurveModel, PairDivisor, simplified_rhs, validate
+from .curve import CurveModel, PairDivisor, simplified_rhs
 from .errors import (
     FormulaSetMissing,
     TwoTorsionK2Zero,
@@ -204,7 +204,7 @@ def quartic_from_curve(c: CurveModel) -> KummerQuartic:
 
 def on_surface(q: KummerQuartic, k: KummerPoint) -> bool:
     F = q.curve.field
-    return eval_quartic(F, list(q.vector), k.coords) == F.zero
+    return eval_quartic(F, q.vector, k.coords) == F.zero
 
 
 # ---------------------------------------------------------------------------

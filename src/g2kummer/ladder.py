@@ -16,12 +16,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .algebra import monomial_values_deg2
+from .algebra import quartic_values
 from .curve import CurveModel
-from .errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
-from .field import Field, OpCounter
+from .errors import AllPivotsFailed, FormulaSetMissing, UnsupportedDivisor, ZeroOutput
+from .field import OpCounter
 from .kummer import KummerPoint, KummerQuartic, quartic_from_curve, zero_class_point
-from .synthesis import BQF_INDEX_PAIRS, FormulaSet, apply_delta, fingerprint
+from .synthesis import FormulaSet, eval_bqf_all, fingerprint
 
 
 @dataclass
@@ -47,7 +47,7 @@ def make_context(curve: CurveModel, formulas: FormulaSet, **flags) -> LadderCont
 
 def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
     F = ctx.curve.field
-    coords = [_eval_quartic_fast(F, d, x.coords) for d in ctx.formulas.delta]
+    coords = quartic_values(F, ctx.formulas.delta, x.coords)
     if all(v == F.zero for v in coords):
         raise ZeroOutput("all duplication quartics vanished on a surface point")
     out = KummerPoint(F, coords)
@@ -58,48 +58,11 @@ def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
     return out
 
 
-def _eval_quartic_fast(F: Field, coeffs, point):
-    """Quartic evaluation skipping only structurally zero coefficients, so
-    the operation count depends on the form, not on the input data."""
-    from .algebra import monomial_values_quartic
-
-    mono = monomial_values_quartic(F, point)
-    acc = F.zero
-    zero = F.zero
-    for c, m in zip(coeffs, mono):
-        if c != zero:
-            acc = F.add(acc, F.mul(c, m))
-    return acc
-
-
-def _bqf_values(F: Field, forms, x, y) -> dict:
-    """All ten B_ij(x, y), sharing the two quadratic monomial vectors; only
-    structurally zero coefficients are skipped (count regularity)."""
-    qx = monomial_values_deg2(F, x)
-    qy = monomial_values_deg2(F, y)
-    zero = F.zero
-    out = {}
-    for p in BQF_INDEX_PAIRS:
-        coeffs = forms[p]
-        acc = zero
-        for i in range(10):
-            xi = qx[i]
-            row = zero
-            base = 10 * i
-            for j in range(10):
-                c = coeffs[base + j]
-                if c != zero:
-                    row = F.add(row, F.mul(c, qy[j]))
-            acc = F.add(acc, F.mul(xi, row))
-        out[p] = acc
-    return out
-
-
 def xadd(ctx: LadderContext, x: KummerPoint, y: KummerPoint, z: KummerPoint) -> KummerPoint:
     """kappa(P+Q) from kappa(P), kappa(Q) and the difference kappa(P-Q)."""
     F = ctx.curve.field
     zero = F.zero
-    b = _bqf_values(F, ctx.formulas.bqf, x.coords, y.coords)
+    b = eval_bqf_all(F, ctx.formulas.bqf, x.coords, y.coords)
     zc = z.coords
     results = []
     for j in range(4):
@@ -170,7 +133,7 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
         try:
             x = kummer_coords(ctx.curve, to_point_pair(wm, random_divisor(wm, rng))).normalized()
             break
-        except Exception:
+        except UnsupportedDivisor:
             continue
     ctr = OpCounter()
     field_mod.Field.counter = ctr
@@ -199,7 +162,7 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
         "ladder_bits": steps,
         "ladder_total": ladder_counts,
         "per_step": {
-            k: ladder_counts[k] / steps for k in ("mul", "sqr", "inv", "add")
+            k: ladder_counts[k] / steps for k in ("mul", "sqr", "inv")
         },
         "inversions_per_step": ladder_counts["inv"] / steps,
         "seconds_per_bit": elapsed / steps,

@@ -40,14 +40,15 @@ from .algebra import (
     Matrix,
     Poly,
     QUARTIC4,
+    biquadratic_values,
     biquadratic_values_vector,
     eval_biquadratic,
-    eval_quartic,
     monomial_values_quartic,
+    quartic_values,
     solve_kernel,
     _rref,
 )
-from .curve import CurveModel, simplified_model, simplified_kummer_matrix, transform_pair, validate
+from .curve import CurveModel, simplified_model, simplified_kummer_matrix, validate
 from .errors import (
     CrossCheckFailed,
     KernelDimensionUnexpected,
@@ -219,7 +220,7 @@ def _delta_solve(F: Field, samples, quartic_vec):
 
 
 def apply_delta(F: Field, delta, k: KummerPoint) -> KummerPoint:
-    return KummerPoint(F, [eval_quartic(F, list(d), k.coords) for d in delta])
+    return KummerPoint(F, quartic_values(F, delta, k.coords))
 
 
 def _fresh_check_delta(c, wm, sampler, rng, delta, n):
@@ -312,14 +313,8 @@ def _bqf_solve(F: Field, samples):
     # stage 2: per sample, lam = B11(x,y)/t11; solve M c_ij = lam * t_ij
     rest = [(i, j) for (i, j) in BQF_INDEX_PAIRS if (i, j) not in ((1, 1), (1, 2))]
     aug = []
-    for mono, tg in zip(monos, targets):
-        b11 = zero
-        for cv, mv in zip(c11, mono):
-            if cv != zero and mv != zero:
-                b11 = F.add(b11, F.mul(cv, mv))
-        lam_num = b11  # lam = b11 / t11
-        inv_t11 = F.inv(tg[(1, 1)])
-        lam = F.mul(lam_num, inv_t11)
+    for (x, y, _w, _z), mono, tg in zip(samples, monos, targets):
+        lam = F.div(eval_biquadratic(F, c11, x, y), tg[(1, 1)])
         aug.append(list(mono) + [F.mul(lam, tg[p]) for p in rest])
     rank, pivots = _rref(F, aug, 100)
     if rank != 100:
@@ -337,7 +332,32 @@ def _bqf_solve(F: Field, samples):
 
 
 def eval_bqf(F: Field, forms, i: int, j: int, x, y):
-    return eval_biquadratic(F, list(forms[(min(i, j), max(i, j))]), x, y)
+    return eval_biquadratic(F, forms[(min(i, j), max(i, j))], x, y)
+
+
+def eval_bqf_all(F: Field, forms, x, y) -> dict:
+    """All ten B_ij(x, y), keyed by (i, j)."""
+    values = biquadratic_values(F, [forms[p] for p in BQF_INDEX_PAIRS], x, y)
+    return dict(zip(BQF_INDEX_PAIRS, values))
+
+
+def bqf_identity_mismatch(F: Field, forms, x, y, w, z):
+    """Check B_ij(x, y) = lam * t_ij(w, z) for x, y, w, z the Kummer
+    coordinates of P, Q, P+Q, P-Q, with one scalar lam fitted on the first
+    nonzero target.  Returns the first (i, j) that fails, or None."""
+    tg = _bqf_targets(F, w, z)
+    vals = eval_bqf_all(F, forms, x, y)
+    lam = None
+    for p in BQF_INDEX_PAIRS:
+        if lam is None:
+            if tg[p] == F.zero:
+                if vals[p] != F.zero:
+                    return p
+                continue
+            lam = F.div(vals[p], tg[p])
+        if vals[p] != F.mul(lam, tg[p]):
+            return p
+    return None
 
 
 def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
@@ -352,18 +372,9 @@ def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
             z = _kappa_of(c, wm, add(wm, P, negate(wm, Q)))
         except UnsupportedDivisor:
             continue
-        tg = _bqf_targets(F, w.coords, z.coords)
-        lam = None
-        for p in BQF_INDEX_PAIRS:
-            val = eval_bqf(F, forms, p[0], p[1], x.coords, y.coords)
-            if lam is None:
-                if tg[p] == F.zero:
-                    if val != F.zero:
-                        raise CrossCheckFailed("biquadratic self-check failed (zero target)")
-                    continue
-                lam = F.div(val, tg[p])
-            if val != F.mul(lam, tg[p]):
-                raise CrossCheckFailed("biquadratic self-check failed on a fresh pair")
+        bad = bqf_identity_mismatch(F, forms, x.coords, y.coords, w.coords, z.coords)
+        if bad is not None:
+            raise CrossCheckFailed(f"biquadratic self-check failed at B{bad[0]}{bad[1]} on a fresh pair")
         done += 1
 
 
@@ -868,7 +879,6 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
 
 
 def _conversion_vector(F: Field, h: Poly):
-    two = F.from_int(2)
     return (
         F.mul(h[0], h[2]),
         F.mul(h[0], h[3]),
@@ -948,12 +958,10 @@ def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bq
             continue
         xs = tuple(T.apply(list(x)))
         ys = tuple(T.apply(list(y)))
-        bprime = {
-            (i, j): eval_bqf(F, bqf_prime, i, j, xs, ys) for (i, j) in BQF_INDEX_PAIRS
-        }
-        conv = convert_bqf_from_simplified(F, c.h, bprime)
+        conv = convert_bqf_from_simplified(F, c.h, eval_bqf_all(F, bqf_prime, xs, ys))
+        vals = eval_bqf_all(F, bqf, x, y)
         for (i, j) in BQF_INDEX_PAIRS:
-            val = eval_bqf(F, bqf, i, j, x, y)
+            val = vals[(i, j)]
             if scalar is None:
                 if conv[(i, j)] == F.zero:
                     if val != F.zero:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dfield
 
-from .algebra import monomial_values_deg2
+from .algebra import biquadratic_rows, eval_quartic, monomial_values_deg2, quadratic_value, quartic_values
 from .curve import CurveModel, normal_form_curve, validate
 from .errors import CounterexampleFound, SuiteFailed, UnsupportedDivisor
 from .field import BinaryField
@@ -24,8 +24,6 @@ from .jacobian import (
     add,
     from_point_pair,
     negate,
-    random_divisor,
-    small_rational_sampler,
     to_point_pair,
     working_model,
 )
@@ -41,10 +39,11 @@ from .kummer import (
 from .ladder import ladder, make_context, xadd
 from .synthesis import (
     BQF_INDEX_PAIRS,
+    _default_sampler,
     apply_delta,
+    bqf_identity_mismatch,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
-    eval_bqf,
     synthesize_delta,
     synthesize_bqf,
     synthesize_formula_set,
@@ -71,10 +70,8 @@ def _surface_points(c: CurveModel):
     """All nonzero quadruples over a tiny field lying on the quartic."""
     F = c.field
     q = F.order()
-    vec = list(quartic_from_curve(c).vector)
+    vec = quartic_from_curve(c).vector
     pts = []
-    from .algebra import eval_quartic
-
     for a in range(q):
         for b in range(q):
             for d in range(q):
@@ -99,29 +96,17 @@ def lemma_delta_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     c = normal_form_curve(F, case, f1, f3, f5)  # raises SingularCurve when degenerate
     t0 = time.time()
     delta = synthesize_delta(c, rng)
-    counter = []
-    searched = 0
-    zero = F.zero
-    from .algebra import eval_quartic
-
-    vec = list(quartic_from_curve(c).vector)
-    for a in range(q):
-        for b in range(q):
-            for d in range(q):
-                for e in range(q):
-                    searched += 1
-                    pt = (a, b, d, e)
-                    if eval_quartic(F, vec, pt) != zero:
-                        continue
-                    if all(eval_quartic(F, list(blk), pt) == zero for blk in delta):
-                        if pt != (0, 0, 0, 0):
-                            counter.append({"x": pt})
+    counter = [
+        {"x": pt}
+        for pt in _surface_points(c)
+        if all(v == F.zero for v in quartic_values(F, delta, pt))
+    ]
     return LemmaReport(
         lemma="delta",
         case=case,
         field=F.spec_string(),
         coeffs=tuple(F.to_str(v) for v in coeffs),
-        search_space=searched,
+        search_space=q**4,
         counterexamples=counter,
         runtime=time.time() - t0,
     )
@@ -137,47 +122,21 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     t0 = time.time()
     forms = synthesize_bqf(c, rng)
     pts = _surface_points(c)
-    zero = F.zero
-    # precompute, for every surface point x, the ten vectors q(x)^T C_ij
-    pre = []
-    for x in pts:
-        qx = monomial_values_deg2(F, x)
-        rowset = []
-        for p in BQF_INDEX_PAIRS:
-            coeff = forms[p]
-            vals = []
-            for j in range(10):
-                acc = zero
-                for i in range(10):
-                    cv = coeff[10 * i + j]
-                    if cv != zero and qx[i] != zero:
-                        acc = F.add(acc, F.mul(cv, qx[i]))
-                vals.append(acc)
-            rowset.append(vals)
-        pre.append(rowset)
-    counter = []
-    searched = 0
+    form_list = [forms[p] for p in BQF_INDEX_PAIRS]
     qys = [monomial_values_deg2(F, y) for y in pts]
-    for xi, rowset in enumerate(pre):
-        for yi, qy in enumerate(qys):
-            searched += 1
-            vanished = True
-            for vals in rowset:
-                acc = zero
-                for v, w in zip(vals, qy):
-                    if v != zero and w != zero:
-                        acc = F.add(acc, F.mul(v, w))
-                if acc != zero:
-                    vanished = False
-                    break
-            if vanished:
-                counter.append({"x": pts[xi], "y": pts[yi]})
+    counter = []
+    for x in pts:
+        rows = biquadratic_rows(F, form_list, x)
+        for y, qy in zip(pts, qys):
+            # stops at the first form that does not vanish at (x, y)
+            if all(quadratic_value(F, row, qy) == F.zero for row in rows):
+                counter.append({"x": x, "y": y})
     return LemmaReport(
         lemma="biquadratic",
         case=case,
         field=F.spec_string(),
         coeffs=tuple(F.to_str(v) for v in coeffs),
-        search_space=searched,
+        search_space=len(pts) ** 2,
         counterexamples=counter,
         runtime=time.time() - t0,
     )
@@ -186,12 +145,6 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # Randomized identity suites over a corpus
 # ---------------------------------------------------------------------------
-
-def _oracle_sampler(c, wm):
-    if c.field.order() is None:
-        return small_rational_sampler(wm)
-    return lambda rng: random_divisor(wm, rng)
-
 
 def _suite_kappa_surface(c, wm, sampler, rng, n):
     q = quartic_from_curve(c)
@@ -236,22 +189,9 @@ def _suite_bqf(c, wm, sampler, rng, fs, n):
             z = kummer_coords(c, to_point_pair(wm, add(wm, P, negate(wm, Q)))).normalized()
         except UnsupportedDivisor:
             continue
-        lam = None
-        for (i, j) in BQF_INDEX_PAIRS:
-            a, b = i - 1, j - 1
-            if i == j:
-                t = F.mul(w.coords[a], z.coords[a])
-            else:
-                t = F.add(F.mul(w.coords[a], z.coords[b]), F.mul(w.coords[b], z.coords[a]))
-            val = eval_bqf(F, fs.bqf, i, j, x.coords, y.coords)
-            if lam is None:
-                if t == F.zero:
-                    if val != F.zero:
-                        return {"ok": False, "witness": f"B{i}{j} at {x.text()} , {y.text()}"}
-                    continue
-                lam = F.div(val, t)
-            if val != F.mul(lam, t):
-                return {"ok": False, "witness": f"B{i}{j} at {x.text()} , {y.text()}"}
+        bad = bqf_identity_mismatch(F, fs.bqf, x.coords, y.coords, w.coords, z.coords)
+        if bad is not None:
+            return {"ok": False, "witness": f"B{bad[0]}{bad[1]} at {x.text()} , {y.text()}"}
         done += 1
     return {"ok": True, "n": done}
 
@@ -361,7 +301,7 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
         if fs is None:
             fs = synthesize_formula_set(c, rng, with_w=c.field.order() is not None)
         wm = working_model(c)
-        sampler = _oracle_sampler(c, wm)
+        sampler = _default_sampler(wm)
 
         def guarded(fn, *args):
             from .errors import G2KummerError

@@ -1,10 +1,13 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import g2kummer
 from g2kummer.algebra import Poly
 from g2kummer.cli import main
 from g2kummer.curve import CurveModel
@@ -113,6 +116,22 @@ def test_stale_formula_file_rejected(synth_file, tmp_path, capsys):
     assert "stale" in capsys.readouterr().err or True
 
 
+def test_off_surface_point_rejected(synth_file, capsys):
+    from g2kummer.kummer import KummerPoint, on_surface, quartic_from_curve
+
+    cpath, kfs = synth_file
+    c = CurveModel(F1009, Poly.from_ints(F1009, [1, 3, 0, 2, 0, 1]), Poly.from_ints(F1009, [1, 1]))
+    assert not on_surface(quartic_from_curve(c), KummerPoint(F1009, (1, 2, 3, 4)))
+    for argv in (
+        ["dbl", cpath, "--formulas", kfs, "--point", "1:2:3:4"],
+        ["ladder", cpath, "--formulas", kfs, "--point", "1:2:3:4", "-n", "5"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not on the Kummer surface" in captured.err
+
+
 def test_twotorsion_listing(tmp_path, capsys):
     F = F1009
     h = Poly.from_ints(F, [0, 1])
@@ -150,6 +169,13 @@ def test_translate_odd_char(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip()
     assert out.count(":") == 3
+    # a point off the surface is a usage error
+    rc = main(["translate", str(cpath), "--formulas", str(kfs), "--class", label,
+               "--point", "1:2:3:4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not on the Kummer surface" in captured.err
 
 
 def test_lemma_cli(capsys):
@@ -188,8 +214,11 @@ def test_bench_cli(synth_file, capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same package as this one
+    src = str(Path(g2kummer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "g2kummer", "validate", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0

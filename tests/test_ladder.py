@@ -1,8 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from g2kummer.algebra import Poly
+from g2kummer.algebra import Poly, eval_biquadratic, eval_quartic
 from g2kummer.curve import CurveModel, normal_form_curve
 from g2kummer.errors import FormulaSetMissing
 from g2kummer.field import BinaryField, PrimeField
@@ -17,7 +18,7 @@ from g2kummer.kummer import (
     zero_class_point,
 )
 from g2kummer.ladder import bench, ladder, make_context, xadd, xdbl
-from g2kummer.synthesis import synthesize_formula_set
+from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -188,3 +189,59 @@ def test_bench_counts_independent_of_bit_pattern():
     assert counts[0][2] == counts[1][2]
     assert counts[0][0] == counts[1][0]
     assert counts[0][1] == counts[1][1] == 0
+
+
+M61_FORMULAS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "m61_h2_f5.kfs"
+
+
+def _muls(fn):
+    from g2kummer import field as field_mod
+    from g2kummer.field import OpCounter
+
+    ctr = OpCounter()
+    field_mod.Field.counter = ctr
+    try:
+        fn()
+    finally:
+        field_mod.Field.counter = None
+    return ctr.mul
+
+
+def test_evaluation_cost_depends_only_on_the_form():
+    fs = deserialize_formula_set(M61_FORMULAS.read_text())
+    c = fs.curve
+    F = c.field
+    fast = make_context(c, fs)
+    wm = working_model(c)
+    rng = random.Random(213)
+    x = kummer_coords(c, to_point_pair(wm, random_divisor(wm, rng))).normalized()
+    y = kummer_coords(c, to_point_pair(wm, random_divisor(wm, rng))).normalized()
+    assert all(v != F.zero for v in x.coords + y.coords)
+    zero = zero_class_point(F)
+
+    def delta_cost(k):
+        return _muls(lambda: [eval_quartic(F, d, k.coords) for d in fs.delta])
+
+    def bqf_cost(a, b):
+        return _muls(lambda: [eval_biquadratic(F, fs.bqf[p], a.coords, b.coords) for p in BQF_INDEX_PAIRS])
+
+    assert delta_cost(zero) == delta_cost(x)
+    assert bqf_cost(zero, zero) == bqf_cost(zero, y) == bqf_cost(x, y)
+    assert _muls(lambda: xdbl(fast, zero)) == _muls(lambda: xdbl(fast, x))
+    assert _muls(lambda: xadd(fast, x, zero, x)) == _muls(lambda: xadd(fast, x, y, x))
+
+
+def test_ladder_step_cost_on_m61():
+    # one ladder step costs no more than one xdbl (393) plus one xadd (605)
+    # did when the evaluators skipped zero monomial values
+    fs = deserialize_formula_set(M61_FORMULAS.read_text())
+    c = fs.curve
+    fast = make_context(c, fs)
+    wm = working_model(c)
+    x = kummer_coords(c, to_point_pair(wm, random_divisor(wm, random.Random(214)))).normalized()
+    n = (1 << 40) | 0b1011
+    first = _muls(lambda: xdbl(fast, x))
+    total = _muls(lambda: ladder(fast, x, n))
+    per_step, rest = divmod(total - first, n.bit_length() - 1)
+    assert rest == 0
+    assert per_step <= 393 + 605
