@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .algebra import quartic_values
 from .curve import CurveModel
-from .errors import AllPivotsFailed, FormulaSetMissing, UnsupportedDivisor, ZeroOutput
+from .errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
 from .field import OpCounter
 from .kummer import KummerPoint, KummerQuartic, quartic_from_curve, zero_class_point
-from .synthesis import FormulaSet, eval_bqf_all, fingerprint
+from .synthesis import FormulaSet, _default_sampler, eval_bqf_all, fingerprint, oracle_draws
 
 
 @dataclass
@@ -120,21 +120,12 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     are executed as generic multiplications, so the squaring count tallies
     the explicit squaring calls only.  Inversions per step must be zero.
     """
-    F = ctx.curve.field
     from . import field as field_mod
+    from .jacobian import working_model
 
-    q = ctx.quartic
     # a surface point to run on: kappa of a sampled class
-    from .jacobian import random_divisor, to_point_pair, working_model
-    from .kummer import kummer_coords
-
     wm = working_model(ctx.curve)
-    while True:
-        try:
-            x = kummer_coords(ctx.curve, to_point_pair(wm, random_divisor(wm, rng))).normalized()
-            break
-        except UnsupportedDivisor:
-            continue
+    ((x,),) = oracle_draws(ctx.curve, wm, _default_sampler(wm), rng, 1)
     ctr = OpCounter()
     field_mod.Field.counter = ctr
     try:
@@ -155,16 +146,16 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     for _ in range(trials):
         ladder(ctx, x, n)
     elapsed = (time.perf_counter() - t0) / trials
+    # the ladder is one initial doubling, then one xdbl + xadd per step
     steps = n.bit_length() - 1
+    per_step = {k: (ladder_counts[k] - dbl_counts[k]) / steps for k in ("mul", "sqr", "inv")}
     return {
         "xdbl": dbl_counts,
         "xadd": add_counts,
         "ladder_bits": steps,
         "ladder_total": ladder_counts,
-        "per_step": {
-            k: ladder_counts[k] / steps for k in ("mul", "sqr", "inv")
-        },
-        "inversions_per_step": ladder_counts["inv"] / steps,
+        "per_step": per_step,
+        "inversions_per_step": per_step["inv"],
         "seconds_per_bit": elapsed / steps,
         "trials": trials,
     }

@@ -1,19 +1,24 @@
 """Per-curve reconstruction of the unprinted formula families.
 
-For a fixed curve the duplication quartics, the ten biquadratic forms, and
-the odd-characteristic translation matrices are each determined (up to the
-documented normalizations) by their defining identities
+For a fixed curve the ten biquadratic forms and the odd-characteristic
+translation matrices are each determined (up to the documented
+normalizations) by their defining identities
 
-    delta(K(P))            ~  K(2P)
     B_ij(K(P), K(Q))       =  lam * (w_i z_j + w_j z_i)   (i < j)
     B_ii(K(P), K(Q))       =  lam * w_i z_i               (diagonal convention)
     W  * K(P)              ~  K(P + Q),    Q of order 2,
 
 with w, z Kummer coordinates of P+Q and P-Q.  Sampling divisor classes from
 the Cantor oracle and solving the resulting exact linear systems recovers
-the coefficient vectors; every solve asserts its expected kernel dimension
-and every synthesized object is re-checked on fresh oracle samples before it
-is returned.
+the coefficient vectors; both solves assert their expected kernel
+dimension.  The duplication quartics need no system of their own: with
+P = Q the difference is the zero class (0:0:0:1), so
+
+    delta(K(P))            ~  (B14, B24, B34, B44)(K(P), K(P))  ~  K(2P),
+
+and they are read off the biquadratic forms.  Every synthesized object,
+duplication included, is re-checked on fresh oracle samples before it is
+returned.
 
 Normalizations: adding multiples of the defining quartic to a duplication
 coordinate changes nothing on the surface, so each coordinate's coefficient
@@ -43,7 +48,6 @@ from .algebra import (
     biquadratic_values,
     biquadratic_values_vector,
     eval_biquadratic,
-    monomial_values_quartic,
     quartic_values,
     solve_kernel,
     _rref,
@@ -51,6 +55,7 @@ from .algebra import (
 from .curve import CurveModel, simplified_model, simplified_kummer_matrix, validate
 from .errors import (
     CrossCheckFailed,
+    ExhaustedRetries,
     KernelDimensionUnexpected,
     NotInSubfield,
     UnsupportedDivisor,
@@ -112,6 +117,9 @@ class FormulaSet:
 # Oracle sampling
 # ---------------------------------------------------------------------------
 
+DRAW_BOUND = 60  # attempts allowed per requested sample before giving up
+
+
 def _default_sampler(wm: WorkingModel):
     if wm.field.order() is None:
         return small_rational_sampler(wm)
@@ -122,101 +130,92 @@ def _kappa_of(c: CurveModel, wm: WorkingModel, D) -> KummerPoint:
     return kummer_coords(c, to_point_pair(wm, D)).normalized()
 
 
-def _delta_samples(c, wm, sampler, rng, n):
-    """Pairs (kappa(P), kappa(2P)), both normalized; degenerates resampled."""
-    out = []
-    guard = 0
-    while len(out) < n:
-        guard += 1
-        if guard > 40 * n:
-            raise KernelDimensionUnexpected("sampling kept hitting degenerate classes")
-        D = sampler(rng)
+def oracle_draws(c, wm, sampler, rng, n, classes=None, arity=1, keep=None):
+    """n tuples of normalized Kummer points of oracle classes.
+
+    Each attempt draws ``arity`` classes with ``sampler`` and takes kappa
+    of every class ``classes(*drawn)`` returns (of the drawn classes
+    themselves by default).  An attempt is redrawn when one of them has no
+    supported Kummer image or when ``keep`` rejects the tuple.  The tuples
+    are generated lazily, so a check that stops early draws no further;
+    after DRAW_BOUND * n attempts the generator raises ExhaustedRetries."""
+    attempts = 0
+    done = 0
+    while done < n:
+        attempts += 1
+        if attempts > DRAW_BOUND * n:
+            raise ExhaustedRetries(f"oracle sampling gave up after {attempts - 1} draws")
+        drawn = [sampler(rng) for _ in range(arity)]
         try:
-            x = _kappa_of(c, wm, D)
-            d = _kappa_of(c, wm, add(wm, D, D))
+            pts = tuple(_kappa_of(c, wm, D) for D in (classes(*drawn) if classes else drawn))
         except UnsupportedDivisor:
             continue
-        out.append((x.coords, d.coords))
-    return out
+        if keep is not None and not keep(pts):
+            continue
+        done += 1
+        yield pts
+
+
+def doubling(wm: WorkingModel):
+    """Class map D -> (D, 2D) for ``oracle_draws``."""
+    return lambda D: (D, add(wm, D, D))
+
+
+def sum_and_difference(wm: WorkingModel):
+    """Class map P, Q -> (P, Q, P+Q, P-Q) for ``oracle_draws`` (arity 2)."""
+    return lambda P, Q: (P, Q, add(wm, P, Q), add(wm, P, negate(wm, Q)))
+
+
+def _delta_samples(c, wm, sampler, rng, n):
+    """Pairs (kappa(P), kappa(2P)), both normalized."""
+    return list(oracle_draws(c, wm, sampler, rng, n, doubling(wm)))
 
 
 def _bqf_samples(c, wm, sampler, rng, n):
     """Quadruples (x, y, w, z) = kappa of (P, Q, P+Q, P-Q), normalized,
     with k1 != 0 on all four (generic affine classes)."""
-    F = c.field
-    out = []
-    guard = 0
-    while len(out) < n:
-        guard += 1
-        if guard > 60 * n:
-            raise KernelDimensionUnexpected("sampling kept hitting degenerate classes")
-        P = sampler(rng)
-        Q = sampler(rng)
-        try:
-            x = _kappa_of(c, wm, P)
-            y = _kappa_of(c, wm, Q)
-            w = _kappa_of(c, wm, add(wm, P, Q))
-            z = _kappa_of(c, wm, add(wm, P, negate(wm, Q)))
-        except UnsupportedDivisor:
-            continue
-        if any(v.coords[0] == F.zero for v in (x, y, w, z)):
-            continue
-        out.append((x.coords, y.coords, w.coords, z.coords))
-    return out
+    zero = c.field.zero
+    draws = oracle_draws(
+        c, wm, sampler, rng, n, sum_and_difference(wm), arity=2,
+        keep=lambda pts: all(k.coords[0] != zero for k in pts),
+    )
+    return [tuple(k.coords for k in pts) for pts in draws]
 
 
 # ---------------------------------------------------------------------------
-# Duplication quartics
+# Duplication quartics, derived from the biquadratic forms
 # ---------------------------------------------------------------------------
 
-def _delta_solve(F: Field, samples, quartic_vec):
-    """Solve the homogeneous duplication system after eliminating the
-    per-sample scales; returns the canonical four coefficient vectors."""
-    rows = []
+# QUARTIC4 index of x^e y^e' collapsed at y = x, per BIQUADRATIC44 monomial
+_COLLAPSED = [
+    QUARTIC4.index[tuple(a + b for a, b in zip(ex, ey))] for ex, ey in BIQUADRATIC44.exponents
+]
+
+
+def _delta_solve(F: Field, bqf, quartic_vec):
+    """The canonical duplication quartics from the biquadratic forms.
+
+    With P = Q the difference is the zero class (0:0:0:1), so the identity
+    gives B_i4(x, x) = lam * kappa(2P)_i for every i (the diagonal B44 by
+    the halved convention).  Collapses B14, B24, B34, B44 onto QUARTIC4,
+    zeroes each coordinate's designated coefficient with a quartic
+    multiple, and scales the first nonzero coefficient to one."""
     zero = F.zero
-    for x, d in samples:
-        mono = monomial_values_quartic(F, x)
-        r = next(i for i in range(4) if d[i] != zero)
-        for i in range(4):
-            if i == r:
-                continue
-            row = [zero] * 140
-            dr, di = d[r], F.neg(d[i])
-            base_i, base_r = 35 * i, 35 * r
-            for k, mv in enumerate(mono):
-                if mv != zero:
-                    row[base_i + k] = F.mul(mv, dr)
-                    row[base_r + k] = F.mul(mv, di)
-            rows.append(row)
-    kernel = solve_kernel(Matrix(F, rows))
-    if len(kernel) != 5:
-        raise KernelDimensionUnexpected(
-            f"duplication kernel has dimension {len(kernel)}, expected 5"
-        )
-    # cancel the quartic multiples: zero each block's designated coefficient
-    reduced = []
-    for v in kernel:
-        w = list(v)
-        for blk in range(4):
-            co = w[35 * blk + _DESIGNATED]
-            if co != zero:
-                for k in range(35):
-                    w[35 * blk + k] = F.sub(w[35 * blk + k], F.mul(co, quartic_vec[k]))
-        if any(a != zero for a in w):
-            reduced.append(w)
-    if not reduced:
-        raise KernelDimensionUnexpected("kernel contained only quartic multiples")
-    # all reduced vectors must be proportional; take the first, scale to 1
-    v0 = reduced[0]
-    piv = next(i for i, a in enumerate(v0) if a != zero)
-    inv = F.inv(v0[piv])
-    v0 = [F.mul(inv, a) for a in v0]
-    for v in reduced[1:]:
-        lam = v[piv]
-        for i in range(140):
-            if v[i] != F.mul(lam, v0[i]):
-                raise KernelDimensionUnexpected("kernel is wider than scale + quartic multiples")
-    return tuple(tuple(v0[35 * i : 35 * (i + 1)]) for i in range(4))
+    blocks = []
+    for i in range(1, 5):
+        blk = [zero] * 35
+        for k, a in zip(_COLLAPSED, bqf[(i, 4)]):
+            if a != zero:
+                blk[k] = F.add(blk[k], a)
+        co = blk[_DESIGNATED]
+        if co != zero:
+            blk = [F.sub(b, F.mul(co, q)) for b, q in zip(blk, quartic_vec)]
+        blocks.append(blk)
+    piv = next((a for blk in blocks for a in blk if a != zero), None)
+    if piv is None:
+        raise CrossCheckFailed("the biquadratic forms give a zero duplication")
+    inv = F.inv(piv)
+    return tuple(tuple(F.mul(inv, a) for a in blk) for blk in blocks)
 
 
 def apply_delta(F: Field, delta, k: KummerPoint) -> KummerPoint:
@@ -225,48 +224,32 @@ def apply_delta(F: Field, delta, k: KummerPoint) -> KummerPoint:
 
 def _fresh_check_delta(c, wm, sampler, rng, delta, n):
     F = c.field
-    done = 0
-    while done < n:
-        D = sampler(rng)
-        try:
-            x = _kappa_of(c, wm, D)
-            d2 = _kappa_of(c, wm, add(wm, D, D))
-        except UnsupportedDivisor:
-            continue
+    for x, d2 in _delta_samples(c, wm, sampler, rng, n):
         if not apply_delta(F, delta, x).proportional(d2):
             raise CrossCheckFailed("duplication self-check failed on a fresh sample")
-        done += 1
 
 
-def synthesize_delta(c: CurveModel, rng, samples: int = 105, wm=None, sampler=None, check: int = 24):
+def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24, bqf=None):
     """The four duplication quartics of the curve, canonically normalized.
 
-    Needs enough samples that the only kernel directions are the global
-    scale and one quartic multiple per coordinate (dimension five); on
-    failure the sample count is doubled twice before giving up."""
+    Derived from the biquadratic forms ``bqf`` (synthesized here when not
+    given) and re-checked on ``check`` fresh oracle samples.  Tiny binary
+    fields derive and check over the extension the forms come from."""
     F = c.field
     route = _route_field(F)
     if route == "lift":
-        return _lifted(c, rng, lambda cl, rl, wml, sl: synthesize_delta(cl, rl, samples, wml, sl, check))
-    if route == "modular":
-        return _modular_delta(c, rng, samples, check)
+        cl, fwd, back = _lift(c)
+        big = None if bqf is None else {p: tuple(fwd[a] for a in v) for p, v in bqf.items()}
+        return _descend_result(synthesize_delta(cl, rng, check=check, bqf=big), back)
     if wm is None:
         wm = working_model(c)
     if sampler is None:
         sampler = _default_sampler(wm)
-    qvec = quartic_from_curve(c).vector
-    n = samples
-    last = None
-    while n <= 4 * samples:
-        data = _delta_samples(c, wm, sampler, rng, n)
-        try:
-            delta = _delta_solve(F, data, qvec)
-            _fresh_check_delta(c, wm, sampler, rng, delta, check)
-            return delta
-        except KernelDimensionUnexpected as exc:
-            last = exc
-            n *= 2
-    raise last
+    if bqf is None:
+        bqf = synthesize_bqf(c, rng, wm=wm, sampler=sampler, check=check)
+    delta = _delta_solve(F, bqf, quartic_from_curve(c).vector)
+    _fresh_check_delta(c, wm, sampler, rng, delta, check)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +345,10 @@ def bqf_identity_mismatch(F: Field, forms, x, y, w, z):
 
 def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
     F = c.field
-    done = 0
-    while done < n:
-        P, Q = sampler(rng), sampler(rng)
-        try:
-            x = _kappa_of(c, wm, P)
-            y = _kappa_of(c, wm, Q)
-            w = _kappa_of(c, wm, add(wm, P, Q))
-            z = _kappa_of(c, wm, add(wm, P, negate(wm, Q)))
-        except UnsupportedDivisor:
-            continue
-        bad = bqf_identity_mismatch(F, forms, x.coords, y.coords, w.coords, z.coords)
+    for pts in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
+        bad = bqf_identity_mismatch(F, forms, *(k.coords for k in pts))
         if bad is not None:
             raise CrossCheckFailed(f"biquadratic self-check failed at B{bad[0]}{bad[1]} on a fresh pair")
-        done += 1
 
 
 def synthesize_bqf(c: CurveModel, rng, samples: int = 300, wm=None, sampler=None, check: int = 24):
@@ -388,7 +361,8 @@ def synthesize_bqf(c: CurveModel, rng, samples: int = 300, wm=None, sampler=None
     F = c.field
     route = _route_field(F)
     if route == "lift":
-        return _lifted(c, rng, lambda cl, rl, wml, sl: synthesize_bqf(cl, rl, samples, wml, sl, check))
+        cl, _fwd, back = _lift(c)
+        return _descend_result(synthesize_bqf(cl, rng, samples, check=check), back)
     if route == "modular":
         return _modular_bqf(c, rng, samples, check)
     if wm is None:
@@ -432,18 +406,8 @@ def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, rng, samples: int = 2
     n = samples
     while True:
         rows = []
-        got = 0
-        guard = 0
-        while got < n:
-            guard += 1
-            if guard > 40 * n:
-                raise KernelDimensionUnexpected("translation sampling kept degenerating")
-            D = sampler(rng)
-            try:
-                x = _kappa_of(c, wm, D).coords
-                d = _kappa_of(c, wm, add(wm, D, DQ)).coords
-            except UnsupportedDivisor:
-                continue
+        for kx, kd in oracle_draws(c, wm, sampler, rng, n, lambda D: (D, add(wm, D, DQ))):
+            x, d = kx.coords, kd.coords
             r = next(i for i in range(4) if d[i] != zero)
             for i in range(4):
                 if i == r:
@@ -454,7 +418,6 @@ def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, rng, samples: int = 2
                         row[4 * i + k] = F.mul(x[k], d[r])
                         row[4 * r + k] = F.neg(F.mul(x[k], d[i]))
                 rows.append(row)
-            got += 1
         kernel = solve_kernel(Matrix(F, rows))
         if len(kernel) == 1:
             break
@@ -531,8 +494,9 @@ def binary_embedding(sub: BinaryField, big: BinaryField):
     return fwd, back
 
 
-def _lifted(c: CurveModel, rng, fn):
-    """Run a synthesis routine over the canonical extension and descend."""
+def _lift(c: CurveModel):
+    """The curve over the canonical extension of its binary field, with the
+    maps (embed, project) between the two fields."""
     F = c.field
     big = binary_extension_of(F)
     fwd, back = binary_embedding(F, big)
@@ -541,10 +505,7 @@ def _lifted(c: CurveModel, rng, fn):
         Poly(big, [fwd[c.f[i]] for i in range(7)]),
         Poly(big, [fwd[c.h[i]] for i in range(4)]),
     )
-    wml = working_model(cl)
-    sl = _default_sampler(wml)
-    result = fn(cl, rng, wml, sl)
-    return _descend_result(result, back)
+    return cl, fwd, back
 
 
 def _descend_result(result, back):
@@ -670,31 +631,6 @@ def _modular_solve(c: CurveModel, rng, solve_mod, verify):
     raise KernelDimensionUnexpected("rational reconstruction failed to stabilize")
 
 
-def _modular_delta(c: CurveModel, rng, samples, check):
-    F = c.field
-    wm = working_model(c)
-    sampler = _default_sampler(wm)
-    qvec = quartic_from_curve(c).vector
-
-    def solve_mod(cm, sub_rng):
-        wmm = working_model(cm)
-        sm = _default_sampler(wmm)
-        data = _delta_samples(cm, wmm, sm, sub_rng, samples)
-        delta = _delta_solve(cm.field, data, quartic_from_curve(cm).vector)
-        return [a for blk in delta for a in blk]
-
-    def verify(recon):
-        delta = tuple(tuple(recon[35 * i : 35 * (i + 1)]) for i in range(4))
-        try:
-            _fresh_check_delta(c, wm, sampler, rng, delta, check)
-        except CrossCheckFailed:
-            return False
-        return True
-
-    flat = _modular_solve(c, rng, solve_mod, verify)
-    return tuple(tuple(flat[35 * i : 35 * (i + 1)]) for i in range(4))
-
-
 def _modular_bqf(c: CurveModel, rng, samples, check):
     wm = working_model(c)
     sampler = _default_sampler(wm)
@@ -727,14 +663,14 @@ def _modular_bqf(c: CurveModel, rng, samples, check):
 def synthesize_formula_set(
     c: CurveModel,
     rng,
-    delta_samples: int = 105,
     bqf_samples: int = 300,
     with_w: bool = True,
 ) -> FormulaSet:
-    """Synthesize the full formula family of a curve."""
+    """Synthesize the full formula family of a curve: the biquadratic forms,
+    the duplication quartics derived from them, and the translations."""
     F = c.field
-    delta = synthesize_delta(c, rng, delta_samples)
     bqf = synthesize_bqf(c, rng, bqf_samples)
+    delta = synthesize_delta(c, rng, bqf=bqf)
     w = []
     if with_w and F.order() is not None:
         if F.characteristic() == 2:
@@ -773,6 +709,10 @@ def serialize_formula_set(fs: FormulaSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DELTA_KEYS = {f"delta{i}": i - 1 for i in range(1, 5)}
+_BQF_KEYS = {f"B{i}{j}": (i, j) for (i, j) in BQF_INDEX_PAIRS}
+
+
 def deserialize_formula_set(text: str) -> FormulaSet:
     from .field import field_from_spec
 
@@ -798,8 +738,10 @@ def deserialize_formula_set(text: str) -> FormulaSet:
             convention = rest.strip()
         elif key == "fingerprint":
             fp = rest.strip()
-        elif key.startswith("delta"):
-            idx = int(key[5:]) - 1
+        elif key in _DELTA_KEYS:
+            idx = _DELTA_KEYS[key]
+            if delta[idx] is not None:
+                raise ValueError(f"repeated KFS1 line {key}")
             basis, _, csv = rest.partition(" ")
             if basis != "quartic4":
                 raise ValueError("duplication coordinates use the quartic4 basis")
@@ -807,15 +749,17 @@ def deserialize_formula_set(text: str) -> FormulaSet:
             if len(vec) != 35:
                 raise ValueError("quartic4 vectors have 35 coefficients")
             delta[idx] = vec
-        elif key.startswith("B"):
-            i, j = int(key[1]), int(key[2])
+        elif key in _BQF_KEYS:
+            pair = _BQF_KEYS[key]
+            if pair in bqf:
+                raise ValueError(f"repeated KFS1 line {key}")
             basis, _, csv = rest.partition(" ")
             if basis != "biquadratic44":
                 raise ValueError("biquadratic forms use the biquadratic44 basis")
             vec = tuple(F.parse(t) for t in csv.split(","))
             if len(vec) != 100:
                 raise ValueError("biquadratic44 vectors have 100 coefficients")
-            bqf[(i, j)] = vec
+            bqf[pair] = vec
         elif key == "W":
             label, _, csv = rest.partition(" ")
             vals = [F.parse(t) for t in csv.split(",")]
@@ -857,13 +801,7 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
     wm = working_model(c)
     sampler = _default_sampler(wm)
     ratio = None
-    checked = 0
-    while checked < npoints:
-        D = sampler(rng)
-        try:
-            k = _kappa_of(c, wm, D)
-        except UnsupportedDivisor:
-            continue
+    for (k,) in oracle_draws(c, wm, sampler, rng, npoints):
         lhs = T.apply(list(apply_delta(F, delta, k).coords))
         rhs = apply_delta(F, delta_prime, KummerPoint(F, T.apply(list(k.coords)))).coords
         piv = next((i for i in range(4) if rhs[i] != F.zero), None)
@@ -874,8 +812,7 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
             ratio = r
         if r != ratio or any(lhs[i] != F.mul(ratio, rhs[i]) for i in range(4)):
             raise CrossCheckFailed("duplication does not commute with the model change")
-        checked += 1
-    return {"ok": True, "points": checked, "ratio": F.to_str(ratio)}
+    return {"ok": True, "points": npoints, "ratio": F.to_str(ratio)}
 
 
 def _conversion_vector(F: Field, h: Poly):
@@ -948,14 +885,8 @@ def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bq
     wm = working_model(c)
     sampler = _default_sampler(wm)
     scalar = None
-    checked = 0
-    while checked < npoints:
-        P, Q = sampler(rng), sampler(rng)
-        try:
-            x = _kappa_of(c, wm, P).coords
-            y = _kappa_of(c, wm, Q).coords
-        except UnsupportedDivisor:
-            continue
+    for checked, (kx, ky) in enumerate(oracle_draws(c, wm, sampler, rng, npoints, arity=2)):
+        x, y = kx.coords, ky.coords
         xs = tuple(T.apply(list(x)))
         ys = tuple(T.apply(list(y)))
         conv = convert_bqf_from_simplified(F, c.h, eval_bqf_all(F, bqf_prime, xs, ys))
@@ -972,10 +903,9 @@ def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bq
                 raise CrossCheckFailed(
                     f"conversion failed at entry B{i}{j} after {checked} points"
                 )
-        checked += 1
     return {
         "ok": True,
-        "points": checked,
+        "points": npoints,
         "scalar": F.to_str(scalar),
         "diagonal_bookkeeping": "b'_ii = w'_i z'_i (halved); fourth-column groups "
         "use factors 1/4, 1/2; B44 groups use 1/16, 1/8, 1/4, 1/4",

@@ -17,19 +17,12 @@ import time
 from dataclasses import dataclass, field as dfield
 
 from .algebra import biquadratic_rows, eval_quartic, monomial_values_deg2, quadratic_value, quartic_values
-from .curve import CurveModel, normal_form_curve, validate
-from .errors import CounterexampleFound, SuiteFailed, UnsupportedDivisor
+from .curve import CurveModel, normal_form_curve, simplified_model, validate
+from .errors import CounterexampleFound, SuiteFailed
 from .field import BinaryField
-from .jacobian import (
-    add,
-    from_point_pair,
-    negate,
-    to_point_pair,
-    working_model,
-)
+from .jacobian import add, from_point_pair, working_model
 from .kummer import (
     KummerPoint,
-    kummer_coords,
     on_surface,
     quartic_from_curve,
     two_torsion_classes,
@@ -44,6 +37,9 @@ from .synthesis import (
     bqf_identity_mismatch,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
+    doubling,
+    oracle_draws,
+    sum_and_difference,
     synthesize_delta,
     synthesize_bqf,
     synthesize_formula_set,
@@ -148,52 +144,27 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
 
 def _suite_kappa_surface(c, wm, sampler, rng, n):
     q = quartic_from_curve(c)
-    done = 0
-    while done < n:
-        D = sampler(rng)
-        try:
-            k = kummer_coords(c, to_point_pair(wm, D))
-        except UnsupportedDivisor:
-            continue
+    for (k,) in oracle_draws(c, wm, sampler, rng, n):
         if not on_surface(q, k):
             return {"ok": False, "witness": k.text()}
-        done += 1
-    return {"ok": True, "n": done}
+    return {"ok": True, "n": n}
 
 
 def _suite_delta(c, wm, sampler, rng, fs, n):
     F = c.field
-    done = 0
-    while done < n:
-        D = sampler(rng)
-        try:
-            x = kummer_coords(c, to_point_pair(wm, D)).normalized()
-            d2 = kummer_coords(c, to_point_pair(wm, add(wm, D, D))).normalized()
-        except UnsupportedDivisor:
-            continue
+    for x, d2 in oracle_draws(c, wm, sampler, rng, n, doubling(wm)):
         if not apply_delta(F, fs.delta, x).proportional(d2):
             return {"ok": False, "witness": x.text()}
-        done += 1
-    return {"ok": True, "n": done}
+    return {"ok": True, "n": n}
 
 
 def _suite_bqf(c, wm, sampler, rng, fs, n):
     F = c.field
-    done = 0
-    while done < n:
-        P, Q = sampler(rng), sampler(rng)
-        try:
-            x = kummer_coords(c, to_point_pair(wm, P)).normalized()
-            y = kummer_coords(c, to_point_pair(wm, Q)).normalized()
-            w = kummer_coords(c, to_point_pair(wm, add(wm, P, Q))).normalized()
-            z = kummer_coords(c, to_point_pair(wm, add(wm, P, negate(wm, Q)))).normalized()
-        except UnsupportedDivisor:
-            continue
+    for x, y, w, z in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
         bad = bqf_identity_mismatch(F, fs.bqf, x.coords, y.coords, w.coords, z.coords)
         if bad is not None:
             return {"ok": False, "witness": f"B{bad[0]}{bad[1]} at {x.text()} , {y.text()}"}
-        done += 1
-    return {"ok": True, "n": done}
+    return {"ok": True, "n": n}
 
 
 def _suite_translation(c, wm, sampler, rng, fs, n):
@@ -225,18 +196,10 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
         DQ = from_point_pair(wm, T.divisor)
         if not add(wm, DQ, DQ).is_zero():
             return {"ok": False, "witness": f"class {T.label} is not 2-torsion"}
-        done = 0
-        while done < n:
-            D = sampler(rng)
-            try:
-                kP = kummer_coords(c, to_point_pair(wm, D)).normalized()
-                kPQ = kummer_coords(c, to_point_pair(wm, add(wm, D, DQ))).normalized()
-            except UnsupportedDivisor:
-                continue
+        for kP, kPQ in oracle_draws(c, wm, sampler, rng, n, lambda D: (D, add(wm, D, DQ))):
             Wk = KummerPoint(F, W.apply(list(kP.coords)))
             if not Wk.proportional(kPQ) or not on_surface(q, Wk):
                 return {"ok": False, "witness": f"translation failed for {T.label} at {kP.text()}"}
-            done += 1
         checked += 1
     return {"ok": True, "n": checked, "classes": [T.label for T in classes]}
 
@@ -244,20 +207,18 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
 def _suite_crosschecks(c, rng, fs, n):
     if c.field.characteristic() == 2:
         return {"ok": True, "note": "conversion checks need odd characteristic"}
-    rep1 = crosscheck_tau_delta(c, rng, npoints=n, delta=fs.delta)
-    rep2 = crosscheck_b_conversion(c, rng, npoints=n, bqf=fs.bqf)
+    csimp, _iso = simplified_model(c)
+    bqf_prime = synthesize_bqf(csimp, rng)
+    delta_prime = synthesize_delta(csimp, rng, bqf=bqf_prime)
+    rep1 = crosscheck_tau_delta(c, rng, npoints=n, delta=fs.delta, delta_prime=delta_prime)
+    rep2 = crosscheck_b_conversion(c, rng, npoints=n, bqf=fs.bqf, bqf_prime=bqf_prime)
     return {"ok": rep1["ok"] and rep2["ok"], "tau_delta": rep1, "b_conversion": rep2}
 
 
 def _suite_chain(c, wm, sampler, rng, fs, n, scalar_bits=16):
     F = c.field
     ctx = make_context(c, fs)
-    x = None
-    while x is None:
-        try:
-            x = kummer_coords(c, to_point_pair(wm, sampler(rng))).normalized()
-        except UnsupportedDivisor:
-            continue
+    ((x,),) = oracle_draws(c, wm, sampler, rng, 1)
     for _ in range(n):
         m = rng.randrange(1, 1 << scalar_bits)
         k = rng.randrange(1, 1 << scalar_bits)

@@ -132,6 +132,17 @@ def test_off_surface_point_rejected(synth_file, capsys):
         assert "not on the Kummer surface" in captured.err
 
 
+@pytest.mark.parametrize("extra", ["B5 biquadratic44 1", "B biquadratic44 1", "delta0 quartic4 1"])
+def test_malformed_formula_file_is_usage_error(synth_file, tmp_path, capsys, extra):
+    cpath, kfs = synth_file
+    bad = tmp_path / "bad.kfs"
+    bad.write_text(Path(kfs).read_text() + extra + "\n")
+    assert main(["dbl", cpath, "--formulas", str(bad), "--point", "0:0:0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized KFS1 line" in captured.err
+
+
 def test_twotorsion_listing(tmp_path, capsys):
     F = F1009
     h = Poly.from_ints(F, [0, 1])

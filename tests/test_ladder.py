@@ -162,6 +162,9 @@ def test_bench_deterministic_counts(ctx):
     assert rep1["ladder_total"] == rep2["ladder_total"]
     assert rep1["inversions_per_step"] == 0
     assert rep1["ladder_total"]["inv"] == 0
+    # one step is one doubling plus one differential addition; the ladder's
+    # first doubling is not spread over the steps
+    assert rep1["per_step"] == {k: rep1["xdbl"][k] + rep1["xadd"][k] for k in ("mul", "sqr", "inv")}
 
 
 def test_bench_counts_independent_of_bit_pattern():

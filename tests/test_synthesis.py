@@ -1,16 +1,20 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2kummer.algebra import BIQUADRATIC44, Poly, QUARTIC4
 from g2kummer.curve import CurveModel, normal_form_curve, validate
-from g2kummer.errors import KernelDimensionUnexpected, NotInSubfield, UnsupportedField
+from g2kummer.errors import ExhaustedRetries, KernelDimensionUnexpected, NotInSubfield, UnsupportedField
 from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import add, negate, random_divisor, to_point_pair, working_model
 from g2kummer.kummer import KummerPoint, kummer_coords, zero_class_point
 from g2kummer.synthesis import (
     BQF_INDEX_PAIRS,
     CONVENTION_TAG,
+    DRAW_BOUND,
     FormulaSet,
     apply_delta,
     binary_embedding,
@@ -21,6 +25,7 @@ from g2kummer.synthesis import (
     deserialize_formula_set,
     eval_bqf,
     fingerprint,
+    oracle_draws,
     serialize_formula_set,
     synthesize_bqf,
     synthesize_delta,
@@ -36,6 +41,8 @@ CURVE_1009 = CurveModel(
 )
 
 _DESIGNATED = QUARTIC4.index[(0, 2, 0, 2)]
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +81,54 @@ def test_delta_canonicalization(delta_1009):
     assert first == 1
 
 
-def test_delta_insufficient_samples_raises():
-    from g2kummer.synthesis import _delta_samples, _delta_solve, _default_sampler
-    from g2kummer.kummer import quartic_from_curve
+def test_bqf_insufficient_samples_raises():
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve, _default_sampler
 
     wm = working_model(CURVE_1009)
     rng = random.Random(103)
-    data = _delta_samples(CURVE_1009, wm, _default_sampler(wm), rng, 20)
+    data = _bqf_samples(CURVE_1009, wm, _default_sampler(wm), rng, 20)
     with pytest.raises(KernelDimensionUnexpected):
-        _delta_solve(F1009, data, quartic_from_curve(CURVE_1009).vector)
+        _bqf_solve(F1009, data)
+
+
+@pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f", "rational_small"])
+def test_delta_derivation_matches_reference_files(name):
+    # the reference formula files were written when duplication still had a
+    # linear solve of its own, independent of the biquadratic forms
+    from g2kummer.kummer import quartic_from_curve
+    from g2kummer.synthesis import _delta_solve
+
+    fs = deserialize_formula_set((REFERENCE_DIR / f"{name}.kfs").read_text())
+    assert _delta_solve(fs.curve.field, fs.bqf, quartic_from_curve(fs.curve).vector) == fs.delta
+
+
+def test_oracle_draws_gives_up_after_bound():
+    wm = working_model(CURVE_1009)
+    calls = []
+
+    def sampler(rng):
+        calls.append(None)
+        return random_divisor(wm, rng)
+
+    draws = oracle_draws(CURVE_1009, wm, sampler, random.Random(112), 3, keep=lambda pts: False)
+    with pytest.raises(ExhaustedRetries):
+        list(draws)
+    assert len(calls) == DRAW_BOUND * 3
+
+
+def test_only_the_solve_samples_drop_k1_zero_classes():
+    # the zero class has kappa (0:0:0:1); the fresh checks must still see it
+    from g2kummer.synthesis import _bqf_samples, _delta_samples
+
+    wm = working_model(CURVE_1009)
+
+    def zero(_rng):
+        return wm.zero()
+
+    pairs = _delta_samples(CURVE_1009, wm, zero, random.Random(113), 2)
+    assert [x.coords for x, _d in pairs] == [(0, 0, 0, 1)] * 2
+    with pytest.raises(ExhaustedRetries):
+        _bqf_samples(CURVE_1009, wm, zero, random.Random(113), 2)
 
 
 def test_bqf_identities_and_symmetry(bqf_1009):
@@ -226,13 +272,58 @@ def test_determinism_and_round_trip():
 
 
 def test_stale_fingerprint_rejected():
-    fs = FormulaSet(CURVE_1009, fingerprint(CURVE_1009),
-                    tuple((0,) * 35 for _ in range(4)),
-                    {p: (0,) * 100 for p in BQF_INDEX_PAIRS}, [], CONVENTION_TAG)
-    text = serialize_formula_set(fs)
+    text = _zero_formula_text()
     tampered = text.replace("f 1,3,0,2,0,1,0", "f 2,3,0,2,0,1,0")
     with pytest.raises(ValueError):
         deserialize_formula_set(tampered)
+
+
+def _zero_formula_text():
+    fs = FormulaSet(CURVE_1009, fingerprint(CURVE_1009),
+                    tuple((0,) * 35 for _ in range(4)),
+                    {p: (0,) * 100 for p in BQF_INDEX_PAIRS}, [], CONVENTION_TAG)
+    return serialize_formula_set(fs)
+
+
+@pytest.mark.parametrize("extra", [
+    "delta0 quartic4 " + ",".join(["1"] * 35),
+    "delta5 quartic4 " + ",".join(["1"] * 35),
+    "delta quartic4 1",
+    "delta4 quartic4 " + ",".join(["1"] * 35),
+    "B biquadratic44 1",
+    "B5 biquadratic44 1",
+    "B21 biquadratic44 " + ",".join(["1"] * 100),
+    "B111 biquadratic44 " + ",".join(["1"] * 100),
+    "B44 biquadratic44 " + ",".join(["1"] * 100),
+])
+def test_malformed_formula_keys_rejected(extra):
+    # unknown indices and repeated lines; a delta0 line used to overwrite delta4
+    text = _zero_formula_text()
+    deserialize_formula_set(text)
+    with pytest.raises(ValueError):
+        deserialize_formula_set(text + extra + "\n")
+
+
+_KEYS = st.text(
+    alphabet=st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_formula_file_with_one_mutated_key(data):
+    lines = _zero_formula_text().splitlines()
+    formula_lines = [i for i, ln in enumerate(lines) if ln.startswith(("delta", "B"))]
+    i = data.draw(st.sampled_from(formula_lines))
+    old, _, rest = lines[i].partition(" ")
+    new = data.draw(st.one_of(st.sampled_from(["delta0", "delta5", "B", "B5", "B21", "B12", "delta1"]), _KEYS))
+    lines[i] = f"{new} {rest}"
+    text = "\n".join(lines) + "\n"
+    if new == old:
+        deserialize_formula_set(text)
+    else:
+        with pytest.raises(ValueError):
+            deserialize_formula_set(text)
 
 
 def test_crosschecks_pass_odd_char(delta_1009, bqf_1009):
