@@ -8,6 +8,8 @@ Two fixed monomial bases are defined:
   with k1 > k2 > k3 > k4;
 - ``BIQUADRATIC44``: the 100 products of a degree-2 monomial in x1..x4 and a
   degree-2 monomial in y1..y4, x-block-major, each block graded-lex.
+  Forms symmetric in x and y are solved for over ``SYMMETRIC_PAIRS``, the
+  55 pairs a <= b of quadratic monomials, and expanded back.
 
 The same orderings are used by formula synthesis and serialization.
 """
@@ -797,14 +799,27 @@ def biquadratic_values(F: Field, forms, x, y) -> list:
     return [quadratic_value(F, row, qy) for row in biquadratic_rows(F, forms, x)]
 
 
-def biquadratic_values_vector(F: Field, x, y) -> list:
-    """The 100 monomial values for a biquadratic sample row."""
+# one coefficient per unordered pair of quadratic monomials
+SYMMETRIC_PAIRS = [(a, b) for a in range(10) for b in range(a, 10)]
+
+
+def symmetric_biquadratic_row(F: Field, x, y) -> list:
+    """The 55 monomial values of a symmetric biquadratic sample row:
+    q_a(x) q_b(y) + q_b(x) q_a(y) for a < b and q_a(x) q_a(y) for a = b.
+    Nothing is halved, so the basis also serves characteristic 2."""
     qx = monomial_values_deg2(F, x)
     qy = monomial_values_deg2(F, y)
-    out = []
-    for a in qx:
-        if a == F.zero:
-            out.extend([F.zero] * 10)
-        else:
-            out.extend(F.mul(a, b) if b != F.zero else F.zero for b in qy)
-    return out
+    add, mul = F.add, F.mul
+    return [
+        mul(qx[a], qy[a]) if a == b else add(mul(qx[a], qy[b]), mul(qx[b], qy[a]))
+        for a, b in SYMMETRIC_PAIRS
+    ]
+
+
+def expand_symmetric(F: Field, coeffs) -> list:
+    """The BIQUADRATIC44 vector of a symmetric form given by its 55
+    coefficients over SYMMETRIC_PAIRS."""
+    full = [F.zero] * BIQUADRATIC44.size
+    for (a, b), c in zip(SYMMETRIC_PAIRS, coeffs):
+        full[10 * a + b] = full[10 * b + a] = c
+    return full

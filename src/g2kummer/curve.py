@@ -117,6 +117,8 @@ def curve_from_text(text: str) -> CurveModel:
         key, _, rest = line.partition(" ")
         if key == "field":
             field = field_from_spec(rest.strip())
+        elif key in ("f", "h") and field is None:
+            raise ValueError("the field line must come before the f and h lines")
         elif key == "f":
             fco = [field.parse(tok) for tok in rest.split(",")]
         elif key == "h":

@@ -630,7 +630,10 @@ class RationalField(Field):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
 
     def parse(self, text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {text!r} has a zero denominator") from None
 
     def spec_string(self):
         return "rational"
@@ -642,12 +645,22 @@ def field_from_spec(text: str) -> Field:
     if text == "rational":
         return RationalField()
     if text.startswith("prime:"):
-        params = dict(kv.split("=") for kv in text[6:].split(","))
-        return PrimeField(int(params["p"], 0))
+        (p,) = _spec_params(text, ("p",))
+        return PrimeField(p)
     if text.startswith("binary:"):
-        params = dict(kv.split("=") for kv in text[7:].split(","))
-        return BinaryField(int(params["m"], 0), int(params["mod"], 0))
+        m, mod = _spec_params(text, ("m", "mod"))
+        return BinaryField(m, mod)
     raise ValueError(f"unrecognized field spec {text!r}")
+
+
+def _spec_params(text: str, keys: tuple) -> list[int]:
+    """The integer values of ``keys`` in a spec "kind:k1=v1,k2=v2", which
+    must name exactly those keys, each once."""
+    items = [kv.partition("=") for kv in text.partition(":")[2].split(",")]
+    found = {k.strip(): v for k, _, v in items}
+    if len(items) != len(keys) or set(found) != set(keys):
+        raise ValueError(f"field spec {text!r} needs exactly " + ",".join(f"{k}=<int>" for k in keys))
+    return [int(found[k], 0) for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ normalizations) by their defining identities
 with w, z Kummer coordinates of P+Q and P-Q.  Sampling divisor classes from
 the Cantor oracle and solving the resulting exact linear systems recovers
 the coefficient vectors; both solves assert their expected kernel
-dimension.  The duplication quartics need no system of their own: with
-P = Q the difference is the zero class (0:0:0:1), so
+dimension.  Swapping P and Q fixes w and z, so every B_ij is symmetric in
+its two arguments and is solved for over the 55 symmetric pairs of
+quadratic monomials rather than all 100 products: a 110-column pair kernel
+for B11, B12 and about 130 samples.  The duplication quartics need no
+system of their own: with P = Q the difference is the zero class
+(0:0:0:1), so
 
     delta(K(P))            ~  (B14, B24, B34, B44)(K(P), K(P))  ~  K(2P),
 
@@ -42,14 +46,16 @@ from math import isqrt
 
 from .algebra import (
     BIQUADRATIC44,
+    SYMMETRIC_PAIRS,
     Matrix,
     Poly,
     QUARTIC4,
     biquadratic_values,
-    biquadratic_values_vector,
     eval_biquadratic,
+    expand_symmetric,
     quartic_values,
     solve_kernel,
+    symmetric_biquadratic_row,
     _rref,
 )
 from .curve import CurveModel, simplified_model, simplified_kummer_matrix, validate
@@ -256,6 +262,11 @@ def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24,
 # Biquadratic forms
 # ---------------------------------------------------------------------------
 
+# Oracle samples for the biquadratic solve, default and floor: its (B11, B12)
+# pair kernel has 110 columns, and 20 rows beyond that leave a margin.
+PAIR_KERNEL_SAMPLES = 130
+
+
 def _bqf_targets(F: Field, w, z):
     """The ten target values w_i z_j + w_j z_i (i < j) and w_i z_i."""
     out = {}
@@ -270,9 +281,14 @@ def _bqf_targets(F: Field, w, z):
 
 def _bqf_solve(F: Field, samples):
     """Stage-one pair kernel for (B11, B12), then simultaneous right-hand
-    sides for the remaining eight forms."""
+    sides for the remaining eight forms.
+
+    Every B_ij is symmetric under P <-> Q, which fixes both w and z, so the
+    unknowns are the 55 coefficients over SYMMETRIC_PAIRS: the pair kernel
+    has 110 columns and stage two reduces to rank 55."""
     zero = F.zero
-    monos = [biquadratic_values_vector(F, x, y) for (x, y, _w, _z) in samples]
+    nsym = len(SYMMETRIC_PAIRS)
+    monos = [symmetric_biquadratic_row(F, x, y) for (x, y, _w, _z) in samples]
     targets = [_bqf_targets(F, w, z) for (_x, _y, w, z) in samples]
     # stage 1: B11(x,y) * t12 - B12(x,y) * t11 = 0
     rows = []
@@ -286,7 +302,7 @@ def _bqf_solve(F: Field, samples):
             f"pair kernel for (B11, B12) has dimension {len(kernel)}, expected 1"
         )
     v = kernel[0]
-    c11, c12 = list(v[:100]), list(v[100:])
+    c11, c12 = expand_symmetric(F, v[:nsym]), expand_symmetric(F, v[nsym:])
     piv = next((i for i, a in enumerate(c11) if a != zero), None)
     if piv is None:
         raise KernelDimensionUnexpected("B11 came out identically zero")
@@ -298,19 +314,19 @@ def _bqf_solve(F: Field, samples):
     aug = []
     for (x, y, _w, _z), mono, tg in zip(samples, monos, targets):
         lam = F.div(eval_biquadratic(F, c11, x, y), tg[(1, 1)])
-        aug.append(list(mono) + [F.mul(lam, tg[p]) for p in rest])
-    rank, pivots = _rref(F, aug, 100)
-    if rank != 100:
-        raise KernelDimensionUnexpected(f"monomial matrix rank {rank}, expected 100")
+        aug.append(mono + [F.mul(lam, tg[p]) for p in rest])
+    rank, pivots = _rref(F, aug, nsym)
+    if rank != nsym:
+        raise KernelDimensionUnexpected(f"monomial matrix rank {rank}, expected {nsym}")
     for i in range(rank, len(aug)):
-        if any(a != zero for a in aug[i][100:]):
+        if any(a != zero for a in aug[i][nsym:]):
             raise KernelDimensionUnexpected("inconsistent biquadratic system")
     forms = {(1, 1): tuple(c11), (1, 2): tuple(c12)}
     for t, p in enumerate(rest):
-        vec = [zero] * 100
+        vec = [zero] * nsym
         for rix, col in enumerate(pivots):
-            vec[col] = aug[rix][100 + t]
-        forms[p] = tuple(vec)
+            vec[col] = aug[rix][nsym + t]
+        forms[p] = tuple(expand_symmetric(F, vec))
     return forms
 
 
@@ -351,13 +367,17 @@ def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
             raise CrossCheckFailed(f"biquadratic self-check failed at B{bad[0]}{bad[1]} on a fresh pair")
 
 
-def synthesize_bqf(c: CurveModel, rng, samples: int = 300, wm=None, sampler=None, check: int = 24):
+def synthesize_bqf(
+    c: CurveModel, rng, samples: int = PAIR_KERNEL_SAMPLES, wm=None, sampler=None, check: int = 24
+):
     """The ten biquadratic forms, scaled so B11 starts with coefficient one.
 
     The diagonal forms satisfy B_ii = w_i z_i (halved relative to the i = j
     specialization of the off-diagonal identity), which stays nonzero in
-    characteristic 2.  The staged solve needs roughly 220 samples to reach
-    full rank; the default of 300 keeps a safety margin."""
+    characteristic 2.  The forms are solved for in the 55-coefficient
+    symmetric basis, so the staged solve reaches full rank at about 110
+    samples; at least PAIR_KERNEL_SAMPLES are drawn, doubling up to four
+    times that while a kernel or rank check fails."""
     F = c.field
     route = _route_field(F)
     if route == "lift":
@@ -369,9 +389,9 @@ def synthesize_bqf(c: CurveModel, rng, samples: int = 300, wm=None, sampler=None
         wm = working_model(c)
     if sampler is None:
         sampler = _default_sampler(wm)
-    n = max(samples, 220)
+    n = max(samples, PAIR_KERNEL_SAMPLES)
     last = None
-    while n <= 4 * max(samples, 220):
+    while n <= 4 * max(samples, PAIR_KERNEL_SAMPLES):
         data = _bqf_samples(c, wm, sampler, rng, n)
         try:
             forms = _bqf_solve(F, data)
@@ -638,7 +658,7 @@ def _modular_bqf(c: CurveModel, rng, samples, check):
     def solve_mod(cm, sub_rng):
         wmm = working_model(cm)
         sm = _default_sampler(wmm)
-        data = _bqf_samples(cm, wmm, sm, sub_rng, max(samples, 220))
+        data = _bqf_samples(cm, wmm, sm, sub_rng, max(samples, PAIR_KERNEL_SAMPLES))
         forms = _bqf_solve(cm.field, data)
         return [a for p in BQF_INDEX_PAIRS for a in forms[p]]
 
@@ -663,22 +683,27 @@ def _modular_bqf(c: CurveModel, rng, samples, check):
 def synthesize_formula_set(
     c: CurveModel,
     rng,
-    bqf_samples: int = 300,
+    bqf_samples: int = PAIR_KERNEL_SAMPLES,
     with_w: bool = True,
 ) -> FormulaSet:
     """Synthesize the full formula family of a curve: the biquadratic forms,
-    the duplication quartics derived from them, and the translations."""
+    the duplication quartics derived from them, and the translations.
+
+    On the direct route one working model and sampler serve every stage;
+    the lift and modular routes build their own."""
     F = c.field
-    bqf = synthesize_bqf(c, rng, bqf_samples)
-    delta = synthesize_delta(c, rng, bqf=bqf)
+    wm = sampler = None
+    if _route_field(F) == "direct":
+        wm = working_model(c)
+        sampler = _default_sampler(wm)
+    bqf = synthesize_bqf(c, rng, bqf_samples, wm=wm, sampler=sampler)
+    delta = synthesize_delta(c, rng, wm=wm, sampler=sampler, bqf=bqf)
     w = []
     if with_w and F.order() is not None:
         if F.characteristic() == 2:
             for T in two_torsion_classes(c):
                 w.append((T.label, w_matrix_char2(c, T)))
         else:
-            wm = working_model(c)
-            sampler = _default_sampler(wm)
             for T in two_torsion_classes(c):
                 w.append((T.label, synthesize_w_oddchar(c, T, rng, wm=wm, sampler=sampler)))
     return FormulaSet(c, fingerprint(c), delta, bqf, w)
@@ -730,6 +755,8 @@ def deserialize_formula_set(text: str) -> FormulaSet:
         key, _, rest = ln.partition(" ")
         if key == "field":
             F = field_from_spec(rest.strip())
+        elif F is None and key not in ("convention", "fingerprint"):
+            raise ValueError(f"KFS1 line {key!r} comes before the field line")
         elif key == "f":
             fco = [F.parse(t) for t in rest.split(",")]
         elif key == "h":
@@ -770,6 +797,8 @@ def deserialize_formula_set(text: str) -> FormulaSet:
             raise ValueError(f"unrecognized KFS1 line {ln!r}")
     if convention != CONVENTION_TAG:
         raise ValueError(f"unknown diagonal convention {convention!r}")
+    if fco is None or hco is None:
+        raise ValueError("KFS1 file needs field, f and h lines")
     curve = CurveModel(F, Poly(F, fco), Poly(F, hco))
     expect = fingerprint(curve)
     if fp != expect:

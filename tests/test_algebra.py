@@ -12,11 +12,13 @@ from g2kummer.algebra import (
     eval_biquadratic,
     eval_form,
     eval_quartic,
+    expand_symmetric,
     irreducible_quadratic_factors,
     matrix_rank,
     poly_ops,
     roots,
     solve_kernel,
+    symmetric_biquadratic_row,
 )
 from g2kummer.errors import DivisionByZero, LengthMismatch, UnsupportedField
 from g2kummer.field import BinaryField, PrimeField, RationalField
@@ -220,3 +222,19 @@ def test_eval_form_vs_naive_oracle():
             t = t * pow(pty[idx], ey[idx], 1009) % 1009
         naive = (naive + t) % 1009
     assert eval_form(F1009, BIQUADRATIC44, cb, ptx, pty) == naive
+
+
+@pytest.mark.parametrize("F", [F1009, BinaryField(16, 0x1002B)], ids=lambda F: F.spec_string())
+def test_symmetric_basis_row_matches_expanded_form(F):
+    # a symmetric form's value is its 55 coefficients dotted with the sample
+    # row, in characteristic 2 as well, and the expansion is symmetric
+    rng = random.Random(78)
+    for _ in range(20):
+        s = [F.random(rng) for _ in range(55)]
+        x = tuple(F.random(rng) for _ in range(4))
+        y = tuple(F.random(rng) for _ in range(4))
+        full = expand_symmetric(F, s)
+        dot = F.zero
+        for c, m in zip(s, symmetric_biquadratic_row(F, x, y)):
+            dot = F.add(dot, F.mul(c, m))
+        assert eval_biquadratic(F, full, x, y) == dot == eval_biquadratic(F, full, y, x)

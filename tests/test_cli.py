@@ -143,6 +143,35 @@ def test_malformed_formula_file_is_usage_error(synth_file, tmp_path, capsys, ext
     assert "unrecognized KFS1 line" in captured.err
 
 
+def _assert_usage_error(argv, capsys):
+    # main() returns instead of letting the exception escape as a traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_field_spec_without_its_key_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "q.curve"
+    p.write_text(CURVE_TEXT.replace("prime:p=1009", "prime:q=7"))
+    _assert_usage_error(["validate", str(p)], capsys)
+
+
+def test_coefficients_before_field_line_is_usage_error(tmp_path, capsys):
+    lines = CURVE_TEXT.splitlines()
+    p = tmp_path / "order.curve"
+    p.write_text("\n".join(lines[1:] + lines[:1]) + "\n")
+    _assert_usage_error(["validate", str(p)], capsys)
+
+
+def test_formula_file_without_field_line_is_usage_error(synth_file, tmp_path, capsys):
+    cpath, kfs = synth_file
+    bad = tmp_path / "nofield.kfs"
+    bad.write_text("".join(ln for ln in Path(kfs).read_text().splitlines(True)
+                           if not ln.startswith("field ")))
+    _assert_usage_error(["dbl", cpath, "--formulas", str(bad), "--point", "0:0:0:1"], capsys)
+
+
 def test_twotorsion_listing(tmp_path, capsys):
     F = F1009
     h = Poly.from_ints(F, [0, 1])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2kummer.algebra import Matrix, Poly
 from g2kummer.curve import (
@@ -376,6 +378,28 @@ def test_curve_file_round_trip():
     B = B16
     cb = CurveModel(B, Poly(B, [0, 3, 0, 7, 0, 11]), Poly(B, [1]))
     assert curve_from_text(cb.curve_file_text()) == cb
+
+
+_CURVE_LINES = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "field prime:p=1009", "field binary:m=4,mod=0x13", "field rational", "field prime:q=7",
+            "f 1,3,0,2,0,1,0", "f 1,2", "f 1/0,0,0,0,0,1,0", "h 1,1,0,0", "h x,0,0,0", "# note", "",
+        ]),
+        st.text(max_size=16),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CURVE_LINES)
+def test_curve_parser_raises_only_value_error(lines):
+    try:
+        c = curve_from_text("\n".join(lines))
+    except ValueError:
+        return
+    assert curve_from_text(c.curve_file_text()) == c
 
 
 def test_branch_labels_and_infinity_points():

@@ -153,6 +153,40 @@ def test_spec_string_round_trip():
     assert F.m == 16 and F.mod == 0x1002B
 
 
+@pytest.mark.parametrize("text", [
+    "prime:q=7", "prime:p", "prime:p=7,p=11", "prime:p=7,m=2", "binary:m=4", "binary:mod=0x13",
+    "prime:p=x", "prime:", "finite:p=7",
+])
+def test_malformed_field_spec_is_value_error(text):
+    with pytest.raises(ValueError):
+        field_from_spec(text)
+
+
+_SPEC_TEXT = st.one_of(
+    st.text(max_size=24),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["prime", "binary"]),
+        st.text(alphabet="pmodq=,x0123456789abf ", max_size=24),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPEC_TEXT)
+def test_field_spec_parser_raises_only_value_error(text):
+    try:
+        F = field_from_spec(text)
+    except ValueError:
+        return
+    assert field_from_spec(F.spec_string()) == F
+
+
+def test_rational_zero_denominator_is_value_error():
+    with pytest.raises(ValueError):
+        QQ.parse("1/0")
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         BinaryField(4, 0b10001)  # x^4 + 1 = (x+1)^4

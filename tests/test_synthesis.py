@@ -91,6 +91,40 @@ def test_bqf_insufficient_samples_raises():
         _bqf_solve(F1009, data)
 
 
+def test_bqf_solve_needs_only_the_symmetric_columns():
+    # 120 samples are short of the 199 a 200-column pair kernel needs but
+    # enough for the 110 columns of the symmetric basis
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve, _default_sampler
+
+    wm = working_model(CURVE_1009)
+    data = _bqf_samples(CURVE_1009, wm, _default_sampler(wm), random.Random(114), 300)
+    assert _bqf_solve(F1009, data[:120]) == _bqf_solve(F1009, data)
+
+
+@pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f", "rational_small"])
+def test_formula_set_matches_reference_file(name):
+    # perfbench/make_reference.py writes the reference files with seed 7
+    from g2kummer.corpus import default_corpus
+
+    fs = synthesize_formula_set(dict(default_corpus())[name], random.Random(7))
+    assert serialize_formula_set(fs) == (REFERENCE_DIR / f"{name}.kfs").read_text()
+
+
+def test_formula_set_builds_one_working_model(monkeypatch):
+    import g2kummer.synthesis as synthesis
+    from g2kummer.corpus import default_corpus
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return working_model(c)
+
+    monkeypatch.setattr(synthesis, "working_model", counted)
+    synthesize_formula_set(dict(default_corpus())["m61_h2_f5"], random.Random(115))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f", "rational_small"])
 def test_delta_derivation_matches_reference_files(name):
     # the reference formula files were written when duplication still had a
@@ -302,6 +336,13 @@ def test_malformed_formula_keys_rejected(extra):
     deserialize_formula_set(text)
     with pytest.raises(ValueError):
         deserialize_formula_set(text + extra + "\n")
+
+
+@pytest.mark.parametrize("dropped", ["field ", "f ", "h "])
+def test_formula_file_missing_header_line_rejected(dropped):
+    lines = _zero_formula_text().splitlines(True)
+    with pytest.raises(ValueError):
+        deserialize_formula_set("".join(ln for ln in lines if not ln.startswith(dropped)))
 
 
 _KEYS = st.text(
