@@ -237,48 +237,34 @@ def _pow_x_q_mod(p: Poly) -> Poly:
 
 
 def _split_linear(p: Poly, rng_state: int = 1) -> list:
-    """Roots of p where p is a product of distinct linear factors."""
+    """Roots of p where p is a product of distinct linear factors, by
+    equal-degree splitting: gcd(p, (x + a)^((q-1)/2) - 1) in odd
+    characteristic, gcd(p, Tr(a x)) in characteristic 2, for random a."""
     F = p.field
     if p.degree == 1:
         c0, c1 = p.coeffs
         return [F.neg(F.mul(c0, F.inv(c1)))]
     if p.degree <= 0:
         return []
-    q = F.order()
-    if q <= (1 << 16):
-        # exhaustive scan is cheap for small fields
-        roots = []
-        for v in range(q):
-            if p(v) == F.zero:
-                roots.append(v)
-        return roots
-    # equal-degree splitting for degree-1 factors
     import random as _random
 
+    q = F.order()
     rng = _random.Random(rng_state ^ hash(p.coeffs) & 0xFFFFFFFF)
     one = Poly.const(F, F.one)
-    if F.characteristic() != 2:
-        while True:
-            a = F.random(rng)
-            probe = Poly(F, [a, F.one])  # x + a
-            t = _pow_poly_mod(probe, (q - 1) // 2, p) - one
-            g = t.gcd(p) if not t.is_zero() else p
-            if 0 < g.degree < p.degree:
-                return _split_linear(g) + _split_linear(p // g)
-    else:
-        m = F.m  # type: ignore[attr-defined]
-        while True:
-            a = F.random(rng)
-            probe = Poly(F, [a, F.one])
-            # trace polynomial of probe mod p
-            t = probe
-            acc = probe
-            for _ in range(m - 1):
+    while True:
+        a = F.random(rng)
+        if F.characteristic() != 2:
+            t = _pow_poly_mod(Poly(F, [a, F.one]), (q - 1) // 2, p) - one
+        else:
+            # the trace of a x: a root r of p is a root of it iff Tr(a r) = 0
+            acc = Poly(F, [F.zero, a]) % p
+            t = acc
+            for _ in range(F.m - 1):  # type: ignore[attr-defined]
                 acc = (acc * acc) % p
                 t = t + acc
-            g = t.gcd(p) if not t.is_zero() else p
-            if 0 < g.degree < p.degree:
-                return _split_linear(g) + _split_linear(p // g)
+        g = t.gcd(p) if not t.is_zero() else p
+        if 0 < g.degree < p.degree:
+            return _split_linear(g) + _split_linear(p // g)
 
 
 def _pow_poly_mod(base: Poly, n: int, mod: Poly) -> Poly:
@@ -296,8 +282,8 @@ def _pow_poly_mod(base: Poly, n: int, mod: Poly) -> Poly:
 def roots(p: Poly) -> list[tuple[object, int]]:
     """All roots of p in its (finite) base field, with multiplicities.
 
-    Computed via gcd with x**q - x, then splitting; fields of order up to
-    2**16 fall back to an exhaustive scan inside the splitter.
+    Computed via gcd with x**q - x, then equal-degree splitting of that
+    product of distinct linear factors; sorted by the field's sort key.
     """
     F = p.field
     if F.order() is None:
@@ -684,40 +670,26 @@ BIQUADRATIC44 = MonomialBasis(
 BASES = {"quartic4": QUARTIC4, "biquadratic44": BIQUADRATIC44}
 
 
-def monomial_values_quartic(F: Field, point) -> list:
-    """Values of the 35 quartic monomials at a quadruple of raw values."""
-    k1, k2, k3, k4 = point
-    pows = [
-        [F.one, k1, F.mul(k1, k1), None, None],
-        [F.one, k2, F.mul(k2, k2), None, None],
-        [F.one, k3, F.mul(k3, k3), None, None],
-        [F.one, k4, F.mul(k4, k4), None, None],
-    ]
-    for row, k in zip(pows, point):
-        row[3] = F.mul(row[2], k)
-        row[4] = F.mul(row[3], k)
-    out = []
-    for e in QUARTIC4.exponents:
-        v = pows[0][e[0]]
-        for idx in (1, 2, 3):
-            if e[idx]:
-                v = F.mul(v, pows[idx][e[idx]])
-        out.append(v)
-    return out
+# each quadratic monomial as the pair of variables it multiplies
+_QUADRATIC_VARS = [tuple(v for v in range(4) for _ in range(e[v])) for e in _DEG2]
+# each quartic monomial as one product of two quadratic monomials
+_QUARTIC_FACTORS = [
+    next(
+        (a, b)
+        for a in range(10)
+        for b in range(a, 10)
+        if tuple(u + v for u, v in zip(_DEG2[a], _DEG2[b])) == e
+    )
+    for e in QUARTIC4.exponents
+]
+QUADRATIC_MULS = len(_QUADRATIC_VARS)
 
 
-def monomial_values_deg2(F: Field, point) -> list:
-    """Values of the 10 quadratic monomials at a quadruple of raw values."""
-    out = []
-    for e in _DEG2:
-        v = F.one
-        for idx in range(4):
-            if e[idx] == 1:
-                v = F.mul(v, point[idx])
-            elif e[idx] == 2:
-                v = F.mul(v, F.mul(point[idx], point[idx]))
-        out.append(v)
-    return out
+def quadratic_monomials(F: Field, point) -> list:
+    """The ten quadratic monomials of a quadruple of raw values, in the
+    order of a BIQUADRATIC44 block: one multiplication each."""
+    mul = F.mul
+    return [mul(point[u], point[v]) for u, v in _QUADRATIC_VARS]
 
 
 def eval_form(F: Field, basis: MonomialBasis, coeffs: list, *points) -> object:
@@ -742,60 +714,113 @@ def eval_biquadratic(F: Field, coeffs: list, x, y) -> object:
     return biquadratic_values(F, [coeffs], x, y)[0]
 
 
-# The evaluators below skip only coefficients that are zero, never monomial
-# values that happen to vanish, so their operation count depends on the forms
-# alone and not on the point.
+class CompiledForms:
+    """Forms over QUARTIC4 and BIQUADRATIC44 reduced to their nonzero
+    coefficients, evaluated from the quadratic monomials of their arguments.
+
+    A quartic form sums over the quartic monomials it uses, each computed
+    once per point as one product of two quadratic monomials.  A
+    biquadratic form keeps one sparse row per quadratic monomial of y: its
+    value is the sum over rows of q_b(y) times the row's combination of the
+    q_a(x).  Only zero coefficients are skipped, never values that happen
+    to vanish, so an evaluation costs a number of multiplications fixed by
+    the sparsity alone (``quartic_muls``, ``biquadratic_muls``)."""
+
+    def __init__(self, F: Field, quartics=(), biquadratics=None):
+        zero = F.zero
+        self.field = F
+        self.quartics = []
+        for coeffs in quartics:
+            if len(coeffs) != QUARTIC4.size:
+                raise LengthMismatch("quartic coefficient vector must have 35 entries")
+            self.quartics.append([(k, c) for k, c in enumerate(coeffs) if c != zero])
+        used = sorted({k for form in self.quartics for k, _ in form})
+        self.quartic_monomials = [(k,) + _QUARTIC_FACTORS[k] for k in used]
+        self.biquadratics = {}
+        for key, coeffs in (biquadratics or {}).items():
+            if len(coeffs) != BIQUADRATIC44.size:
+                raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
+            rows = [
+                (b, [(a, coeffs[10 * a + b]) for a in range(10) if coeffs[10 * a + b] != zero])
+                for b in range(10)
+            ]
+            self.biquadratics[key] = [(b, row) for b, row in rows if row]
+
+    def quartic_values(self, quad) -> list:
+        """The quartic forms at the point whose quadratic monomials are
+        ``quad``."""
+        F = self.field
+        zero, add, mul = F.zero, F.add, F.mul
+        mono = [None] * QUARTIC4.size
+        for k, a, b in self.quartic_monomials:
+            mono[k] = mul(quad[a], quad[b])
+        out = []
+        for form in self.quartics:
+            acc = zero
+            for k, c in form:
+                acc = add(acc, mul(c, mono[k]))
+            out.append(acc)
+        return out
+
+    def biquadratic_rows(self, keys, qx) -> list:
+        """Substitute x into the biquadratic forms named by ``keys``: per
+        form, the (b, coefficient) pairs of the quadratic form in y that
+        remains."""
+        F = self.field
+        zero, add, mul = F.zero, F.add, F.mul
+        out = []
+        for key in keys:
+            row = []
+            for b, terms in self.biquadratics[key]:
+                acc = zero
+                for a, c in terms:
+                    acc = add(acc, mul(c, qx[a]))
+                row.append((b, acc))
+            out.append(row)
+        return out
+
+    def biquadratic_values(self, keys, qx, qy) -> list:
+        """The biquadratic forms named by ``keys`` at the argument pair whose
+        quadratic monomials are ``qx`` and ``qy``."""
+        F = self.field
+        return [quadratic_value(F, row, qy) for row in self.biquadratic_rows(keys, qx)]
+
+    def quartic_muls(self) -> int:
+        """Multiplications of one ``quartic_values`` call."""
+        return len(self.quartic_monomials) + sum(len(form) for form in self.quartics)
+
+    def biquadratic_muls(self, keys) -> int:
+        """Multiplications of one ``biquadratic_values`` call on ``keys``."""
+        return sum(len(terms) + 1 for key in keys for _b, terms in self.biquadratics[key])
 
 
 def quartic_values(F: Field, forms, point) -> list:
-    """Values of QUARTIC4 forms at one point, sharing the 35 monomials."""
-    mono = monomial_values_quartic(F, point)
-    zero, add, mul = F.zero, F.add, F.mul
-    out = []
-    for coeffs in forms:
-        if len(coeffs) != QUARTIC4.size:
-            raise LengthMismatch("quartic coefficient vector must have 35 entries")
-        acc = zero
-        for c, m in zip(coeffs, mono):
-            if c != zero:
-                acc = add(acc, mul(c, m))
-        out.append(acc)
-    return out
+    """Values of QUARTIC4 forms at one point, sharing its monomials."""
+    return CompiledForms(F, quartics=forms).quartic_values(quadratic_monomials(F, point))
 
 
 def biquadratic_rows(F: Field, forms, x) -> list[list]:
-    """Substitute x into BIQUADRATIC44 forms: per form, the ten
-    coefficients of the quadratic form in y that remains."""
-    qx = monomial_values_deg2(F, x)
-    zero, add, mul = F.zero, F.add, F.mul
-    out = []
-    for coeffs in forms:
-        if len(coeffs) != BIQUADRATIC44.size:
-            raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
-        row = [zero] * 10
-        for i, xi in enumerate(qx):
-            base = 10 * i
-            for j in range(10):
-                c = coeffs[base + j]
-                if c != zero:
-                    row[j] = add(row[j], mul(c, xi))
-        out.append(row)
-    return out
+    """Substitute x into BIQUADRATIC44 forms: per form, the (b, coefficient)
+    pairs of the quadratic form in y that remains."""
+    keys = range(len(forms))
+    compiled = CompiledForms(F, biquadratics=dict(zip(keys, forms)))
+    return compiled.biquadratic_rows(keys, quadratic_monomials(F, x))
 
 
 def quadratic_value(F: Field, row, qy) -> object:
-    """Value of a quadratic form, given by the ten coefficients from
-    ``biquadratic_rows``, at the point whose monomial values are ``qy``."""
+    """Value of a quadratic form, given by its (b, coefficient) pairs from
+    ``biquadratic_rows``, at the point whose quadratic monomials are
+    ``qy``."""
     add, mul = F.add, F.mul
     acc = F.zero
-    for c, m in zip(row, qy):
-        acc = add(acc, mul(c, m))
+    for b, c in row:
+        acc = add(acc, mul(c, qy[b]))
     return acc
 
 
 def biquadratic_values(F: Field, forms, x, y) -> list:
     """Values of BIQUADRATIC44 forms at one argument pair."""
-    qy = monomial_values_deg2(F, y)
+    qy = quadratic_monomials(F, y)
     return [quadratic_value(F, row, qy) for row in biquadratic_rows(F, forms, x)]
 
 
@@ -807,8 +832,8 @@ def symmetric_biquadratic_row(F: Field, x, y) -> list:
     """The 55 monomial values of a symmetric biquadratic sample row:
     q_a(x) q_b(y) + q_b(x) q_a(y) for a < b and q_a(x) q_a(y) for a = b.
     Nothing is halved, so the basis also serves characteristic 2."""
-    qx = monomial_values_deg2(F, x)
-    qy = monomial_values_deg2(F, y)
+    qx = quadratic_monomials(F, x)
+    qy = quadratic_monomials(F, y)
     add, mul = F.add, F.mul
     return [
         mul(qx[a], qy[a]) if a == b else add(mul(qx[a], qy[b]), mul(qx[b], qy[a]))

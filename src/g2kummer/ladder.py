@@ -2,94 +2,145 @@
 
 Doubling evaluates the four synthesized quartics; differential addition
 recovers kappa(P+Q) from x = kappa(P), y = kappa(Q), z = kappa(P-Q) through
-the biquadratic forms: with a pivot j such that z_j != 0,
+the biquadratic forms: with the pivot j the first index with z_j != 0,
 
     w~_j = z_j * B_jj(x, y),      w~_i = z_j * B_ij(x, y) - B_jj(x, y) * z_i,
 
-which equals z_j^2 * kappa(P+Q) projectively -- no inversions.  The ladder
-keeps the invariant pair (kappa(mP), kappa((m+1)P)) whose difference is the
-fixed base point, consuming scalar bits from the top.
+which equals z_j^2 * kappa(P+Q) projectively -- no inversions -- and needs
+four of the ten forms.  One pivot is enough: B_ij(x, y) = lam * t_ij(w, z)
+with w = kappa(P+Q), so the result under any pivot is lam * z_j^2 * w.  It
+vanishes only when lam = 0, and then it vanishes under every pivot, so no
+other pivot is tried; ``check_pivots`` evaluates them all and asserts they
+agree.
+
+The forms are compiled once per context (``algebra.CompiledForms``) and
+evaluated from the ten quadratic monomials of their arguments.  The points
+``xdbl`` and ``xadd`` return carry these monomials, so a ladder computes
+each point's monomials once, as it makes the point, and the doubling and
+the addition that consume it share them; a point from elsewhere has its
+monomials computed on each use and is never annotated.  The ladder keeps
+the invariant pair (kappa(mP), kappa((m+1)P)) whose difference is the fixed
+base point, consuming scalar bits from the top.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .algebra import quartic_values
+from .algebra import QUADRATIC_MULS, CompiledForms, quadratic_monomials
 from .curve import CurveModel
 from .errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
 from .field import OpCounter
-from .kummer import KummerPoint, KummerQuartic, quartic_from_curve, zero_class_point
-from .synthesis import FormulaSet, _default_sampler, eval_bqf_all, fingerprint, oracle_draws
+from .kummer import KummerPoint, KummerQuartic, on_surface, quartic_from_curve, zero_class_point
+from .synthesis import FormulaSet, default_sampler, fingerprint, oracle_draws
+
+# per pivot j: the key of B_jj, then the key of B_ij for each i != j
+_PIVOT_FORMS = [
+    [(j + 1, j + 1)] + [(min(i, j) + 1, max(i, j) + 1) for i in range(4) if i != j]
+    for j in range(4)
+]
+
+# multiplications of xadd outside the forms: one for w_j, two per other w_i
+_COMBINE_MULS = 1 + 2 * 3
 
 
 @dataclass
 class LadderContext:
-    """Immutable bundle of a curve, its quartic, and its formula set."""
+    """Immutable bundle of a curve, its quartic, its formula set and the
+    formula set compiled for evaluation."""
 
     curve: CurveModel
     quartic: KummerQuartic
     formulas: FormulaSet
     check_pivots: bool = False
     check_surface: bool = False
+    forms: CompiledForms = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.formulas.fingerprint != fingerprint(self.curve):
             raise FormulaSetMissing(
                 "formula set fingerprint does not match the curve"
             )
+        self.forms = CompiledForms(self.curve.field, self.formulas.delta, self.formulas.bqf)
 
 
 def make_context(curve: CurveModel, formulas: FormulaSet, **flags) -> LadderContext:
     return LadderContext(curve, quartic_from_curve(curve), formulas, **flags)
 
 
+class _Prepared(KummerPoint):
+    """A Kummer point carrying its ten quadratic monomials."""
+
+    __slots__ = ("quad",)
+
+    def __init__(self, F, coords):
+        super().__init__(F, coords)
+        self.quad = quadratic_monomials(F, self.coords)
+
+
+def _prepared(F, x: KummerPoint) -> _Prepared:
+    return x if isinstance(x, _Prepared) else _Prepared(F, x.coords)
+
+
+def _quad(F, x: KummerPoint) -> list:
+    return x.quad if isinstance(x, _Prepared) else quadratic_monomials(F, x.coords)
+
+
+def xdbl_muls(ctx: LadderContext) -> int:
+    """Multiplications of one ``xdbl`` on a point that carries its
+    monomials (a point ``xdbl`` or ``xadd`` returned), from the sparsity of
+    the duplication quartics alone."""
+    return ctx.forms.quartic_muls() + QUADRATIC_MULS
+
+
+def xadd_muls(ctx: LadderContext, pivot: int) -> int:
+    """Multiplications of one ``xadd`` whose x and y carry their monomials
+    and whose difference has its first nonzero coordinate at ``pivot``
+    (0-based), from the sparsity of the biquadratic forms alone."""
+    return ctx.forms.biquadratic_muls(_PIVOT_FORMS[pivot]) + _COMBINE_MULS + QUADRATIC_MULS
+
+
 def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
     F = ctx.curve.field
-    coords = quartic_values(F, ctx.formulas.delta, x.coords)
+    coords = ctx.forms.quartic_values(_quad(F, x))
     if all(v == F.zero for v in coords):
         raise ZeroOutput("all duplication quartics vanished on a surface point")
-    out = KummerPoint(F, coords)
+    out = _Prepared(F, coords)
     if ctx.check_surface:
-        from .kummer import on_surface
-
         assert on_surface(ctx.quartic, out)
     return out
+
+
+def _pseudo_sum(ctx: LadderContext, j: int, qx, qy, zc) -> list:
+    """The coordinates w~ of kappa(P+Q) under pivot j."""
+    F = ctx.curve.field
+    mul, sub = F.mul, F.sub
+    bjj, *bij = ctx.forms.biquadratic_values(_PIVOT_FORMS[j], qx, qy)
+    zj = zc[j]
+    others = iter(bij)
+    return [
+        mul(zj, bjj) if i == j else sub(mul(zj, next(others)), mul(bjj, zc[i]))
+        for i in range(4)
+    ]
 
 
 def xadd(ctx: LadderContext, x: KummerPoint, y: KummerPoint, z: KummerPoint) -> KummerPoint:
     """kappa(P+Q) from kappa(P), kappa(Q) and the difference kappa(P-Q)."""
     F = ctx.curve.field
     zero = F.zero
-    b = eval_bqf_all(F, ctx.formulas.bqf, x.coords, y.coords)
     zc = z.coords
-    results = []
-    for j in range(4):
-        if zc[j] == zero:
-            continue
-        bjj = b[(j + 1, j + 1)]
-        w = []
-        for i in range(4):
-            if i == j:
-                w.append(F.mul(zc[j], bjj))
-            else:
-                bij = b[(min(i, j) + 1, max(i, j) + 1)]
-                w.append(F.sub(F.mul(zc[j], bij), F.mul(bjj, zc[i])))
-        if any(v != zero for v in w):
-            results.append(KummerPoint(F, w))
-            if not ctx.check_pivots:
-                break
-    if not results:
-        raise AllPivotsFailed("pseudo-addition produced zero under every pivot")
+    qx, qy = _quad(F, x), _quad(F, y)
+    pivots = [j for j in range(4) if zc[j] != zero]
+    results = [_pseudo_sum(ctx, j, qx, qy, zc) for j in (pivots if ctx.check_pivots else pivots[:1])]
+    if all(v == zero for v in results[0]):
+        raise AllPivotsFailed("pseudo-addition produced zero, which it then does under every pivot")
+    out = _Prepared(F, results[0])
     if ctx.check_pivots:
-        first = results[0]
-        for other in results[1:]:
-            assert first.proportional(other), "pivot results disagree"
-    out = results[0]
+        for w in results[1:]:
+            assert any(v != zero for v in w), "pivot results disagree"
+            assert out.proportional(KummerPoint(F, w)), "pivot results disagree"
     if ctx.check_surface:
-        from .kummer import on_surface
-
         assert on_surface(ctx.quartic, out)
     return out
 
@@ -103,6 +154,7 @@ def ladder(ctx: LadderContext, x: KummerPoint, n: int) -> KummerPoint:
         return zero_class_point(F)
     if n == 1:
         return x
+    x = _prepared(F, x)  # the base's monomials, once
     r0, r1 = x, xdbl(ctx, x)
     for bit_pos in range(n.bit_length() - 2, -1, -1):
         if (n >> bit_pos) & 1:
@@ -123,9 +175,11 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     from . import field as field_mod
     from .jacobian import working_model
 
-    # a surface point to run on: kappa of a sampled class
+    # a surface point to run on: kappa of a sampled class, with its
+    # monomials, as the ladder holds its base and the points it makes
     wm = working_model(ctx.curve)
-    ((x,),) = oracle_draws(ctx.curve, wm, _default_sampler(wm), rng, 1)
+    ((x,),) = oracle_draws(ctx.curve, wm, default_sampler(wm), rng, 1)
+    x = _prepared(ctx.curve.field, x)
     ctr = OpCounter()
     field_mod.Field.counter = ctr
     try:

@@ -126,7 +126,9 @@ class FormulaSet:
 DRAW_BOUND = 60  # attempts allowed per requested sample before giving up
 
 
-def _default_sampler(wm: WorkingModel):
+def default_sampler(wm: WorkingModel):
+    """The oracle's class sampler on a working model: uniform random classes
+    over a finite field, small-height classes over Q."""
     if wm.field.order() is None:
         return small_rational_sampler(wm)
     return lambda rng: random_divisor(wm, rng)
@@ -250,7 +252,7 @@ def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24,
     if wm is None:
         wm = working_model(c)
     if sampler is None:
-        sampler = _default_sampler(wm)
+        sampler = default_sampler(wm)
     if bqf is None:
         bqf = synthesize_bqf(c, rng, wm=wm, sampler=sampler, check=check)
     delta = _delta_solve(F, bqf, quartic_from_curve(c).vector)
@@ -388,7 +390,7 @@ def synthesize_bqf(
     if wm is None:
         wm = working_model(c)
     if sampler is None:
-        sampler = _default_sampler(wm)
+        sampler = default_sampler(wm)
     n = max(samples, PAIR_KERNEL_SAMPLES)
     last = None
     while n <= 4 * max(samples, PAIR_KERNEL_SAMPLES):
@@ -418,7 +420,7 @@ def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, rng, samples: int = 2
     if wm is None:
         wm = working_model(c)
     if sampler is None:
-        sampler = _default_sampler(wm)
+        sampler = default_sampler(wm)
     from .jacobian import from_point_pair
 
     DQ = from_point_pair(wm, T.divisor)
@@ -653,11 +655,11 @@ def _modular_solve(c: CurveModel, rng, solve_mod, verify):
 
 def _modular_bqf(c: CurveModel, rng, samples, check):
     wm = working_model(c)
-    sampler = _default_sampler(wm)
+    sampler = default_sampler(wm)
 
     def solve_mod(cm, sub_rng):
         wmm = working_model(cm)
-        sm = _default_sampler(wmm)
+        sm = default_sampler(wmm)
         data = _bqf_samples(cm, wmm, sm, sub_rng, max(samples, PAIR_KERNEL_SAMPLES))
         forms = _bqf_solve(cm.field, data)
         return [a for p in BQF_INDEX_PAIRS for a in forms[p]]
@@ -695,7 +697,7 @@ def synthesize_formula_set(
     wm = sampler = None
     if _route_field(F) == "direct":
         wm = working_model(c)
-        sampler = _default_sampler(wm)
+        sampler = default_sampler(wm)
     bqf = synthesize_bqf(c, rng, bqf_samples, wm=wm, sampler=sampler)
     delta = synthesize_delta(c, rng, wm=wm, sampler=sampler, bqf=bqf)
     w = []
@@ -828,7 +830,7 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
     if delta_prime is None:
         delta_prime = synthesize_delta(csimp, rng)
     wm = working_model(c)
-    sampler = _default_sampler(wm)
+    sampler = default_sampler(wm)
     ratio = None
     for (k,) in oracle_draws(c, wm, sampler, rng, npoints):
         lhs = T.apply(list(apply_delta(F, delta, k).coords))
@@ -912,7 +914,7 @@ def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bq
     if bqf_prime is None:
         bqf_prime = synthesize_bqf(csimp, rng)
     wm = working_model(c)
-    sampler = _default_sampler(wm)
+    sampler = default_sampler(wm)
     scalar = None
     for checked, (kx, ky) in enumerate(oracle_draws(c, wm, sampler, rng, npoints, arity=2)):
         x, y = kx.coords, ky.coords

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dfield
 
-from .algebra import biquadratic_rows, eval_quartic, monomial_values_deg2, quadratic_value, quartic_values
+from .algebra import biquadratic_rows, eval_quartic, quadratic_monomials, quadratic_value, quartic_values
 from .curve import CurveModel, normal_form_curve, simplified_model, validate
 from .errors import CounterexampleFound, SuiteFailed
 from .field import BinaryField
@@ -32,11 +32,11 @@ from .kummer import (
 from .ladder import ladder, make_context, xadd
 from .synthesis import (
     BQF_INDEX_PAIRS,
-    _default_sampler,
     apply_delta,
     bqf_identity_mismatch,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
+    default_sampler,
     doubling,
     oracle_draws,
     sum_and_difference,
@@ -119,7 +119,7 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     forms = synthesize_bqf(c, rng)
     pts = _surface_points(c)
     form_list = [forms[p] for p in BQF_INDEX_PAIRS]
-    qys = [monomial_values_deg2(F, y) for y in pts]
+    qys = [quadratic_monomials(F, y) for y in pts]
     counter = []
     for x in pts:
         rows = biquadratic_rows(F, form_list, x)
@@ -262,7 +262,7 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
         if fs is None:
             fs = synthesize_formula_set(c, rng, with_w=c.field.order() is not None)
         wm = working_model(c)
-        sampler = _default_sampler(wm)
+        sampler = default_sampler(wm)
 
         def guarded(fn, *args):
             from .errors import G2KummerError

@@ -18,7 +18,6 @@ from g2kummer.jacobian import (
     negate,
     random_divisor,
     scalar_mul,
-    small_rational_sampler,
     to_point_pair,
     from_point_pair,
     working_model,
@@ -38,6 +37,7 @@ from g2kummer.synthesis import (
     apply_delta,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
+    default_sampler,
     deserialize_formula_set,
     eval_bqf,
     serialize_formula_set,
@@ -55,12 +55,6 @@ from .helpers import classical_k0, classical_k1, kappa_of
 SEED = 0xACCE97
 
 
-def _sampler(c, wm):
-    if c.field.order() is None:
-        return small_rational_sampler(wm)
-    return lambda rng: random_divisor(wm, rng)
-
-
 def _announce(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
 
@@ -72,7 +66,7 @@ def test_criterion_01_surface_membership(corpus):
     for name, c in corpus:
         wm = working_model(c)
         q = quartic_from_curve(c)
-        sampler = _sampler(c, wm)
+        sampler = default_sampler(wm)
         n = 300 if c.field.order() is None else 850
         done = 0
         while done < n:
@@ -114,7 +108,7 @@ def test_criterion_03_duplication(corpus, formula_cache):
     for name, c in corpus:
         fs = formula_cache[name]
         wm = working_model(c)
-        sampler = _sampler(c, wm)
+        sampler = default_sampler(wm)
         F = c.field
         done = 0
         while done < 500:
@@ -136,7 +130,7 @@ def test_criterion_04_biquadratic(corpus, formula_cache):
     for name, c in corpus:
         fs = formula_cache[name]
         wm = working_model(c)
-        sampler = _sampler(c, wm)
+        sampler = default_sampler(wm)
         F = c.field
         done = 0
         while done < 500:

@@ -114,6 +114,61 @@ def test_roots_with_multiplicity_small_fields(F):
             assert got == {r1: 2, r2: 1}
 
 
+def _roots_by_scan(p):
+    F = p.field
+    out = []
+    for v in range(F.order()):
+        if p(v) != F.zero:
+            continue
+        mult, rest = 0, p
+        factor = Poly(F, [F.neg(v), F.one])
+        while True:
+            quot, rem = rest.divrem(factor)
+            if not rem.is_zero():
+                break
+            mult, rest = mult + 1, quot
+        if mult:
+            out.append((v, mult))
+    return sorted(out, key=lambda rm: F.sort_key(rm[0]))
+
+
+@pytest.mark.parametrize(
+    "F",
+    [BinaryField(1, 0b11), BinaryField(2, 0b111), PrimeField(3), F7, F1009],
+    ids=lambda F: F.spec_string(),
+)
+def test_roots_match_brute_force_scan(F):
+    # equal-degree splitting serves every finite field, the smallest ones too
+    rng = random.Random(F.order() + 5)
+    x = Poly.x(F)
+    for _ in range(40):
+        p = Poly(F, [F.random(rng) for _ in range(rng.randrange(1, 6))] + [F.one])
+        for _ in range(rng.randrange(4)):
+            p = p * (x - Poly.const(F, F.random(rng)))
+        assert roots(p) == _roots_by_scan(p)
+    if F.order() > 7:
+        return
+    # every element a root: the splitting must separate all of them
+    everything = Poly.const(F, F.one)
+    for v in range(F.order()):
+        everything = everything * (x - Poly.const(F, v))
+    assert roots(everything) == [(v, 1) for v in sorted(range(F.order()), key=F.sort_key)]
+
+
+def test_roots_of_split_polynomials_over_gf2_16():
+    F = BinaryField(16, 0x1002B)
+    rng = random.Random(16)
+    x = Poly.x(F)
+    for _ in range(20):
+        chosen = [F.random(rng) for _ in range(rng.randrange(1, 7))]
+        chosen += rng.sample(chosen, rng.randrange(len(chosen)))  # repeated roots
+        p = Poly.const(F, F.random(rng) or F.one)
+        for r in chosen:
+            p = p * (x - Poly.const(F, r))
+        expect = sorted({r: chosen.count(r) for r in chosen}.items(), key=lambda rm: F.sort_key(rm[0]))
+        assert roots(p) == expect
+
+
 def test_irreducible_quadratic_factors():
     x = Poly.x(F7)
     one = Poly.const(F7, 1)

@@ -3,11 +3,19 @@ from pathlib import Path
 
 import pytest
 
-from g2kummer.algebra import Poly, eval_biquadratic, eval_quartic
-from g2kummer.curve import CurveModel, normal_form_curve
+from g2kummer.algebra import QUADRATIC_MULS, Poly, eval_biquadratic, eval_quartic
+from g2kummer.curve import CurveModel, normal_form_curve, pair_from_points, sample_point
 from g2kummer.errors import FormulaSetMissing
 from g2kummer.field import BinaryField, PrimeField
-from g2kummer.jacobian import add, random_divisor, scalar_mul, to_point_pair, working_model
+from g2kummer.jacobian import (
+    add,
+    from_point_pair,
+    negate,
+    random_divisor,
+    scalar_mul,
+    to_point_pair,
+    working_model,
+)
 from g2kummer.kummer import (
     KummerPoint,
     kummer_coords,
@@ -17,7 +25,7 @@ from g2kummer.kummer import (
     w_matrix_char2,
     zero_class_point,
 )
-from g2kummer.ladder import bench, ladder, make_context, xadd, xdbl
+from g2kummer.ladder import bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set
 
 F1009 = PrimeField(1009)
@@ -194,7 +202,8 @@ def test_bench_counts_independent_of_bit_pattern():
     assert counts[0][1] == counts[1][1] == 0
 
 
-M61_FORMULAS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "m61_h2_f5.kfs"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+M61_FORMULAS = REFERENCE / "m61_h2_f5.kfs"
 
 
 def _muls(fn):
@@ -248,3 +257,86 @@ def test_ladder_step_cost_on_m61():
     per_step, rest = divmod(total - first, n.bit_length() - 1)
     assert rest == 0
     assert per_step <= 393 + 605
+
+
+def _kappa(c, wm, D):
+    return kummer_coords(c, to_point_pair(wm, D)).normalized()
+
+
+# one ladder step, xdbl plus xadd under the first pivot, on the reference
+# formula sets
+STEP_MULS = {"m61_h2_f5": 353, "c2_general_f": 290}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MULS))
+def test_static_op_counts_match_counted_muls(name):
+    fs = deserialize_formula_set((REFERENCE / f"{name}.kfs").read_text())
+    c = fs.curve
+    fast = make_context(c, fs)
+    wm = working_model(c)
+    x = _kappa(c, wm, random_divisor(wm, random.Random(215)))
+    assert x.coords[0] != c.field.zero
+    x2 = xdbl(fast, x)  # made by the ladder's operations: carries its monomials
+    x3 = xadd(fast, x2, x, x)
+    assert _muls(lambda: xdbl(fast, x2)) == xdbl_muls(fast)
+    assert _muls(lambda: xadd(fast, x2, x3, x)) == xadd_muls(fast, 0)
+    # the zero class as difference puts the pivot on the last coordinate
+    assert _muls(lambda: xadd(fast, x2, x2, zero_class_point(c.field))) == xadd_muls(fast, 3)
+    # a point from outside has its monomials computed on every use
+    assert _muls(lambda: xdbl(fast, x)) == xdbl_muls(fast) + QUADRATIC_MULS
+    n = (1 << 40) | 0b1101
+    first = _muls(lambda: xdbl(fast, x))
+    total = _muls(lambda: ladder(fast, x, n))
+    step = xdbl_muls(fast) + xadd_muls(fast, 0)
+    assert total - first == (n.bit_length() - 1) * step
+    assert step == STEP_MULS[name]
+
+
+@pytest.fixture(scope="module", params=["p1009", "c2_general_f"])
+def pivot_case(request, ctx):
+    """Odd characteristic and GF(2^16): the curve, its working model, and
+    a fast and a checking (every pivot, surface) context."""
+    if request.param == "p1009":
+        fs = ctx.formulas
+    else:
+        fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
+    c = fs.curve
+    checked = make_context(c, fs, check_pivots=True, check_surface=True)
+    return c, working_model(c), make_context(c, fs), checked
+
+
+def _infinite_class(c, wm, rng):
+    """A class with kappa_1 = 0: an affine point paired with a point at
+    infinity of the curve's own model, which the solve's samples never hold."""
+    return from_point_pair(wm, pair_from_points(c, sample_point(c, rng), c.infinity_points()[0]))
+
+
+def test_xadd_off_the_first_pivot_matches_every_pivot_and_the_oracle(pivot_case):
+    c, wm, fast, checked = pivot_case
+    F = c.field
+    rng = random.Random(216)
+    seen = set()
+    for _ in range(20):
+        P = random_divisor(wm, rng)
+        for Z in (wm.zero(), _infinite_class(c, wm, rng)):
+            Q = add(wm, P, negate(wm, Z))
+            x, y, z = _kappa(c, wm, P), _kappa(c, wm, Q), _kappa(c, wm, Z)
+            assert z.coords[0] == F.zero
+            seen.add(next(j for j, v in enumerate(z.coords) if v != F.zero))
+            out = xadd(fast, x, y, z)
+            assert out.proportional(xadd(checked, x, y, z))
+            assert out.proportional(_kappa(c, wm, add(wm, P, Q)))
+    assert seen == {1, 3}
+
+
+def test_ladder_from_a_base_with_zero_first_coordinate(pivot_case):
+    c, wm, fast, checked = pivot_case
+    rng = random.Random(217)
+    for _ in range(5):
+        D = _infinite_class(c, wm, rng)
+        x = _kappa(c, wm, D)
+        assert x.coords[0] == c.field.zero
+        n = rng.randrange(2, 1 << 24)
+        out = ladder(fast, x, n)
+        assert out.proportional(_kappa(c, wm, scalar_mul(wm, D, n)))
+        assert out.proportional(ladder(checked, x, n))

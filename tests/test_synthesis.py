@@ -82,11 +82,11 @@ def test_delta_canonicalization(delta_1009):
 
 
 def test_bqf_insufficient_samples_raises():
-    from g2kummer.synthesis import _bqf_samples, _bqf_solve, _default_sampler
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve, default_sampler
 
     wm = working_model(CURVE_1009)
     rng = random.Random(103)
-    data = _bqf_samples(CURVE_1009, wm, _default_sampler(wm), rng, 20)
+    data = _bqf_samples(CURVE_1009, wm, default_sampler(wm), rng, 20)
     with pytest.raises(KernelDimensionUnexpected):
         _bqf_solve(F1009, data)
 
@@ -94,10 +94,10 @@ def test_bqf_insufficient_samples_raises():
 def test_bqf_solve_needs_only_the_symmetric_columns():
     # 120 samples are short of the 199 a 200-column pair kernel needs but
     # enough for the 110 columns of the symmetric basis
-    from g2kummer.synthesis import _bqf_samples, _bqf_solve, _default_sampler
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve, default_sampler
 
     wm = working_model(CURVE_1009)
-    data = _bqf_samples(CURVE_1009, wm, _default_sampler(wm), random.Random(114), 300)
+    data = _bqf_samples(CURVE_1009, wm, default_sampler(wm), random.Random(114), 300)
     assert _bqf_solve(F1009, data[:120]) == _bqf_solve(F1009, data)
 
 
@@ -365,6 +365,63 @@ def test_formula_file_with_one_mutated_key(data):
     else:
         with pytest.raises(ValueError):
             deserialize_formula_set(text)
+
+
+REFERENCE_TEXTS = {
+    path.stem: path.read_text()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench" / "reference").glob("*.kfs"))
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TEXTS))
+def test_reference_files_round_trip(name):
+    text = REFERENCE_TEXTS[name]
+    fs = deserialize_formula_set(text)
+    assert serialize_formula_set(fs) == text
+    again = deserialize_formula_set(serialize_formula_set(fs))
+    assert (again.delta, again.bqf) == (fs.delta, fs.bqf)
+    assert [(l, m.rows) for l, m in again.w] == [(l, m.rows) for l, m in fs.w]
+
+
+def _mutated_file(data, lines):
+    """One whole-file mutation of a KFS1 file's lines: a dropped, duplicated,
+    moved or truncated line, or the file cut off at any character."""
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "move", "truncate line", "truncate file"]))
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    elif kind == "move":
+        lines.insert(data.draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+    elif kind == "truncate line":
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+    else:
+        text = "\n".join(lines) + "\n"
+        return kind, text[: data.draw(st.integers(0, len(text) - 1))]
+    return kind, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_formula_file_whole_file_mutations(data):
+    # a mutated file parses or raises ValueError, nothing else; one that
+    # parses round-trips, and one that lost or repeated a form is rejected
+    name = data.draw(st.sampled_from(sorted(REFERENCE_TEXTS)))
+    original = REFERENCE_TEXTS[name].splitlines()
+    kind, text = _mutated_file(data, original)
+    try:
+        fs = deserialize_formula_set(text)
+    except ValueError:
+        return
+    out = serialize_formula_set(fs)
+    assert serialize_formula_set(deserialize_formula_set(out)) == out
+    if kind in ("drop", "duplicate"):
+        def forms(lines):
+            return sorted(ln for ln in lines if ln.startswith(("delta", "B")))
+
+        assert forms(text.splitlines()) == forms(original)
 
 
 def test_crosschecks_pass_odd_char(delta_1009, bqf_1009):
