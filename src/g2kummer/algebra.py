@@ -188,15 +188,6 @@ class Poly:
             y = F.add(F.mul(y, x), c)
         return y
 
-    def reverse(self, degree: int | None = None) -> "Poly":
-        """Coefficient reversal x**d * p(1/x) for d = degree (default deg p)."""
-        d = self.degree if degree is None else degree
-        F = self.field
-        out = [F.zero] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Poly(F, out)
-
     def squarefree(self) -> bool:
         d = self.deriv()
         if d.is_zero():
@@ -419,9 +410,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         F = self.field
@@ -816,6 +804,22 @@ def quadratic_value(F: Field, row, qy) -> object:
     for b, c in row:
         acc = add(acc, mul(c, qy[b]))
     return acc
+
+
+def quadratic_form_matrix(F: Field, row) -> list[list]:
+    """The symmetric 4x4 matrix S with Q(y) = y^T S y of a quadratic form
+    given by its (b, coefficient) pairs from ``biquadratic_rows``.  Each
+    cross coefficient is halved between S[u][v] and S[v][u], so the
+    characteristic must be odd."""
+    half = F.inv(F.from_int(2))
+    S = [[F.zero] * 4 for _ in range(4)]
+    for b, c in row:
+        u, v = _QUADRATIC_VARS[b]
+        if u == v:
+            S[u][u] = c
+        else:
+            S[u][v] = S[v][u] = F.mul(half, c)
+    return S
 
 
 def biquadratic_values(F: Field, forms, x, y) -> list:

@@ -107,6 +107,8 @@ def cmd_eval(args) -> int:
     for tok in args.points.split(";"):
         xs, ys = tok.split(",")
         pts.append(CurvePoint("affine", x=F.parse(xs), y=F.parse(ys)))
+    if len(pts) != 2:
+        raise ValueError(f"--points takes two affine points, got {len(pts)}")
     for P in pts:
         if not c.on_curve(P):
             print(f"point ({F.to_str(P.x)},{F.to_str(P.y)}) is not on the curve", file=sys.stderr)
@@ -142,12 +144,9 @@ def cmd_translate(args) -> int:
     if c.field.characteristic() == 2:
         W = w_matrix_char2(c, target)
     else:
-        fs = _load_formulas(args.formulas, c)
-        W = None
-        for label, mat in fs.w:
-            if label == args.cls:
-                W = mat
-                break
+        if args.formulas is None:
+            raise ValueError("odd-characteristic translation reads its matrix from --formulas")
+        W = dict(_load_formulas(args.formulas, c).w).get(args.cls)
         if W is None:
             raise errors.FormulaSetMissing(
                 f"formula file holds no translation matrix for class {args.cls!r}"

@@ -70,16 +70,6 @@ def _gf2x_mulmod(a: int, b: int, mod: int, m: int) -> int:
     return r
 
 
-def _gf2x_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return r
-
-
 def _gf2x_mod(a: int, mod: int) -> int:
     dm = mod.bit_length() - 1
     da = a.bit_length() - 1

@@ -304,7 +304,8 @@ class TwoTorsionData:
     here: distinct x1, x2 give k2 = x1 + x2 != 0, and the infinity case has
     k2 = 1.  In odd characteristic the class comes from a monic quadratic
     factor s of 4f + h^2 and only ``divisor``, ``kummer``, ``s``, ``t`` are
-    populated; translation matrices are then synthesized, not transcribed.
+    populated; the translation matrix is then read off the biquadratic forms
+    at ``kummer`` (``synthesis.synthesize_w_oddchar``), not transcribed.
     """
 
     case_tag: str  # "affineAffine" | "affineInfinity"
@@ -518,18 +519,27 @@ def w_matrix_char2(c: CurveModel, T: TwoTorsionData) -> Matrix:
     return Matrix(F, rows)
 
 
+def squares_to_scalar(W: Matrix) -> bool:
+    """Whether W^2 is a nonzero multiple of the identity, as it is for the
+    matrix of a translation by a two-torsion class."""
+    F = W.field
+    W2 = W.mul(W)
+    lam = W2.rows[0][0]
+    return lam != F.zero and W2 == Matrix.identity(F, W.nrows).scale(lam)
+
+
 def translate_by_two_torsion(
     c: CurveModel, T: TwoTorsionData, k: KummerPoint, w: Matrix | None = None
 ) -> KummerPoint:
     """W * k for the translation matrix of the class T.
 
-    Characteristic 2 uses the transcribed matrix; odd characteristic needs a
-    synthesized matrix passed in ``w`` (FormulaSetMissing otherwise)."""
+    Characteristic 2 uses the transcribed matrix; odd characteristic needs
+    the matrix of a formula set passed in ``w`` (FormulaSetMissing otherwise)."""
     F = c.field
     if w is None:
         if F.characteristic() != 2:
             raise FormulaSetMissing(
-                "odd-characteristic translation needs a synthesized matrix"
+                "odd-characteristic translation needs the matrix of a formula set"
             )
         w = w_matrix_char2(c, T)
     return KummerPoint(F, w.apply(list(k.coords)))

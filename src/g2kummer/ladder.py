@@ -172,6 +172,8 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     are executed as generic multiplications, so the squaring count tallies
     the explicit squaring calls only.  Inversions per step must be zero.
     """
+    if trials < 1:
+        raise ValueError(f"bench needs at least one timed trial, got {trials}")
     from . import field as field_mod
     from .jacobian import working_model
 

@@ -1,28 +1,31 @@
 """Per-curve reconstruction of the unprinted formula families.
 
-For a fixed curve the ten biquadratic forms and the odd-characteristic
-translation matrices are each determined (up to the documented
-normalizations) by their defining identities
+For a fixed curve the ten biquadratic forms are determined (up to the
+documented normalization) by their defining identities
 
     B_ij(K(P), K(Q))       =  lam * (w_i z_j + w_j z_i)   (i < j)
     B_ii(K(P), K(Q))       =  lam * w_i z_i               (diagonal convention)
-    W  * K(P)              ~  K(P + Q),    Q of order 2,
 
-with w, z Kummer coordinates of P+Q and P-Q.  Sampling divisor classes from
-the Cantor oracle and solving the resulting exact linear systems recovers
-the coefficient vectors; both solves assert their expected kernel
-dimension.  Swapping P and Q fixes w and z, so every B_ij is symmetric in
-its two arguments and is solved for over the 55 symmetric pairs of
-quadratic monomials rather than all 100 products: a 110-column pair kernel
-for B11, B12 and about 130 samples.  The duplication quartics need no
-system of their own: with P = Q the difference is the zero class
-(0:0:0:1), so
+with w, z Kummer coordinates of P+Q and P-Q.  They are the one sampled
+solve: divisor classes drawn from the Cantor oracle give an exact linear
+system whose expected kernel dimension and rank are asserted.  Swapping P
+and Q fixes w and z, so every B_ij is symmetric in its two arguments and is
+solved for over the 55 symmetric pairs of quadratic monomials rather than
+all 100 products: a 110-column pair kernel for B11, B12 and about 130
+samples.  Every other family is derived from the forms, not interpolated:
 
     delta(K(P))            ~  (B14, B24, B34, B44)(K(P), K(P))  ~  K(2P),
 
-and they are read off the biquadratic forms.  Every synthesized object,
-duplication included, is re-checked on fresh oracle samples before it is
-returned.
+since with P = Q the difference is the zero class (0:0:0:1); and for Q of
+order 2, where P+Q = P-Q, the forms at K(Q) factor as
+
+    B_ij(x, K(Q))          =  mu * (Wx)_i (Wx)_j (2 - delta_ij),
+
+which gives the odd-characteristic translation matrix W with K(P+Q) ~
+W K(P) (characteristic 2 keeps the paper's transcribed matrix).  The forms
+and the duplication quartics are re-checked on fresh oracle samples before
+they are returned; each W is checked to square to a scalar here and against
+oracle translations in ``verify``.
 
 Normalizations: adding multiples of the defining quartic to a duplication
 coordinate changes nothing on the surface, so each coordinate's coefficient
@@ -50,9 +53,11 @@ from .algebra import (
     Matrix,
     Poly,
     QUARTIC4,
+    biquadratic_rows,
     biquadratic_values,
     eval_biquadratic,
     expand_symmetric,
+    quadratic_form_matrix,
     quartic_values,
     solve_kernel,
     symmetric_biquadratic_row,
@@ -82,6 +87,7 @@ from .kummer import (
     TwoTorsionData,
     kummer_coords,
     quartic_from_curve,
+    squares_to_scalar,
     two_torsion_classes,
     w_matrix_char2,
 )
@@ -409,54 +415,41 @@ def synthesize_bqf(
 # Odd-characteristic translation matrices
 # ---------------------------------------------------------------------------
 
-def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, rng, samples: int = 24, wm=None, sampler=None):
-    """Translation matrix for a two-torsion class, by exact interpolation.
+def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, bqf) -> Matrix:
+    """Translation matrix for a two-torsion class, read off the biquadratic
+    forms ``bqf`` with no sampling.
 
-    Solves W * kappa(P) ~ kappa(P+Q) over the samples; asserts a
-    one-dimensional kernel and W^2 proportional to the identity."""
+    T is its own negative, so P + T = P - T and the identity of the forms
+    gives B_ij(x, t) = mu (Wx)_i (Wx)_j (2 - delta_ij) as quadratic forms in
+    x, for t = kappa(T).  Let S_ij be the symmetric matrix of B_ij(., t) and
+    w_i row i of W: then S_rr = mu w_r w_r^T and S_ir = mu (w_i w_r^T +
+    w_r w_i^T).  For r, k with S_rr[k][k] = mu w_rk^2 != 0, row r of W is
+    S_rr[k] and row i is S_ir[k] - S_ir[k][k] / (2 S_rr[k][k]) * S_rr[k],
+    each times mu w_rk.  W is scaled so its first nonzero entry is one and
+    asserted to square to a scalar; ``verify`` checks it on oracle samples."""
     F = c.field
     if F.characteristic() == 2:
         raise UnsupportedField("characteristic 2 uses the transcribed matrix")
-    if wm is None:
-        wm = working_model(c)
-    if sampler is None:
-        sampler = default_sampler(wm)
-    from .jacobian import from_point_pair
-
-    DQ = from_point_pair(wm, T.divisor)
     zero = F.zero
-    n = samples
-    while True:
-        rows = []
-        for kx, kd in oracle_draws(c, wm, sampler, rng, n, lambda D: (D, add(wm, D, DQ))):
-            x, d = kx.coords, kd.coords
-            r = next(i for i in range(4) if d[i] != zero)
-            for i in range(4):
-                if i == r:
-                    continue
-                row = [zero] * 16
-                for k in range(4):
-                    if x[k] != zero:
-                        row[4 * i + k] = F.mul(x[k], d[r])
-                        row[4 * r + k] = F.neg(F.mul(x[k], d[i]))
-                rows.append(row)
-        kernel = solve_kernel(Matrix(F, rows))
-        if len(kernel) == 1:
-            break
-        if n >= 8 * samples:
-            raise KernelDimensionUnexpected(
-                f"translation kernel has dimension {len(kernel)}, expected 1"
-            )
-        n *= 2
-    v = kernel[0]
-    W = Matrix(F, [v[4 * i : 4 * (i + 1)] for i in range(4)])
-    W2 = W.mul(W)
-    lam = next((W2.rows[i][i] for i in range(4) if W2.rows[i][i] != zero), None)
-    ok = lam is not None and all(
-        W2.rows[i][j] == (lam if i == j else zero) for i in range(4) for j in range(4)
-    )
-    if not ok:
-        raise KernelDimensionUnexpected("synthesized translation is not an involution")
+    rows = biquadratic_rows(F, [bqf[p] for p in BQF_INDEX_PAIRS], T.kummer.coords)
+    S = {p: quadratic_form_matrix(F, row) for p, row in zip(BQF_INDEX_PAIRS, rows)}
+    pivot = next(((r, k) for r in range(1, 5) for k in range(4) if S[(r, r)][k][k] != zero), None)
+    if pivot is None:
+        raise KernelDimensionUnexpected(f"no B_rr(., kappa(T)) has a square term at class {T.label}")
+    r, k = pivot
+    srr = S[(r, r)][k]
+    W = []
+    for i in range(1, 5):
+        if i == r:
+            W.append(srr)
+            continue
+        sir = S[(min(i, r), max(i, r))][k]
+        coef = F.div(sir[k], F.add(srr[k], srr[k]))
+        W.append([F.sub(a, F.mul(coef, b)) for a, b in zip(sir, srr)])
+    lead = next(a for row in W for a in row if a != zero)
+    W = Matrix(F, W).scale(F.inv(lead))
+    if not squares_to_scalar(W):
+        raise KernelDimensionUnexpected("derived translation is not an involution")
     return W
 
 
@@ -686,10 +679,11 @@ def synthesize_formula_set(
     c: CurveModel,
     rng,
     bqf_samples: int = PAIR_KERNEL_SAMPLES,
-    with_w: bool = True,
 ) -> FormulaSet:
     """Synthesize the full formula family of a curve: the biquadratic forms,
-    the duplication quartics derived from them, and the translations.
+    the duplication quartics derived from them, and over finite fields the
+    two-torsion translations (read off the forms in odd characteristic,
+    transcribed in characteristic 2).
 
     On the direct route one working model and sampler serve every stage;
     the lift and modular routes build their own."""
@@ -701,13 +695,12 @@ def synthesize_formula_set(
     bqf = synthesize_bqf(c, rng, bqf_samples, wm=wm, sampler=sampler)
     delta = synthesize_delta(c, rng, wm=wm, sampler=sampler, bqf=bqf)
     w = []
-    if with_w and F.order() is not None:
-        if F.characteristic() == 2:
-            for T in two_torsion_classes(c):
+    if F.order() is not None:
+        for T in two_torsion_classes(c):
+            if F.characteristic() == 2:
                 w.append((T.label, w_matrix_char2(c, T)))
-        else:
-            for T in two_torsion_classes(c):
-                w.append((T.label, synthesize_w_oddchar(c, T, rng, wm=wm, sampler=sampler)))
+            else:
+                w.append((T.label, synthesize_w_oddchar(c, T, bqf)))
     return FormulaSet(c, fingerprint(c), delta, bqf, w)
 
 

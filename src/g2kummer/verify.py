@@ -25,6 +25,7 @@ from .kummer import (
     KummerPoint,
     on_surface,
     quartic_from_curve,
+    squares_to_scalar,
     two_torsion_classes,
     w_matrix_char2,
     zero_class_point,
@@ -180,18 +181,10 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
         if F.characteristic() == 2:
             W = w_matrix_char2(c, T)
         else:
-            W = None
-            for label, mat in fs.w:
-                if label == T.label:
-                    W = mat
-                    break
+            W = dict(fs.w).get(T.label)
             if W is None:
-                W = synthesize_w_oddchar(c, T, rng, wm=wm, sampler=sampler)
-        W2 = W.mul(W)
-        lam = next((W2.rows[i][i] for i in range(4) if W2.rows[i][i] != F.zero), None)
-        if lam is None or any(
-            W2.rows[i][j] != (lam if i == j else F.zero) for i in range(4) for j in range(4)
-        ):
+                W = synthesize_w_oddchar(c, T, fs.bqf)
+        if not squares_to_scalar(W):
             return {"ok": False, "witness": f"W^2 not scalar for class {T.label}"}
         DQ = from_point_pair(wm, T.divisor)
         if not add(wm, DQ, DQ).is_zero():
@@ -260,7 +253,7 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
             continue
         fs = formula_sets.get(name)
         if fs is None:
-            fs = synthesize_formula_set(c, rng, with_w=c.field.order() is not None)
+            fs = synthesize_formula_set(c, rng)
         wm = working_model(c)
         sampler = default_sampler(wm)
 

@@ -23,9 +23,7 @@ class FormulaCache:
     def __getitem__(self, name):
         if name not in self._cache:
             rng = random.Random((ACCEPTANCE_SEED, name).__repr__())
-            self._cache[name] = synthesize_formula_set(
-                self._curves[name], rng, with_w=self._curves[name].field.order() is not None
-            )
+            self._cache[name] = synthesize_formula_set(self._curves[name], rng)
         return self._cache[name]
 
     def curve(self, name):

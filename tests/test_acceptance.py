@@ -198,7 +198,7 @@ def test_criterion_06_translation(corpus, formula_cache):
             else:
                 W = next((m for label, m in fs.w if label == T.label), None)
                 if W is None:
-                    W = synthesize_w_oddchar(c, T, rng, wm=wm)
+                    W = synthesize_w_oddchar(c, T, fs.bqf)
             W2 = W.mul(W)
             lam = W2.rows[0][0]
             assert lam != F.zero and all(

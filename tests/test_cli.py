@@ -172,6 +172,28 @@ def test_formula_file_without_field_line_is_usage_error(synth_file, tmp_path, ca
     _assert_usage_error(["dbl", cpath, "--formulas", str(bad), "--point", "0:0:0:1"], capsys)
 
 
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("points", ["1,149", "1,1;2,2;3,3"])
+def test_eval_kappa_needs_two_points(curve_file, capsys, points):
+    _assert_usage_error(["eval", "kappa", curve_file, "--points", points], capsys)
+
+
+def test_translate_odd_char_without_formulas_is_usage_error(capsys):
+    _assert_usage_error(["translate", str(CORPUS_DIR / "p1009_2tors.curve"), "--class", "s:2,1006,1",
+                         "--point", "0:0:0:1"], capsys)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_bench_needs_a_trial(synth_file, capsys, trials):
+    cpath, kfs = synth_file
+    assert main(["bench", cpath, "--formulas", kfs, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "trial" in captured.err
+    assert "Traceback" not in captured.err and "per_step" not in captured.out
+
+
 def test_twotorsion_listing(tmp_path, capsys):
     F = F1009
     h = Poly.from_ints(F, [0, 1])

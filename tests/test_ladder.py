@@ -36,7 +36,7 @@ CURVE = CurveModel(F1009, Poly.from_ints(F1009, [1, 3, 0, 2, 0, 1]), Poly.from_i
 
 @pytest.fixture(scope="module")
 def ctx():
-    fs = synthesize_formula_set(CURVE, random.Random(200), with_w=False)
+    fs = synthesize_formula_set(CURVE, random.Random(200))
     return make_context(CURVE, fs, check_pivots=True, check_surface=True)
 
 
@@ -72,7 +72,7 @@ def test_xdbl_kills_two_torsion():
     g = Poly.from_ints(F, [-1, 0, 1]) * Poly.from_ints(F, [-2, 1]) * Poly.from_ints(F, [-3, 1]) * Poly.from_ints(F, [-5, 1])
     f = (g - h * h).scale(F.inv(F.from_int(4)))
     c = CurveModel(F, f, h)
-    fs = synthesize_formula_set(c, random.Random(202), with_w=False)
+    fs = synthesize_formula_set(c, random.Random(202))
     cctx = make_context(c, fs)
     for T in two_torsion_classes(c)[:4]:
         img = xdbl(cctx, T.kummer)
@@ -135,7 +135,7 @@ def test_ladder_chain_consistency(ctx, wm):
 
 def test_char2_translation_compatible_with_doubling():
     c = normal_form_curve(B16, "c", 3, 7, 11)
-    fs = synthesize_formula_set(c, random.Random(208), with_w=True)
+    fs = synthesize_formula_set(c, random.Random(208))
     cctx = make_context(c, fs)
     wmc = working_model(c)
     rng = random.Random(209)
@@ -177,7 +177,7 @@ def test_bench_deterministic_counts(ctx):
 
 def test_bench_counts_independent_of_bit_pattern():
     # one doubling and one differential addition per bit, whatever the scalar
-    fs = synthesize_formula_set(CURVE, random.Random(200), with_w=False)
+    fs = synthesize_formula_set(CURVE, random.Random(200))
     fast = make_context(CURVE, fs)
     from g2kummer import field as field_mod
     from g2kummer.field import OpCounter

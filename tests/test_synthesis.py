@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kummer.algebra import BIQUADRATIC44, Poly, QUARTIC4
+from g2kummer.algebra import BIQUADRATIC44, Matrix, Poly, QUARTIC4, biquadratic_rows, solve_kernel
 from g2kummer.curve import CurveModel, normal_form_curve, validate
 from g2kummer.errors import ExhaustedRetries, KernelDimensionUnexpected, NotInSubfield, UnsupportedField
 from g2kummer.field import BinaryField, PrimeField, RationalField
-from g2kummer.jacobian import add, negate, random_divisor, to_point_pair, working_model
-from g2kummer.kummer import KummerPoint, kummer_coords, zero_class_point
+from g2kummer.jacobian import add, from_point_pair, negate, random_divisor, to_point_pair, working_model
+from g2kummer.kummer import KummerPoint, kummer_coords, two_torsion_classes, w_matrix_char2, zero_class_point
 from g2kummer.synthesis import (
     BQF_INDEX_PAIRS,
     CONVENTION_TAG,
@@ -21,6 +21,7 @@ from g2kummer.synthesis import (
     binary_extension_of,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
+    default_sampler,
     descend_coefficients,
     deserialize_formula_set,
     eval_bqf,
@@ -225,26 +226,113 @@ def test_w_oddchar_properties():
     g = Poly.from_ints(F, [-1, 0, 1]) * Poly.from_ints(F, [-2, 1]) * Poly.from_ints(F, [-3, 1]) * Poly.from_ints(F, [-5, 1])
     f = (g - h * h).scale(F.inv(F.from_int(4)))
     c = CurveModel(F, f, h)
-    from g2kummer.kummer import two_torsion_classes
-    from g2kummer.jacobian import from_point_pair
-
     rng = random.Random(106)
     wm = working_model(c)
-    T = two_torsion_classes(c)[0]
-    W = synthesize_w_oddchar(c, T, rng)
-    W2 = W.mul(W)
-    lam = W2.rows[0][0]
-    assert lam != 0
-    assert all(W2.rows[i][j] == (lam if i == j else 0) for i in range(4) for j in range(4))
-    # W * kappa(0) is proportional to kappa(Q)
-    img = KummerPoint(F, W.apply([0, 0, 0, 1]))
-    assert img.proportional(T.kummer)
+    bqf = synthesize_bqf(c, rng)
+    classes = two_torsion_classes(c)
+    assert len(classes) == 10
+    for T in classes:
+        W = synthesize_w_oddchar(c, T, bqf)
+        W2 = W.mul(W)
+        lam = W2.rows[0][0]
+        assert lam != 0
+        assert all(W2.rows[i][j] == (lam if i == j else 0) for i in range(4) for j in range(4))
+        # W * kappa(0) is proportional to kappa(Q)
+        img = KummerPoint(F, W.apply([0, 0, 0, 1]))
+        assert img.proportional(T.kummer)
+        DQ = from_point_pair(wm, T.divisor)
+        for _ in range(100):
+            D = random_divisor(wm, rng)
+            kP = kummer_coords(c, to_point_pair(wm, D))
+            kPQ = kummer_coords(c, to_point_pair(wm, add(wm, D, DQ)))
+            assert KummerPoint(F, W.apply(list(kP.coords))).proportional(kPQ)
+
+
+def _interpolated_w(c, T, rng, samples=24):
+    """W from W kappa(P) ~ kappa(P + T) on oracle samples: the kernel of the
+    cross-multiplied coordinates over the 16 entries, scaled so the first
+    nonzero entry is one."""
+    F = c.field
+    wm = working_model(c)
     DQ = from_point_pair(wm, T.divisor)
-    for _ in range(100):
-        D = random_divisor(wm, rng)
-        kP = kummer_coords(c, to_point_pair(wm, D))
-        kPQ = kummer_coords(c, to_point_pair(wm, add(wm, D, DQ)))
-        assert KummerPoint(F, W.apply(list(kP.coords))).proportional(kPQ)
+    rows = []
+    for kx, kd in oracle_draws(c, wm, default_sampler(wm), rng, samples, lambda D: (D, add(wm, D, DQ))):
+        x, d = kx.coords, kd.coords
+        r = next(i for i in range(4) if d[i] != F.zero)
+        for i in range(4):
+            if i != r:
+                row = [F.zero] * 16
+                for k in range(4):
+                    row[4 * i + k] = F.mul(x[k], d[r])
+                    row[4 * r + k] = F.neg(F.mul(x[k], d[i]))
+                rows.append(row)
+    (v,) = solve_kernel(Matrix(F, rows))
+    return Matrix(F, [v[4 * i : 4 * i + 4] for i in range(4)])
+
+
+def test_w_oddchar_equals_the_oracle_interpolation(formula_cache):
+    rng = random.Random(109)
+    checked = 0
+    for name in ("p1009_2tors", "m61_2tors"):
+        c, fs = formula_cache.curve(name), formula_cache[name]
+        stored = dict(fs.w)
+        for T in two_torsion_classes(c):
+            W = synthesize_w_oddchar(c, T, fs.bqf)
+            assert W == stored[T.label] == _interpolated_w(c, T, rng), (name, T.label)
+            checked += 1
+    assert checked == 20
+
+
+def test_w_oddchar_rejects_forms_without_a_pivot_and_characteristic_2(formula_cache):
+    c = formula_cache.curve("p1009_2tors")
+    T = two_torsion_classes(c)[0]
+    zero_forms = {p: (0,) * BIQUADRATIC44.size for p in BQF_INDEX_PAIRS}
+    with pytest.raises(KernelDimensionUnexpected):
+        synthesize_w_oddchar(c, T, zero_forms)
+    c2 = formula_cache.curve("c2_h3_split")
+    with pytest.raises(UnsupportedField):
+        synthesize_w_oddchar(c2, two_torsion_classes(c2)[0], {})
+
+
+# BIQUADRATIC44 column of y_k^2 in a form's block of quadratic monomials of y
+_SQUARES = [next(b for b in range(10) if BIQUADRATIC44.exponents[b][1][k] == 2) for k in range(4)]
+
+
+def _w_from_bqf_char2(c, T, bqf):
+    """In characteristic 2, B_ij(., kappa(T)) = mu (Wy)_i (Wy)_j (2 - delta_ij)
+    vanishes for i != j, and B_ii(., kappa(T)) = sum_k mu w_ik^2 y_k^2, so row i
+    of W, times sqrt(mu), is the square roots of the square coefficients."""
+    F = c.field
+    forms = [bqf[p] for p in BQF_INDEX_PAIRS]
+    rows = dict(zip(BQF_INDEX_PAIRS, biquadratic_rows(F, forms, T.kummer.coords)))
+    W = []
+    for (i, j), row in rows.items():
+        coef = dict(row)
+        if i != j:
+            assert all(v == F.zero for v in coef.values()), (T.label, i, j)
+            continue
+        assert all(v == F.zero for b, v in coef.items() if b not in _SQUARES), (T.label, i)
+        W.append([F.sqrt(coef.get(b, F.zero)) for b in _SQUARES])
+    return Matrix(F, W)
+
+
+def test_char2_w_matrix_matches_the_biquadratic_forms(formula_cache):
+    B8 = BinaryField(3, 0b1011)
+    tiny = CurveModel(B8, Poly.from_ints(B8, [0, 1, 0, 1, 0, 1]), Poly.from_ints(B8, [0, 1]))
+    cases = [(formula_cache.curve(n), formula_cache[n].bqf) for n in ("c2_h3_split", "c2_general_f")]
+    cases.append((tiny, synthesize_bqf(tiny, random.Random(110))))  # B from the lift
+    checked = 0
+    for c, bqf in cases:
+        F = c.field
+        classes = two_torsion_classes(c)
+        assert classes
+        for T in classes:
+            derived, printed = _w_from_bqf_char2(c, T, bqf), w_matrix_char2(c, T)
+            i, j = next((i, j) for i in range(4) for j in range(4) if printed.rows[i][j] != F.zero)
+            scale = F.div(derived.rows[i][j], printed.rows[i][j])
+            assert scale != F.zero and derived == printed.scale(scale), T.label
+            checked += 1
+    assert checked == 7
 
 
 def test_lifted_gf2_delta_descends():
@@ -276,7 +364,7 @@ def test_descend_coefficients_roundtrip():
     big = binary_extension_of(B1)
     fwd, _ = binary_embedding(B1, big)
     cl = CurveModel(big, Poly(big, [fwd[c.f[i]] for i in range(7)]), Poly(big, [fwd[c.h[i]] for i in range(4)]))
-    fs_big = synthesize_formula_set(cl, rng, with_w=False)
+    fs_big = synthesize_formula_set(cl, rng)
     fs_small = descend_coefficients(fs_big, B1)
     assert fs_small.curve == c
     assert fs_small.fingerprint == fingerprint(c)
@@ -295,8 +383,8 @@ def test_small_prime_fields_unsupported():
 
 
 def test_determinism_and_round_trip():
-    fs1 = synthesize_formula_set(CURVE_1009, random.Random(2024), with_w=True)
-    fs2 = synthesize_formula_set(CURVE_1009, random.Random(2024), with_w=True)
+    fs1 = synthesize_formula_set(CURVE_1009, random.Random(2024))
+    fs2 = synthesize_formula_set(CURVE_1009, random.Random(2024))
     t1, t2 = serialize_formula_set(fs1), serialize_formula_set(fs2)
     assert t1 == t2
     fs3 = deserialize_formula_set(t1)

@@ -107,7 +107,7 @@ def test_proposition_suites_detects_corruption():
     sizes = {k: 6 for k in ("kappa_surface", "delta", "bqf", "translation", "crosschecks", "chain")}
     from g2kummer.synthesis import FormulaSet, synthesize_formula_set
 
-    fs = synthesize_formula_set(corpus[0][1], random.Random(7), with_w=True)
+    fs = synthesize_formula_set(corpus[0][1], random.Random(7))
     bad_delta = tuple(
         tuple(v if (b, i) != (0, 0) else F1009.add(v, 1) for i, v in enumerate(blk))
         for b, blk in enumerate(fs.delta)
