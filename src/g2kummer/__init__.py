@@ -27,7 +27,6 @@ from .curve import (
     simplified_kummer_matrix,
     simplified_model,
     transform,
-    transform_mumford,
     transform_pair,
     transform_point,
     validate,

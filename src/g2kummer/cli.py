@@ -96,9 +96,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.what != "kappa":
-        print("only 'eval kappa' is supported", file=sys.stderr)
-        return 2
     c = _load_curve(args.curve)
     F = c.field
     from .curve import CurvePoint, pair_from_points
@@ -111,8 +108,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--points takes two affine points, got {len(pts)}")
     for P in pts:
         if not c.on_curve(P):
-            print(f"point ({F.to_str(P.x)},{F.to_str(P.y)}) is not on the curve", file=sys.stderr)
-            return 1
+            raise ValueError(f"point ({F.to_str(P.x)},{F.to_str(P.y)}) is not on the curve")
     pair = pair_from_points(c, pts[0], pts[1])
     k = kummer_coords(c, pair).normalized()
     print(k.text())
@@ -138,9 +134,8 @@ def cmd_translate(args) -> int:
             target = T
             break
     if target is None:
-        print(f"no two-torsion class labelled {args.cls!r}; available: "
-              + ", ".join(T.label for T in classes), file=sys.stderr)
-        return 2
+        raise ValueError(f"no two-torsion class labelled {args.cls!r}; available: "
+                         + ", ".join(T.label for T in classes))
     if c.field.characteristic() == 2:
         W = w_matrix_char2(c, target)
     else:
@@ -177,8 +172,7 @@ def cmd_lemma(args) -> int:
     F = field_from_spec(args.field)
     coeffs = tuple(F.parse(t) for t in args.coeffs.split(","))
     if len(coeffs) != 3:
-        print("--coeffs takes f1,f3,f5", file=sys.stderr)
-        return 2
+        raise ValueError("--coeffs takes f1,f3,f5")
     _print_seed(args.seed)
     rng = random.Random(args.seed)
     if args.which == "delta":

@@ -449,6 +449,14 @@ class PairDivisor:
     branch: object = None
 
 
+def secant(F: Field, x1, y1, x2, y2) -> tuple[Poly, Poly]:
+    """Mumford (a, b) of two affine points with distinct x: a = (x - x1)(x - x2)
+    and b the line through both points."""
+    a = Poly(F, [F.mul(x1, x2), F.neg(F.add(x1, x2)), F.one])
+    b1 = F.div(F.sub(y1, y2), F.sub(x1, x2))
+    return a, Poly(F, [F.sub(y1, F.mul(b1, x1)), b1])
+
+
 def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> PairDivisor:
     """Assemble pair data from two explicit rational points."""
     F = c.field
@@ -466,11 +474,8 @@ def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> PairDivis
                 raise UnsupportedDivisor("doubled Weierstrass point")
             return PairDivisor("doubled", x0=P1.x, y0=P1.y)
         return PairDivisor("zero")  # {P, involution(P)}
-    a = Poly(F, [F.mul(P1.x, P2.x), F.neg(F.add(P1.x, P2.x)), F.one])
-    dx = F.sub(P1.x, P2.x)
-    b1 = F.div(F.sub(P1.y, P2.y), dx)
-    b0 = F.sub(P1.y, F.mul(b1, P1.x))
-    return PairDivisor("quadratic", a=a, b=Poly(F, [b0, b1]))
+    a, b = secant(F, P1.x, P1.y, P2.x, P2.y)
+    return PairDivisor("quadratic", a=a, b=b)
 
 
 def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
@@ -510,30 +515,31 @@ def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
 # Divisor transport through an isomorphism
 # ---------------------------------------------------------------------------
 
-def transform_pair(c: CurveModel, iso: ModelIsomorphism, pair: PairDivisor) -> PairDivisor:
-    """Transport pair data to the transformed model."""
-    F = c.field
-    target = transform(c, iso)
+def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor) -> PairDivisor:
+    """Transport pair data through ``iso`` onto ``target``, the model that
+    ``iso`` maps onto.  Only the field of the source model matters, so
+    ``target`` also stands in for it in ``transform_point``."""
+    F = target.field
     if pair.kind == "zero":
         return pair
     if pair.kind == "doubled":
-        P = transform_point(c, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
+        P = transform_point(target, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
         if P.kind == "infinity":
             raise UnsupportedDivisor("doubled point moved to infinity")
         return pair_from_points(target, P, P)
     if pair.kind == "affine_inf":
-        Pa = transform_point(c, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
-        Pi = transform_point(c, iso, CurvePoint("infinity", branch=pair.branch))
+        Pa = transform_point(target, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
+        Pi = transform_point(target, iso, CurvePoint("infinity", branch=pair.branch))
         return pair_from_points(target, Pa, Pi)
     # quadratic Mumford data
     a, b = pair.a, pair.b
     rational = _quadratic_roots(F, a)
     if rational is not None:
         r1, r2 = rational
-        P1 = transform_point(c, iso, CurvePoint("affine", x=r1, y=b(r1)))
-        P2 = transform_point(c, iso, CurvePoint("affine", x=r2, y=b(r2)))
+        P1 = transform_point(target, iso, CurvePoint("affine", x=r1, y=b(r1)))
+        P2 = transform_point(target, iso, CurvePoint("affine", x=r2, y=b(r2)))
         return pair_from_points(target, P1, P2)
-    at, bt = _transport_irreducible_quadratic(c, iso, a, b)
+    at, bt = _transport_irreducible_quadratic(F, iso, a, b)
     return PairDivisor("quadratic", a=at, b=bt)
 
 
@@ -552,9 +558,8 @@ def _quadratic_roots(F: Field, a: Poly):
     return (sols[0], sols[1])
 
 
-def _transport_irreducible_quadratic(c, iso, a: Poly, b: Poly):
+def _transport_irreducible_quadratic(F: Field, iso, a: Poly, b: Poly):
     """Transport conjugate-pair Mumford data; all arithmetic in k[x]/(a)."""
-    F = c.field
     al, be, ga, de = iso.mobius
     e, u = iso.yscale, iso.yshift
     s1 = F.neg(a[1])
@@ -592,59 +597,6 @@ def _transport_irreducible_quadratic(c, iso, a: Poly, b: Poly):
     q = F.sub(x0, F.mul(p, m0))
     bt = Poly(F, [q, p])
     return at, bt
-
-
-def transform_mumford(c: CurveModel, iso: ModelIsomorphism, a: Poly, b: Poly):
-    """Transport a Mumford divisor to a target model that is ramified at
-    infinity, reducing pairs that cross infinity by the class identity
-    [P + oo - 2 oo] = [P - oo].  Returns target (a, b)."""
-    F = c.field
-    target = transform(c, iso)
-    if not target.is_ramified_at_infinity():
-        raise UnsupportedDivisor("Mumford transport needs a ramified target")
-    pair = pair_from_mumford(c, a, b)
-    if pair.kind == "zero":
-        return Poly.const(F, F.one), Poly(F, [])
-    if pair.kind == "doubled":
-        P = transform_point(c, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
-        if P.kind == "infinity":
-            raise UnsupportedDivisor("doubled point moved to infinity")
-        ht, ft = target.h, target.f
-        g = F.add(F.add(P.y, P.y), ht(P.x))
-        if g == F.zero:
-            raise UnsupportedDivisor("doubled Weierstrass point after transport")
-        lam = F.div(F.sub(ft.deriv()(P.x), F.mul(ht.deriv()(P.x), P.y)), g)
-        at = Poly(F, [F.mul(P.x, P.x), F.neg(F.add(P.x, P.x)), F.one])
-        bt = Poly(F, [F.sub(P.y, F.mul(lam, P.x)), lam]) % at
-        return at, bt
-    if pair.kind == "quadratic":
-        rational = _quadratic_roots(F, pair.a)
-        if rational is None:
-            return _transport_irreducible_quadratic(c, iso, pair.a, pair.b)
-        pts = [
-            transform_point(c, iso, CurvePoint("affine", x=r, y=pair.b(r)))
-            for r in rational
-        ]
-    else:  # affine_inf
-        pts = [
-            transform_point(c, iso, CurvePoint("affine", x=pair.x0, y=pair.y0)),
-            transform_point(c, iso, CurvePoint("infinity", branch=pair.branch)),
-        ]
-    affine = [P for P in pts if P.kind == "affine"]
-    if len(affine) == 0:
-        return Poly.const(F, F.one), Poly(F, [])
-    if len(affine) == 1:
-        P = affine[0]
-        return Poly(F, [F.neg(P.x), F.one]), Poly.const(F, P.y)
-    P1, P2 = affine
-    if P1.x == P2.x:
-        if P1.y == P2.y:
-            raise UnsupportedDivisor("doubled point reached Mumford transport")
-        return Poly.const(F, F.one), Poly(F, [])
-    at = Poly(F, [F.mul(P1.x, P2.x), F.neg(F.add(P1.x, P2.x)), F.one])
-    b1 = F.div(F.sub(P1.y, P2.y), F.sub(P1.x, P2.x))
-    b0 = F.sub(P1.y, F.mul(b1, P1.x))
-    return at, Poly(F, [b0, b1])
 
 
 # ---------------------------------------------------------------------------

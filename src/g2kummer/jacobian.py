@@ -4,8 +4,10 @@ The oracle computes on a *working model* with a single rational point at
 infinity and deg f = 5 (odd or zero characteristic: h = 0; characteristic 2:
 deg h <= 2), where composition-and-reduction provably computes in the full
 degree-0 class group.  A ``ModelIsomorphism`` links the user's model to the
-working model; divisor classes cross the link through the pair/Mumford
-transport in :mod:`g2kummer.curve`.
+working model.  A ``WorkingModel`` holds both models, the link and its
+inverse; divisor classes cross in either direction as point-pair data
+through :func:`g2kummer.curve.transform_pair`, which is handed the model on
+the far side rather than rebuilding it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .curve import (
     pair_from_mumford,
     pair_from_points,
     sample_point,
+    secant,
     simplified_model,
     transform,
     transform_pair,
@@ -54,16 +57,18 @@ class MumfordDivisor:
 
 
 class WorkingModel:
-    """A user model together with its odd-degree oracle model."""
+    """A user model together with its odd-degree oracle model: ``link`` maps
+    the user model onto ``model`` and ``unlink`` maps it back."""
 
-    __slots__ = ("user", "model", "link", "user_weierstrass")
+    __slots__ = ("user", "model", "link", "unlink", "user_weierstrass")
 
     def __init__(self, user: CurveModel, model: CurveModel, link: ModelIsomorphism):
         self.user = user
         self.model = model
         self.link = link
+        self.unlink = link.inverse()
         inf = CurvePoint("infinity", branch=model.branch_values()[0])
-        self.user_weierstrass = transform_point(model, link.inverse(), inf)
+        self.user_weierstrass = transform_point(model, self.unlink, inf)
 
     @property
     def field(self) -> Field:
@@ -191,13 +196,9 @@ def scalar_mul(wm: WorkingModel, D: MumfordDivisor, n: int) -> MumfordDivisor:
 
 def divisor_from_points(wm: WorkingModel, P1: CurvePoint, P2: CurvePoint) -> MumfordDivisor:
     """Mumford divisor of two affine working-model points with distinct x."""
-    F = wm.field
     if P1.x == P2.x:
         raise NonGenericDivisor("points share their x-coordinate")
-    a = Poly(F, [F.mul(P1.x, P2.x), F.neg(F.add(P1.x, P2.x)), F.one])
-    b1 = F.div(F.sub(P1.y, P2.y), F.sub(P1.x, P2.x))
-    b0 = F.sub(P1.y, F.mul(b1, P1.x))
-    return MumfordDivisor(a, Poly(F, [b0, b1]))
+    return MumfordDivisor(*secant(wm.field, P1.x, P1.y, P2.x, P2.y))
 
 
 def _point_pair_divisor(wm: WorkingModel, rng) -> MumfordDivisor:
@@ -234,21 +235,20 @@ def to_point_pair(wm: WorkingModel, D: MumfordDivisor) -> PairDivisor:
     Working-model infinity maps to the user's distinguished Weierstrass
     point; conjugate pairs stay as base-field Mumford data."""
     F = wm.field
-    inv = wm.link.inverse()
     if D.is_zero():
         return PairDivisor("zero")
     if D.degree == 1:
         x0 = F.neg(D.a[0])
-        P = transform_point(wm.model, inv, CurvePoint("affine", x=x0, y=D.b(x0)))
+        P = transform_point(wm.model, wm.unlink, CurvePoint("affine", x=x0, y=D.b(x0)))
         return pair_from_points(wm.user, P, wm.user_weierstrass)
     pair = pair_from_mumford(wm.model, D.a, D.b)
-    return transform_pair(wm.model, inv, pair)
+    return transform_pair(wm.user, wm.unlink, pair)
 
 
 def from_point_pair(wm: WorkingModel, pair: PairDivisor) -> MumfordDivisor:
     """Mumford divisor on the working model from user-model pair data."""
     F = wm.field
-    wpair = transform_pair(wm.user, wm.link, pair)
+    wpair = transform_pair(wm.model, wm.link, pair)
     if wpair.kind == "zero":
         return wm.zero()
     if wpair.kind == "quadratic":

@@ -35,7 +35,7 @@ from .algebra import (
     irreducible_quadratic_factors,
     roots,
 )
-from .curve import CurveModel, PairDivisor, simplified_rhs
+from .curve import CurveModel, PairDivisor, secant, simplified_rhs
 from .errors import (
     FormulaSetMissing,
     TwoTorsionK2Zero,
@@ -339,11 +339,6 @@ def two_torsion_classes(c: CurveModel) -> list[TwoTorsionData]:
     return _two_torsion_odd(c)
 
 
-def _interp_line(F, x1, y1, x2, y2) -> Poly:
-    b1 = F.div(F.sub(y1, y2), F.sub(x1, x2))
-    return Poly(F, [F.sub(y1, F.mul(b1, x1)), b1])
-
-
 def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
     F = c.field
     h, f = c.h, c.f
@@ -354,8 +349,7 @@ def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
         for j in range(i + 1, len(hroots)):
             x1, x2 = hroots[i], hroots[j]
             y1, y2 = F.sqrt(f(x1)), F.sqrt(f(x2))
-            s = Poly(F, [F.mul(x1, x2), F.add(x1, x2), F.one])
-            b = _interp_line(F, x1, y1, x2, y2)
+            s, b = secant(F, x1, y1, x2, y2)
             out.append(_char2_affine_data(c, s, b, label=f"aa:{F.to_str(x1)},{F.to_str(x2)}"))
     # affine-affine classes from irreducible quadratic factors (conjugate pairs)
     for q in irreducible_quadratic_factors(h):

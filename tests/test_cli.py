@@ -104,7 +104,11 @@ def test_eval_kappa_and_pipeline(synth_file, capsys):
 
 
 def test_eval_kappa_rejects_off_curve(curve_file, capsys):
-    assert main(["eval", "kappa", curve_file, "--points", "1,1;2,2"]) == 1
+    # a point off the curve is an input rejection (exit 2), not a failed check
+    assert main(["eval", "kappa", curve_file, "--points", "1,1;2,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and "(1,1) is not on the curve" in captured.err
 
 
 def test_stale_formula_file_rejected(synth_file, tmp_path, capsys):
@@ -113,7 +117,7 @@ def test_stale_formula_file_rejected(synth_file, tmp_path, capsys):
     other.write_text("field prime:p=1009\nf 2,3,0,2,0,1,0\nh 1,1,0,0\n")
     rc = main(["dbl", str(other), "--formulas", kfs, "--point", "0:0:0:1"])
     assert rc == 1
-    assert "stale" in capsys.readouterr().err or True
+    assert "stale" in capsys.readouterr().err
 
 
 def test_off_surface_point_rejected(synth_file, capsys):
@@ -178,6 +182,16 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 @pytest.mark.parametrize("points", ["1,149", "1,1;2,2;3,3"])
 def test_eval_kappa_needs_two_points(curve_file, capsys, points):
     _assert_usage_error(["eval", "kappa", curve_file, "--points", points], capsys)
+
+
+def test_translate_unknown_class_is_usage_error(capsys):
+    _assert_usage_error(["translate", str(CORPUS_DIR / "p1009_2tors.curve"), "--class", "s:9,9,9",
+                         "--point", "0:0:0:1"], capsys)
+
+
+def test_lemma_needs_three_coefficients(capsys):
+    _assert_usage_error(["lemma", "delta", "--case", "a", "--field", "binary:m=2,mod=0x7",
+                         "--coeffs", "0,1"], capsys)
 
 
 def test_translate_odd_char_without_formulas_is_usage_error(capsys):

@@ -20,7 +20,6 @@ from g2kummer.curve import (
     simplified_model,
     simplified_rhs,
     transform,
-    transform_mumford,
     transform_point,
     validate,
 )
@@ -289,29 +288,6 @@ def test_transform_point_incidence():
             assert ct.on_curve(transform_point(c, iso, P))
         back = transform(ct, iso.inverse())
         assert back == c
-
-
-def test_transform_mumford_round_trip():
-    rng = random.Random(12)
-    F = F1009
-    x = Poly.x(F)
-    # degree-6 model with the Weierstrass point x = 1 sent to infinity
-    f = (x - Poly.const(F, 1)) * Poly.from_ints(F, [3, 1, 0, 2, 0, 1])
-    c = CurveModel(F, f, Poly(F, []))
-    assert validate(c).ok
-    iso = ModelIsomorphism(F, (0, 1, 1, 1008), 1, Poly(F, []))  # x -> 1/(x - 1)
-    ct = transform(c, iso)
-    assert ct.is_ramified_at_infinity() and ct.f.degree == 5
-    for _ in range(40):
-        P1, P2 = sample_point(c, rng), sample_point(c, rng)
-        if P1.x == P2.x:
-            continue
-        a = (x - Poly.const(F, P1.x)) * (x - Poly.const(F, P2.x))
-        b1 = F.div(F.sub(P1.y, P2.y), F.sub(P1.x, P2.x))
-        b = Poly(F, [F.sub(P1.y, F.mul(b1, P1.x)), b1])
-        at, bt = transform_mumford(c, iso, a, b)
-        rem = (bt * bt + bt * ct.h - ct.f) % at
-        assert rem.is_zero()
 
 
 def test_char2_normal_form_cases_and_round_trip():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from g2kummer.algebra import Poly
-from g2kummer.curve import CurveModel, CurvePoint, sample_point, validate
+from g2kummer.curve import CurveModel, CurvePoint, pair_from_points, sample_point, transform, validate
 from g2kummer.errors import NoRationalWeierstrassPoint
 from g2kummer.field import BinaryField, PrimeField
 from g2kummer.jacobian import (
@@ -24,10 +24,17 @@ F1009 = PrimeField(1009)
 B8 = BinaryField(3, 0b1011)
 
 
+CURVE_1009 = CurveModel(F1009, Poly.from_ints(F1009, [1, 3, 0, 2, 0, 1]), Poly.from_ints(F1009, [1, 1]))
+# degree 6, h = 0, with the Weierstrass point x = 1 that the working model
+# sends to infinity
+DEG6_1009 = CurveModel(
+    F1009, Poly.from_ints(F1009, [-1, 1]) * Poly.from_ints(F1009, [3, 1, 0, 2, 0, 1]), Poly(F1009, [])
+)
+
+
 def _wm_1009(seed=0):
-    c = CurveModel(F1009, Poly.from_ints(F1009, [1, 3, 0, 2, 0, 1]), Poly.from_ints(F1009, [1, 1]))
-    assert validate(c).ok
-    return working_model(c)
+    assert validate(CURVE_1009).ok
+    return working_model(CURVE_1009)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +147,56 @@ def test_random_divisor_class_coverage_gf8():
 # transport to the user model
 # ---------------------------------------------------------------------------
 
-def test_to_point_pair_inverse_of_construction():
-    wm = _wm_1009()
+def test_link_maps_user_model_onto_working_model(corpus):
+    # transform_pair is handed these two models instead of rebuilding them
+    assert len(corpus) == 13
+    for name, c in corpus:
+        wm = working_model(c)
+        assert transform(c, wm.link) == wm.model, name
+        assert transform(wm.model, wm.unlink) == c, name
+
+
+@pytest.mark.parametrize("name", ["p1009", "p1009_deg6", "c2_general_f"])
+def test_to_point_pair_inverse_of_construction(name, corpus):
+    c = {"p1009": CURVE_1009, "p1009_deg6": DEG6_1009}.get(name) or dict(corpus)[name]
+    wm = working_model(c)
+    F = wm.field
     rng = random.Random(9)
-    for _ in range(300):
-        D = random_divisor(wm, rng)
+    classes = [random_divisor(wm, rng) for _ in range(300)]
+    # degree-1 classes [P - oo] and their doubles
+    for _ in range(20):
+        P = sample_point(wm.model, rng)
+        D = MumfordDivisor(Poly(F, [F.neg(P.x), F.one]), Poly.const(F, P.y))
+        classes += [D, add(wm, D, D)]
+    kinds = set()
+    for D in classes:
         pair = to_point_pair(wm, D)
+        kinds.add(pair.kind)
         assert from_point_pair(wm, pair) == D
+    assert {"quadratic", "doubled"} <= kinds
+    # [P - oo] reaches the user model as P plus its Weierstrass point
+    assert "affine_inf" in kinds or wm.user_weierstrass.kind == "affine"
     assert to_point_pair(wm, wm.zero()).kind == "zero"
+
+
+def test_point_pair_round_trip_degree6():
+    c = DEG6_1009
+    assert validate(c).ok
+    wm = working_model(c)
+    assert wm.model.is_ramified_at_infinity() and wm.model.f.degree == 5
+    assert wm.user_weierstrass == CurvePoint("affine", x=1, y=0)
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(40):
+        P1, P2 = sample_point(c, rng), sample_point(c, rng)
+        if P1.x == P2.x:
+            continue
+        pair = pair_from_points(c, P1, P2)
+        D = from_point_pair(wm, pair)
+        assert wm.contains(D)
+        assert to_point_pair(wm, D) == pair
+        checked += 1
+    assert checked >= 30
 
 
 def test_point_pair_symmetric_functions_rational():
