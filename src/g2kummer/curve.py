@@ -398,9 +398,9 @@ def transform(c: CurveModel, iso: ModelIsomorphism) -> CurveModel:
     return CurveModel(F, ft_num.scale(F.inv(det6)), ht_num.scale(F.inv(det3)))
 
 
-def transform_point(c: CurveModel, iso: ModelIsomorphism, P: CurvePoint) -> CurvePoint:
+def transform_point(iso: ModelIsomorphism, P: CurvePoint) -> CurvePoint:
     """Transport a point; may move between affine and infinity."""
-    F = c.field
+    F = iso.field
     a, b, g, d = iso.mobius
     e, u = iso.yscale, iso.yshift
     det = iso.det()
@@ -517,27 +517,26 @@ def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
 
 def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor) -> PairDivisor:
     """Transport pair data through ``iso`` onto ``target``, the model that
-    ``iso`` maps onto.  Only the field of the source model matters, so
-    ``target`` also stands in for it in ``transform_point``."""
+    ``iso`` maps onto."""
     F = target.field
     if pair.kind == "zero":
         return pair
     if pair.kind == "doubled":
-        P = transform_point(target, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
+        P = transform_point(iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
         if P.kind == "infinity":
             raise UnsupportedDivisor("doubled point moved to infinity")
         return pair_from_points(target, P, P)
     if pair.kind == "affine_inf":
-        Pa = transform_point(target, iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
-        Pi = transform_point(target, iso, CurvePoint("infinity", branch=pair.branch))
+        Pa = transform_point(iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
+        Pi = transform_point(iso, CurvePoint("infinity", branch=pair.branch))
         return pair_from_points(target, Pa, Pi)
     # quadratic Mumford data
     a, b = pair.a, pair.b
     rational = _quadratic_roots(F, a)
     if rational is not None:
         r1, r2 = rational
-        P1 = transform_point(target, iso, CurvePoint("affine", x=r1, y=b(r1)))
-        P2 = transform_point(target, iso, CurvePoint("affine", x=r2, y=b(r2)))
+        P1 = transform_point(iso, CurvePoint("affine", x=r1, y=b(r1)))
+        P2 = transform_point(iso, CurvePoint("affine", x=r2, y=b(r2)))
         return pair_from_points(target, P1, P2)
     at, bt = _transport_irreducible_quadratic(F, iso, a, b)
     return PairDivisor("quadratic", a=at, b=bt)

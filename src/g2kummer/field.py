@@ -284,10 +284,12 @@ class PrimeField(Field):
         p = self.p
         if a == 0:
             return 0
+        if p % 4 == 3:
+            # a^((p+1)/4) squares to a exactly when a is a square
+            r = pow(a, (p + 1) // 4, p)
+            return r if r * r % p == a else None
         if pow(a, (p - 1) // 2, p) != 1:
             return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
         # Tonelli-Shanks
         q, s = p - 1, 0
         while q % 2 == 0:
@@ -334,6 +336,7 @@ class PrimeField(Field):
 
 _BINARY_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
 _TABLE_LIMIT = 20  # log/exp tables kept for m <= 20
+_ARTIN_SCHREIER_TABLES: dict[tuple[int, int], tuple[int, list]] = {}
 
 
 @dataclass(frozen=True, repr=False)
@@ -469,14 +472,6 @@ class BinaryField(Field):
     def random(self, rng):
         return rng.randrange(1 << self.m)
 
-    def trace(self, a):
-        t = a
-        x = a
-        for _ in range(self.m - 1):
-            x = self.sqr(x)
-            t ^= x
-        return t
-
     def sqrt(self, a):
         # squaring is a bijection; the inverse is a^(2^(m-1))
         r = a
@@ -484,53 +479,81 @@ class BinaryField(Field):
             r = self.sqr(r)
         return r
 
-    def half_trace(self, a):
-        # solves z^2 + z = a when m is odd and Tr(a) = 0
-        h = a
-        x = a
-        for _ in range((self.m - 1) // 2):
-            x = self.sqr(self.sqr(x))
-            h ^= x
-        return h
+    def _artin_schreier_tables(self):
+        """The trace mask and byte tables of ``_artin_schreier_solve``,
+        built once per (m, mod) with uncounted arithmetic.
+
+        z -> z^2 + z is GF(2)-linear with kernel {0, 1}; its image is the
+        trace-zero hyperplane, and Tr(a) = parity(a & mask).  Reducing the
+        images of the basis monomials to echelon form, each with a
+        preimage, gives one root per pivot bit; on a trace-zero a the root
+        is the XOR of the roots of its pivot bits, read a byte at a time.
+        Each pivot root is fixed up by 1 so that the root is the one the
+        eliminating solver returned: the half trace for odd m, the one with
+        bit 0 clear for even m."""
+        key = (self.m, self.mod)
+        tabs = _ARTIN_SCHREIER_TABLES.get(key)
+        if tabs is not None:
+            return tabs
+        m, mod = self.m, self.mod
+
+        def sq(z):
+            return _gf2x_mulmod(z, z, mod, m)
+
+        def trace(z):
+            t = z
+            for _ in range(m - 1):
+                z = sq(z)
+                t ^= z
+            return t
+
+        def half_trace_bit0(z):
+            h = z
+            for _ in range((m - 1) // 2):
+                z = sq(sq(z))
+                h ^= z
+            return h & 1
+
+        mask = sum(trace(1 << i) << i for i in range(m))
+        basis = {}  # pivot bit -> (image vector, preimage), fully reduced
+        for j in range(m):
+            v, z = sq(1 << j) ^ (1 << j), 1 << j
+            for piv, (bv, bz) in basis.items():
+                if v >> piv & 1:
+                    v, z = v ^ bv, z ^ bz
+            if not v:
+                continue
+            piv = v.bit_length() - 1
+            for q, (bv, bz) in basis.items():
+                if bv >> piv & 1:
+                    basis[q] = (bv ^ v, bz ^ z)
+            basis[piv] = (v, z)
+        roots = [0] * m
+        for piv, (v, z) in basis.items():
+            want = half_trace_bit0(v) if m % 2 else 0
+            roots[piv] = z ^ (z & 1) ^ want
+        chunks = []
+        for lo in range(0, m, 8):
+            table = [0] * 256
+            for byte in range(1, 256):
+                low = (byte & -byte).bit_length() - 1
+                table[byte] = table[byte & (byte - 1)] ^ (roots[lo + low] if lo + low < m else 0)
+            chunks.append(table)
+        tabs = (mask, chunks)
+        _ARTIN_SCHREIER_TABLES[key] = tabs
+        return tabs
 
     def _artin_schreier_solve(self, a):
-        """One z with z^2 + z = a, or None; valid for every m."""
-        if self.trace(a) != 0:
-            return None
-        if self.m % 2 == 1:
-            return self.half_trace(a)
-        # solve the F2-linear system (z^2 + z = a) on the polynomial basis
-        m = self.m
-        cols = [self.sqr(1 << j) ^ (1 << j) for j in range(m)]
-        rows = []
-        for i in range(m):
-            r = 0
-            for j in range(m):
-                if cols[j] >> i & 1:
-                    r |= 1 << j
-            rows.append([r, a >> i & 1])
-        pivot_of = {}
-        rank = 0
-        for j in range(m):
-            piv = next((i for i in range(rank, m) if rows[i][0] >> j & 1), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            pr, prhs = rows[rank]
-            for i in range(m):
-                if i != rank and rows[i][0] >> j & 1:
-                    rows[i][0] ^= pr
-                    rows[i][1] ^= prhs
-            pivot_of[j] = rank
-            rank += 1
-        if any(rows[i][1] for i in range(rank, m)):
+        """One z with z^2 + z = a, or None; valid for every m.  The root is
+        the half trace of a for odd m and the one with bit 0 clear for even
+        m (the other root is z + 1)."""
+        mask, chunks = self._artin_schreier_tables()
+        if (a & mask).bit_count() & 1:
             return None
         z = 0
-        for j, i in pivot_of.items():
-            if rows[i][1]:
-                z |= 1 << j
-        if self.sqr(z) ^ z != a:
-            return None
+        for table in chunks:
+            z ^= table[a & 255]
+            a >>= 8
         return z
 
     def quad_solve(self, b, c):

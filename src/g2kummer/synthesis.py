@@ -186,14 +186,46 @@ def _delta_samples(c, wm, sampler, rng, n):
 
 
 def _bqf_samples(c, wm, sampler, rng, n):
-    """Quadruples (x, y, w, z) = kappa of (P, Q, P+Q, P-Q), normalized,
-    with k1 != 0 on all four (generic affine classes)."""
+    """n quadruples (x, y, w, z) = kappa of (P, Q, P+Q, P-Q), normalized,
+    with k1 != 0 on all four (generic affine classes).
+
+    P and Q are pairs from a growing pool of distinct classes with k1 != 0:
+    each newly drawn class Q is paired with every earlier one P, so kappa of
+    a class is computed once and a sample costs two additions and two kappa
+    (about 17 classes give 130 samples).  Every draw and every pair counts
+    as an attempt; after DRAW_BOUND * n attempts ExhaustedRetries is raised.
+    The kernel and rank checks of the solve judge whether the samples are
+    generic enough; the fresh checks draw independent classes instead."""
     zero = c.field.zero
-    draws = oracle_draws(
-        c, wm, sampler, rng, n, sum_and_difference(wm), arity=2,
-        keep=lambda pts: all(k.coords[0] != zero for k in pts),
-    )
-    return [tuple(k.coords for k in pts) for pts in draws]
+    pool, out = [], []
+    attempts = 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > DRAW_BOUND * n:
+            raise ExhaustedRetries(f"oracle sampling gave up after {attempts - 1} attempts")
+        Q = sampler(rng)
+        if any(Q == P for P, _x in pool):
+            continue
+        try:
+            y = _kappa_of(c, wm, Q).coords
+        except UnsupportedDivisor:
+            continue
+        if y[0] == zero:
+            continue
+        negQ = negate(wm, Q)
+        for P, x in pool:
+            if len(out) == n:
+                break
+            attempts += 1
+            try:
+                w = _kappa_of(c, wm, add(wm, P, Q)).coords
+                z = _kappa_of(c, wm, add(wm, P, negQ)).coords
+            except UnsupportedDivisor:
+                continue
+            if w[0] != zero and z[0] != zero:
+                out.append((x, y, w, z))
+        pool.append((Q, y))
+    return out
 
 
 # ---------------------------------------------------------------------------

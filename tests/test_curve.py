@@ -229,7 +229,7 @@ def test_simplified_model():
         cs, iso = simplified_model(c)
         for _ in range(200):
             P = sample_point(c, rng)
-            assert cs.on_curve(transform_point(c, iso, P))
+            assert cs.on_curve(transform_point(iso, P))
     with pytest.raises(CharacteristicTwo):
         simplified_model(CurveModel(B16, Poly(B16, [0, 1, 0, 0, 0, 1]), Poly(B16, [1])))
 
@@ -285,7 +285,7 @@ def test_transform_point_incidence():
         ct = transform(c, iso)
         for _ in range(10):
             P = sample_point(c, rng)
-            assert ct.on_curve(transform_point(c, iso, P))
+            assert ct.on_curve(transform_point(iso, P))
         back = transform(ct, iso.inverse())
         assert back == c
 
@@ -314,7 +314,7 @@ def test_char2_normal_form_cases_and_round_trip():
         assert transform(cn, iso.inverse()) == c
         for _ in range(5):
             P = sample_point(c, rng)
-            assert cn.on_curve(transform_point(c, iso, P))
+            assert cn.on_curve(transform_point(iso, P))
     assert seen
 
 
@@ -336,7 +336,7 @@ def test_char2_normal_form_gf2_mobius():
     for x in range(2):
         for y in B1.quad_solve(c.h(x), c.f(x)):
             P = CurvePoint("affine", x=x, y=y)
-            assert cn.on_curve(transform_point(c, iso, P))
+            assert cn.on_curve(transform_point(iso, P))
 
 
 def test_normal_form_condition_gates():

@@ -13,6 +13,7 @@ from g2kummer.field import (
     RationalField,
     arith,
     field_from_spec,
+    gf2_poly_is_irreducible,
     quad_solve,
     random_element,
 )
@@ -219,6 +220,79 @@ def test_sqrt_prime_both_residue_classes():
             if a and F.sqrt(a) is None:
                 nonresidues += 1
         assert nonresidues > 0
+
+
+def test_sqrt_prime_equals_the_euler_criterion_then_root():
+    # p = 1019 is 3 mod 4 (one exponentiation, then a squaring check);
+    # p = 1009 is 1 mod 4 (Tonelli-Shanks)
+    for p in (1019, 1009):
+        F = PrimeField(p)
+        for a in range(p):
+            s = F.sqrt(a)
+            if a and pow(a, (p - 1) // 2, p) != 1:
+                assert s is None
+            elif p % 4 == 3:
+                assert s == pow(a, (p + 1) // 4, p)
+            else:
+                assert s * s % p == a
+
+
+def _half_trace(F, a):
+    h = x = a
+    for _ in range((F.m - 1) // 2):
+        x = F.sqr(F.sqr(x))
+        h ^= x
+    return h
+
+
+def _eliminated_root(F, a):
+    """The root an F2 elimination of z^2 + z = a on the polynomial basis
+    gives: column 0 is zero, so bit 0 stays clear."""
+    m = F.m
+    cols = [F.sqr(1 << j) ^ (1 << j) for j in range(m)]
+    rows = [[sum((cols[j] >> i & 1) << j for j in range(m)), a >> i & 1] for i in range(m)]
+    pivot_of, rank = {}, 0
+    for j in range(m):
+        piv = next((i for i in range(rank, m) if rows[i][0] >> j & 1), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr, prhs = rows[rank]
+        for i in range(m):
+            if i != rank and rows[i][0] >> j & 1:
+                rows[i][0] ^= pr
+                rows[i][1] ^= prhs
+        pivot_of[j] = rank
+        rank += 1
+    if any(rows[i][1] for i in range(rank, m)):
+        return None
+    return sum(1 << j for j, i in pivot_of.items() if rows[i][1])
+
+
+def test_artin_schreier_brute_force_small_binary_fields():
+    # every a of every GF(2^m), m <= 6: no root exactly when there is none,
+    # else the half trace (odd m) or the root with bit 0 clear (even m)
+    for m in range(1, 7):
+        for mod in range(1 << m, 1 << (m + 1)):
+            if not gf2_poly_is_irreducible(mod):
+                continue
+            F = BinaryField(m, mod)
+            for a in range(1 << m):
+                roots = [z for z in range(1 << m) if F.sqr(z) ^ z == a]
+                z = F._artin_schreier_solve(a)
+                if not roots:
+                    assert z is None
+                else:
+                    assert z in roots
+                    assert z == (_half_trace(F, a) if m % 2 else min(roots))
+
+
+def test_artin_schreier_matches_elimination_on_gf2_16():
+    F = BinaryField(16, 0x1002B)
+    rng = random.Random(16)
+    for _ in range(500):
+        a = F.random(rng)
+        assert F._artin_schreier_solve(a) == _eliminated_root(F, a)
 
 
 def test_field_element_str():

@@ -8,6 +8,9 @@ from g2kummer.errors import NoRationalWeierstrassPoint
 from g2kummer.field import BinaryField, PrimeField
 from g2kummer.jacobian import (
     MumfordDivisor,
+    _compose,
+    _frequent_add,
+    _reduce,
     add,
     divisor_from_points,
     enumerate_divisors,
@@ -18,7 +21,7 @@ from g2kummer.jacobian import (
     to_point_pair,
     working_model,
 )
-from g2kummer.synthesis import binary_embedding
+from g2kummer.synthesis import binary_embedding, default_sampler
 
 F1009 = PrimeField(1009)
 B8 = BinaryField(3, 0b1011)
@@ -73,7 +76,7 @@ def test_working_model_transports_points():
             P = sample_point(c, rng)
             from g2kummer.curve import transform_point
 
-            Pw = transform_point(c, wm.link, P)
+            Pw = transform_point(wm.link, P)
             assert wm.model.on_curve(Pw) or Pw.kind == "infinity"
 
 
@@ -141,6 +144,57 @@ def test_random_divisor_class_coverage_gf8():
     for _ in range(10_000):
         seen.add(random_divisor(wm, rng))
     assert len(seen & weight2) >= 0.9 * len(weight2)
+
+
+def _cantor(wm, D1, D2):
+    return _reduce(wm, *_compose(wm, D1, D2))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        # characteristic 2 with h2 != 0 and f5 != 1
+        CurveModel(BinaryField(2, 0b111), Poly(BinaryField(2, 0b111), [1, 2, 0, 3, 1, 2]),
+                   Poly(BinaryField(2, 0b111), [3, 2, 3])),
+        CurveModel(B8, Poly(B8, [1, 2, 0, 3, 1, 2]), Poly(B8, [3, 5, 6])),
+        # odd characteristic with a non-monic f
+        CurveModel(PrimeField(7), Poly.from_ints(PrimeField(7), [4, 0, 3, 1, 0, 4]), Poly(PrimeField(7), [])),
+    ],
+    ids=["gf4_h2", "gf8_h2", "gf7_f5"],
+)
+def test_frequent_add_equals_cantor_on_every_pair(c):
+    assert validate(c).ok
+    wm = working_model(c)
+    assert wm.model == c
+    divs = enumerate_divisors(wm)
+    fast = 0
+    for D1 in divs:
+        for D2 in divs:
+            D = _frequent_add(wm, D1, D2)
+            if D is not None:
+                fast += 1
+                assert D == _cantor(wm, D1, D2), (D1, D2)
+                assert add(wm, D1, D2) == D
+    assert fast > len(divs) ** 2 // 4
+
+
+def test_frequent_add_equals_cantor_on_corpus_curves(corpus):
+    # random pairs and doublings on every finite corpus curve, and pairs of
+    # the rational sampler's classes; generic pairs must take the fast path
+    for name, c in corpus:
+        wm = working_model(c)
+        sample = default_sampler(wm)
+        rng = random.Random(name)
+        tried = fast = 0
+        for _ in range(12 if c.field.order() is None else 25):
+            D1, D2 = sample(rng), sample(rng)
+            for X, Y in ((D1, D2), (D1, D1)):
+                tried += 1
+                D = _frequent_add(wm, X, Y)
+                if D is not None:
+                    fast += 1
+                    assert D == _cantor(wm, X, Y), name
+        assert fast >= 0.9 * tried, name
 
 
 # ---------------------------------------------------------------------------

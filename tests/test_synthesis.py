@@ -102,6 +102,28 @@ def test_bqf_solve_needs_only_the_symmetric_columns():
     assert _bqf_solve(F1009, data[:120]) == _bqf_solve(F1009, data)
 
 
+@pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f"])
+def test_bqf_samples_pair_a_pool_of_classes(name):
+    # 130 samples from about 17 pooled classes, not 260 independent draws,
+    # and the forms solved from them are the reference ones
+    from g2kummer.corpus import default_corpus
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve, default_sampler
+
+    c = dict(default_corpus())[name]
+    wm = working_model(c)
+    sampler = default_sampler(wm)
+    calls = []
+
+    def counted(rng):
+        calls.append(None)
+        return sampler(rng)
+
+    data = _bqf_samples(c, wm, counted, random.Random(116), 130)
+    assert len(data) == 130 and len(calls) <= 30
+    fs = deserialize_formula_set((REFERENCE_DIR / f"{name}.kfs").read_text())
+    assert _bqf_solve(c.field, data) == fs.bqf
+
+
 @pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f", "rational_small"])
 def test_formula_set_matches_reference_file(name):
     # perfbench/make_reference.py writes the reference files with seed 7
