@@ -16,6 +16,7 @@ The same orderings are used by formula synthesis and serialization.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations_with_replacement
 
 from .errors import DivisionByZero, LengthMismatch, UnsupportedField
@@ -212,53 +213,8 @@ def poly_ops(a: Poly, b: Poly, op: str):
 # Root finding over finite fields
 # ---------------------------------------------------------------------------
 
-def _pow_x_q_mod(p: Poly) -> Poly:
-    """x**q mod p by square-and-reduce, q the field order."""
-    F = p.field
-    q = F.order()
-    r = Poly.x(F)
-    result = Poly.const(F, F.one)
-    n = q
-    while n:
-        if n & 1:
-            result = (result * r) % p
-        r = (r * r) % p
-        n >>= 1
-    return result
-
-
-def _split_linear(p: Poly, rng_state: int = 1) -> list:
-    """Roots of p where p is a product of distinct linear factors, by
-    equal-degree splitting: gcd(p, (x + a)^((q-1)/2) - 1) in odd
-    characteristic, gcd(p, Tr(a x)) in characteristic 2, for random a."""
-    F = p.field
-    if p.degree == 1:
-        c0, c1 = p.coeffs
-        return [F.neg(F.mul(c0, F.inv(c1)))]
-    if p.degree <= 0:
-        return []
-    import random as _random
-
-    q = F.order()
-    rng = _random.Random(rng_state ^ hash(p.coeffs) & 0xFFFFFFFF)
-    one = Poly.const(F, F.one)
-    while True:
-        a = F.random(rng)
-        if F.characteristic() != 2:
-            t = _pow_poly_mod(Poly(F, [a, F.one]), (q - 1) // 2, p) - one
-        else:
-            # the trace of a x: a root r of p is a root of it iff Tr(a r) = 0
-            acc = Poly(F, [F.zero, a]) % p
-            t = acc
-            for _ in range(F.m - 1):  # type: ignore[attr-defined]
-                acc = (acc * acc) % p
-                t = t + acc
-        g = t.gcd(p) if not t.is_zero() else p
-        if 0 < g.degree < p.degree:
-            return _split_linear(g) + _split_linear(p // g)
-
-
 def _pow_poly_mod(base: Poly, n: int, mod: Poly) -> Poly:
+    """base**n mod ``mod`` by square-and-multiply."""
     F = base.field
     r = Poly.const(F, F.one)
     b = base % mod
@@ -270,108 +226,83 @@ def _pow_poly_mod(base: Poly, n: int, mod: Poly) -> Poly:
     return r
 
 
-def roots(p: Poly) -> list[tuple[object, int]]:
-    """All roots of p in its (finite) base field, with multiplicities.
+def _equal_degree_split(p: Poly, d: int) -> list[Poly]:
+    """The factors of p, a monic product of distinct monic irreducible
+    polynomials of degree d over a finite field, by Cantor-Zassenhaus
+    splitting.
 
-    Computed via gcd with x**q - x, then equal-degree splitting of that
-    product of distinct linear factors; sorted by the field's sort key.
-    """
+    Each probe is a random a with deg a < deg p.  In odd characteristic
+    gcd(p, a^((q^d - 1)/2) - 1) collects the factors modulo which a is a
+    nonzero square; in characteristic 2 (q = 2^m) gcd(p, sum_{i < dm}
+    a^(2^i) mod p) collects those modulo which a has absolute trace zero.
+    Each factor falls on either side about half the time, independently, so
+    a probe splits p with probability about one half or better, whatever
+    the factors.  The probes are seeded from p's coefficients, so the
+    factors come back in a deterministic order."""
     F = p.field
-    if F.order() is None:
+    n = p.degree
+    if n <= d:
+        return [p] if n == d else []
+    q = F.order()
+    rng = random.Random(hash(p.coeffs) & 0xFFFFFFFF)
+    one = Poly.const(F, F.one)
+    while True:
+        a = Poly(F, [F.random(rng) for _ in range(n)])
+        if F.characteristic() != 2:
+            t = _pow_poly_mod(a, (q**d - 1) // 2, p) - one
+        else:
+            t = acc = a
+            for _ in range(d * F.m - 1):  # type: ignore[attr-defined]
+                acc = (acc * acc) % p
+                t = t + acc
+        g = t.gcd(p)
+        if 0 < g.degree < n:
+            return _equal_degree_split(g, d) + _equal_degree_split(p // g, d)
+
+
+def roots(p: Poly) -> list[tuple[object, int]]:
+    """All roots of p in its finite base field, with their multiplicities,
+    sorted by the field's sort key.
+
+    gcd(p, x^q - x) is the product of the distinct linear factors of p;
+    ``_equal_degree_split`` separates them and repeated division counts
+    each one.  Raises UnsupportedField over an infinite field and
+    ValueError for the zero polynomial."""
+    F = p.field
+    q = F.order()
+    if q is None:
         raise UnsupportedField("root finding requires a finite field")
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
-    if p.degree == 0:
-        return []
-    xq = _pow_x_q_mod(p)
-    lin = (xq - Poly.x(F)).gcd(p) if not (xq - Poly.x(F)).is_zero() else p.monic()
-    simple = _split_linear(lin) if lin.degree > 0 else []
+    x = Poly.x(F)
     out = []
-    for r in sorted(simple, key=F.sort_key):
-        mult = 0
-        rest = p
-        factor = Poly(F, [F.neg(r), F.one])
+    for factor in _equal_degree_split((_pow_poly_mod(x, q, p) - x).gcd(p), 1):
+        mult, rest = 0, p
         while True:
             quot, rem = rest.divrem(factor)
             if not rem.is_zero():
                 break
-            mult += 1
-            rest = quot
-        out.append((r, mult))
-    return out
+            mult, rest = mult + 1, quot
+        out.append((F.neg(factor[0]), mult))
+    return sorted(out, key=lambda rm: F.sort_key(rm[0]))
 
 
 def irreducible_quadratic_factors(p: Poly) -> list[Poly]:
-    """Monic irreducible quadratic factors of p over its finite base field."""
+    """The distinct monic irreducible quadratic factors of p over its finite
+    base field, each once whatever its multiplicity, sorted by coefficients.
+
+    With the linear factors divided out, gcd(x^(q^2) - x, rest) is the
+    product of the distinct irreducible quadratic factors, which
+    ``_equal_degree_split`` separates.  Raises like ``roots``."""
     F = p.field
-    xq = _pow_x_q_mod(p)
-    x = Poly.x(F)
-    # remove all linear factors, then extract degree-2 split
     rest = p.monic()
     for r, mult in roots(p):
         factor = Poly(F, [F.neg(r), F.one])
         for _ in range(mult):
             rest = rest // factor
-    if rest.degree < 2:
-        return []
-    xq2 = _pow_poly_mod(_pow_x_q_mod(rest), F.order(), rest)  # x**(q^2) mod rest
-    t = xq2 - x
-    g = t.gcd(rest) if not t.is_zero() else rest
-    out = []
-    # g is a product of distinct irreducible quadratics; split it
-    work = [g]
-    while work:
-        h = work.pop()
-        if h.degree == 2:
-            out.append(h.monic())
-            continue
-        if h.degree < 2:
-            continue
-        out.extend(_split_quadratics(h))
-    # account for multiplicity
-    final = []
-    for qpoly in sorted(out, key=lambda f: [F.sort_key(c) for c in f.coeffs]):
-        rest2 = p
-        while True:
-            quot, rem = rest2.divrem(qpoly)
-            if not rem.is_zero():
-                break
-            final.append(qpoly)
-            rest2 = quot
-    # deduplicate, preserving order
-    seen = []
-    for f in final:
-        if f not in seen:
-            seen.append(f)
-    return seen
-
-
-def _split_quadratics(p: Poly) -> list[Poly]:
-    """Split a product of distinct irreducible quadratics into its factors."""
-    F = p.field
-    q = F.order()
-    import random as _random
-
-    rng = _random.Random(0xC0FFEE ^ (hash(p.coeffs) & 0xFFFFFFFF))
-    if p.degree == 2:
-        return [p.monic()]
-    one = Poly.const(F, F.one)
-    while True:
-        probe = Poly(F, [F.random(rng), F.random(rng), F.one])
-        if F.characteristic() != 2:
-            t = _pow_poly_mod(probe, (q * q - 1) // 2, p) - one
-        else:
-            m = 2 * F.m  # type: ignore[attr-defined]
-            acc = probe % p
-            t = acc
-            for _ in range(m - 1):
-                acc = (acc * acc) % p
-                t = t + acc
-        if t.is_zero():
-            continue
-        g = t.gcd(p)
-        if 0 < g.degree < p.degree:
-            return _split_quadratics(g) + _split_quadratics(p // g)
+    x = Poly.x(F)
+    quads = (_pow_poly_mod(x, F.order() ** 2, rest) - x).gcd(rest)
+    return sorted(_equal_degree_split(quads, 2), key=lambda f: [F.sort_key(c) for c in f.coeffs])
 
 
 # ---------------------------------------------------------------------------

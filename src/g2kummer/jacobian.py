@@ -363,9 +363,13 @@ def from_point_pair(wm: WorkingModel, pair: PairDivisor) -> MumfordDivisor:
     )
 
 
-def small_rational_sampler(
-    wm: WorkingModel, xbound: int = 24, dens=(1, 2, 3), max_base: int = 4, coeff_bound: int = 4
-):
+_RATIONAL_XBOUND = 24  # the rational sampler's points have x = n/d, |n| at most this,
+_RATIONAL_DENS = (1, 2, 3)  # and d one of these
+_RATIONAL_MAX_BASE = 4  # it combines at most this many base divisors,
+_RATIONAL_COEFF_BOUND = 4  # each fewer times than this per sample
+
+
+def small_rational_sampler(wm: WorkingModel):
     """Deterministic divisor sampler over the rationals.
 
     Searches the working model y^2 = g(x) for points with small rational
@@ -383,8 +387,8 @@ def small_rational_sampler(
         raise UnsupportedField("this sampler is for rational working models")
     g = wm.model.f
     pts = []
-    for d in dens:
-        for n in range(-xbound, xbound + 1):
+    for d in _RATIONAL_DENS:
+        for n in range(-_RATIONAL_XBOUND, _RATIONAL_XBOUND + 1):
             if gcd(n, d) != 1:
                 continue
             x = Fraction(n, d)
@@ -401,7 +405,7 @@ def small_rational_sampler(
             if pts[i].x != pts[j].x:
                 base.append(divisor_from_points(wm, pts[i], pts[j]))
                 break
-        if len(base) >= max_base:
+        if len(base) >= _RATIONAL_MAX_BASE:
             break
     if len(base) < 2:
         raise UnsupportedField(
@@ -412,7 +416,7 @@ def small_rational_sampler(
         for _ in range(64):
             D = wm.zero()
             for B in base:
-                for _k in range(rng.randrange(coeff_bound)):
+                for _k in range(rng.randrange(_RATIONAL_COEFF_BOUND)):
                     D = add(wm, D, B)
             if D.degree == 2:
                 return D

@@ -144,15 +144,15 @@ def _kappa_of(c: CurveModel, wm: WorkingModel, D) -> KummerPoint:
     return kummer_coords(c, to_point_pair(wm, D)).normalized()
 
 
-def oracle_draws(c, wm, sampler, rng, n, classes=None, arity=1, keep=None):
+def oracle_draws(c, wm, sampler, rng, n, classes=None, arity=1):
     """n tuples of normalized Kummer points of oracle classes.
 
     Each attempt draws ``arity`` classes with ``sampler`` and takes kappa
     of every class ``classes(*drawn)`` returns (of the drawn classes
     themselves by default).  An attempt is redrawn when one of them has no
-    supported Kummer image or when ``keep`` rejects the tuple.  The tuples
-    are generated lazily, so a check that stops early draws no further;
-    after DRAW_BOUND * n attempts the generator raises ExhaustedRetries."""
+    supported Kummer image.  The tuples are generated lazily, so a check
+    that stops early draws no further; after DRAW_BOUND * n attempts the
+    generator raises ExhaustedRetries."""
     attempts = 0
     done = 0
     while done < n:
@@ -163,8 +163,6 @@ def oracle_draws(c, wm, sampler, rng, n, classes=None, arity=1, keep=None):
         try:
             pts = tuple(_kappa_of(c, wm, D) for D in (classes(*drawn) if classes else drawn))
         except UnsupportedDivisor:
-            continue
-        if keep is not None and not keep(pts):
             continue
         done += 1
         yield pts
@@ -272,7 +270,7 @@ def _fresh_check_delta(c, wm, sampler, rng, delta, n):
     F = c.field
     for x, d2 in _delta_samples(c, wm, sampler, rng, n):
         if not apply_delta(F, delta, x).proportional(d2):
-            raise CrossCheckFailed("duplication self-check failed on a fresh sample")
+            raise CrossCheckFailed(f"duplication self-check failed at {x.text()}")
 
 
 def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24, bqf=None):
@@ -286,7 +284,7 @@ def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24,
     if route == "lift":
         cl, fwd, back = _lift(c)
         big = None if bqf is None else {p: tuple(fwd[a] for a in v) for p, v in bqf.items()}
-        return _descend_result(synthesize_delta(cl, rng, check=check, bqf=big), back)
+        return tuple(_descend(blk, back) for blk in synthesize_delta(cl, rng, check=check, bqf=big))
     if wm is None:
         wm = working_model(c)
     if sampler is None:
@@ -401,10 +399,12 @@ def bqf_identity_mismatch(F: Field, forms, x, y, w, z):
 
 def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
     F = c.field
-    for pts in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
-        bad = bqf_identity_mismatch(F, forms, *(k.coords for k in pts))
+    for x, y, w, z in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
+        bad = bqf_identity_mismatch(F, forms, x.coords, y.coords, w.coords, z.coords)
         if bad is not None:
-            raise CrossCheckFailed(f"biquadratic self-check failed at B{bad[0]}{bad[1]} on a fresh pair")
+            raise CrossCheckFailed(
+                f"biquadratic self-check failed: B{bad[0]}{bad[1]} at {x.text()} , {y.text()}"
+            )
 
 
 def synthesize_bqf(
@@ -422,7 +422,7 @@ def synthesize_bqf(
     route = _route_field(F)
     if route == "lift":
         cl, _fwd, back = _lift(c)
-        return _descend_result(synthesize_bqf(cl, rng, samples, check=check), back)
+        return {k: _descend(vec, back) for k, vec in synthesize_bqf(cl, rng, samples, check=check).items()}
     if route == "modular":
         return _modular_bqf(c, rng, samples, check)
     if wm is None:
@@ -555,17 +555,13 @@ def _lift(c: CurveModel):
     return cl, fwd, back
 
 
-def _descend_result(result, back):
-    def dval(v):
-        if v not in back:
-            raise NotInSubfield("synthesized coefficient escapes the base field")
-        return back[v]
-
-    if isinstance(result, tuple) and result and isinstance(result[0], tuple):
-        return tuple(tuple(dval(a) for a in blk) for blk in result)
-    if isinstance(result, dict):
-        return {k: tuple(dval(a) for a in vec) for k, vec in result.items()}
-    raise TypeError("unexpected synthesis result shape")
+def _descend(vec, back) -> tuple:
+    """The coefficients of ``vec`` mapped through ``back``, the projection
+    onto a subfield; NotInSubfield when one lies outside it."""
+    try:
+        return tuple(back[v] for v in vec)
+    except KeyError:
+        raise NotInSubfield("coefficient lies outside the subfield") from None
 
 
 def descend_coefficients(fs: "FormulaSet", subfield: Field) -> "FormulaSet":
@@ -574,22 +570,15 @@ def descend_coefficients(fs: "FormulaSet", subfield: Field) -> "FormulaSet":
     if F == subfield:
         return fs
     if isinstance(F, BinaryField) and isinstance(subfield, BinaryField):
-        fwd, back = binary_embedding(subfield, F)
-        def dval(v):
-            if v not in back:
-                raise NotInSubfield("coefficient lies outside the stated subfield")
-            return back[v]
+        _fwd, back = binary_embedding(subfield, F)
         curve = CurveModel(
             subfield,
-            Poly(subfield, [dval(fs.curve.f[i]) for i in range(7)]),
-            Poly(subfield, [dval(fs.curve.h[i]) for i in range(4)]),
+            Poly(subfield, _descend(fs.curve.f.coeffs, back)),
+            Poly(subfield, _descend(fs.curve.h.coeffs, back)),
         )
-        delta = tuple(tuple(dval(a) for a in blk) for blk in fs.delta)
-        bqf = {k: tuple(dval(a) for a in vec) for k, vec in fs.bqf.items()}
-        w = [
-            (label, Matrix(subfield, [[dval(a) for a in row] for row in m.rows]))
-            for label, m in fs.w
-        ]
+        delta = tuple(_descend(blk, back) for blk in fs.delta)
+        bqf = {k: _descend(vec, back) for k, vec in fs.bqf.items()}
+        w = [(label, Matrix(subfield, [_descend(row, back) for row in m.rows])) for label, m in fs.w]
         return FormulaSet(curve, fingerprint(curve), delta, bqf, w, fs.convention)
     raise NotInSubfield(f"no descent from {F!r} to {subfield!r}")
 

@@ -33,14 +33,12 @@ from .kummer import (
 from .ladder import ladder, make_context, xadd
 from .synthesis import (
     BQF_INDEX_PAIRS,
-    apply_delta,
-    bqf_identity_mismatch,
+    _fresh_check_bqf,
+    _fresh_check_delta,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
     default_sampler,
-    doubling,
     oracle_draws,
-    sum_and_difference,
     synthesize_delta,
     synthesize_bqf,
     synthesize_formula_set,
@@ -152,19 +150,12 @@ def _suite_kappa_surface(c, wm, sampler, rng, n):
 
 
 def _suite_delta(c, wm, sampler, rng, fs, n):
-    F = c.field
-    for x, d2 in oracle_draws(c, wm, sampler, rng, n, doubling(wm)):
-        if not apply_delta(F, fs.delta, x).proportional(d2):
-            return {"ok": False, "witness": x.text()}
+    _fresh_check_delta(c, wm, sampler, rng, fs.delta, n)
     return {"ok": True, "n": n}
 
 
 def _suite_bqf(c, wm, sampler, rng, fs, n):
-    F = c.field
-    for x, y, w, z in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
-        bad = bqf_identity_mismatch(F, fs.bqf, x.coords, y.coords, w.coords, z.coords)
-        if bad is not None:
-            return {"ok": False, "witness": f"B{bad[0]}{bad[1]} at {x.text()} , {y.text()}"}
+    _fresh_check_bqf(c, wm, sampler, rng, fs.bqf, n)
     return {"ok": True, "n": n}
 
 

@@ -174,8 +174,48 @@ def test_irreducible_quadratic_factors():
     one = Poly.const(F7, 1)
     # x^2 + 1 is irreducible over GF(7) (7 = 3 mod 4); x^2 + x + 1 splits
     p = (x * x - one) * (x * x + one) * (x * x + x + one)
-    fac = irreducible_quadratic_factors(p)
-    assert fac == [x * x + one]
+    assert irreducible_quadratic_factors(p) == [x * x + one]
+    # over GF(8) two of the three factors are x^2 + 4x + t
+    p = Poly(B8, [5, 4, 0, 4, 4, 1, 5, 6, 1])
+    assert irreducible_quadratic_factors(p) == [Poly(B8, [1, 4, 1]), Poly(B8, [4, 4, 1]), Poly(B8, [7, 3, 1])]
+    assert roots(p) == [(2, 1), (7, 1)]
+
+
+def _irreducible_quadratics(F):
+    """Every monic irreducible quadratic over a small field: no root."""
+    q = F.order()
+    return [
+        f
+        for f in (Poly(F, [b, a, F.one]) for a in range(q) for b in range(q))
+        if all(f(v) != F.zero for v in range(q))
+    ]
+
+
+@pytest.mark.parametrize(
+    "F",
+    [BinaryField(1, 0b11), BinaryField(2, 0b111), B8, PrimeField(3), F7],
+    ids=lambda F: F.spec_string(),
+)
+def test_irreducible_quadratic_factors_match_brute_force_scan(F):
+    rng = random.Random(F.order() + 17)
+    x = Poly.x(F)
+    quads = _irreducible_quadratics(F)
+    chosen = [rng.sample(quads, rng.randrange(min(4, len(quads)) + 1)) for _ in range(25)]
+    if F.characteristic() == 2:
+        # factors x^2 + s x + t sharing s: a probe must not see only s
+        for s in range(1, F.order()):
+            same = [f for f in quads if f[1] == s]
+            chosen += [same[:2], same]
+    for factors in chosen:
+        p = Poly.const(F, F.random(rng) or F.one)
+        for f in factors:
+            p = p * f
+        for _ in range(rng.randrange(5)):  # linear factors, repeats allowed
+            p = p * (x - Poly.const(F, F.random(rng)))
+        expect = sorted(
+            (f for f in quads if (p % f).is_zero()), key=lambda f: [F.sort_key(c) for c in f.coeffs]
+        )
+        assert irreducible_quadratic_factors(p) == expect
 
 
 def test_kernel_examples():

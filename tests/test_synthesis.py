@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from g2kummer.algebra import BIQUADRATIC44, Matrix, Poly, QUARTIC4, biquadratic_rows, solve_kernel
 from g2kummer.curve import CurveModel, normal_form_curve, validate
-from g2kummer.errors import ExhaustedRetries, KernelDimensionUnexpected, NotInSubfield, UnsupportedField
+from g2kummer.errors import (
+    ExhaustedRetries,
+    KernelDimensionUnexpected,
+    NotInSubfield,
+    UnsupportedDivisor,
+    UnsupportedField,
+)
 from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import add, from_point_pair, negate, random_divisor, to_point_pair, working_model
 from g2kummer.kummer import KummerPoint, kummer_coords, two_torsion_classes, w_matrix_char2, zero_class_point
@@ -167,7 +173,10 @@ def test_oracle_draws_gives_up_after_bound():
         calls.append(None)
         return random_divisor(wm, rng)
 
-    draws = oracle_draws(CURVE_1009, wm, sampler, random.Random(112), 3, keep=lambda pts: False)
+    def unsupported(D):
+        raise UnsupportedDivisor("every class is refused")
+
+    draws = oracle_draws(CURVE_1009, wm, sampler, random.Random(112), 3, unsupported)
     with pytest.raises(ExhaustedRetries):
         list(draws)
     assert len(calls) == DRAW_BOUND * 3
