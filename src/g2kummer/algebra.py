@@ -290,19 +290,27 @@ def roots(p: Poly) -> list[tuple[object, int]]:
 def irreducible_quadratic_factors(p: Poly) -> list[Poly]:
     """The distinct monic irreducible quadratic factors of p over its finite
     base field, each once whatever its multiplicity, sorted by coefficients.
+    Raises like ``roots``."""
+    return roots_and_quadratic_factors(p)[1]
+
+
+def roots_and_quadratic_factors(p: Poly) -> tuple[list[tuple[object, int]], list[Poly]]:
+    """``roots(p)`` and ``irreducible_quadratic_factors(p)``, finding the
+    roots once.
 
     With the linear factors divided out, gcd(x^(q^2) - x, rest) is the
     product of the distinct irreducible quadratic factors, which
-    ``_equal_degree_split`` separates.  Raises like ``roots``."""
+    ``_equal_degree_split`` separates."""
     F = p.field
+    rts = roots(p)
     rest = p.monic()
-    for r, mult in roots(p):
+    for r, mult in rts:
         factor = Poly(F, [F.neg(r), F.one])
         for _ in range(mult):
             rest = rest // factor
     x = Poly.x(F)
     quads = (_pow_poly_mod(x, F.order() ** 2, rest) - x).gcd(rest)
-    return sorted(_equal_degree_split(quads, 2), key=lambda f: [F.sort_key(c) for c in f.coeffs])
+    return rts, sorted(_equal_degree_split(quads, 2), key=lambda f: [F.sort_key(c) for c in f.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +387,8 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise LengthMismatch("inverse of non-square matrix")
-        aug = [list(r) + Matrix.identity(F, n).rows[i] for i, r in enumerate(self.rows)]
+        eye = Matrix.identity(F, n).rows
+        aug = [list(r) + e for r, e in zip(self.rows, eye)]
         rank, _ = _rref(F, aug, n)
         if rank < n:
             raise DivisionByZero("singular matrix")
@@ -391,125 +400,103 @@ def _rref(F: Field, rows: list[list], limit_cols: int | None = None) -> tuple[in
 
     Only columns below ``limit_cols`` are eligible as pivots (the remaining
     columns ride along, e.g. an augmented right-hand side).
+
+    Forward elimination clears each pivot column from the rows below the
+    pivot only, and only at and right of it, so every pivot row is zero left
+    of its unit pivot.  Back-substitution then clears the pivot columns from
+    the rows above, bottom pivot first, touching only the pivot row's
+    nonzero entries: by then its non-pivot columns.  Over GF(p) eliminated
+    entries are stored unreduced (a - c*b) and reduced when read as a leading
+    coefficient or a pivot row.  The rows beyond the rank come out reduced
+    and zero below ``limit_cols``; their other columns hold the residual,
+    all zero exactly when the augmented system is consistent.
     """
-    if F.kind == "prime":
-        return _rref_prime(F.p, rows, limit_cols)
-    if F.kind == "binary":
-        tabs = F._tables()
-        if tabs is not None:
-            return _rref_binary(F.m, tabs, rows, limit_cols)
-    return _rref_generic(F, rows, limit_cols)
-
-
-def _rref_prime(p: int, rows: list[list], limit_cols) -> tuple[int, list[int]]:
-    ncols = len(rows[0]) if rows else 0
-    pcols = ncols if limit_cols is None else limit_cols
-    rank = 0
-    pivots = []
     nrows = len(rows)
-    for j in range(pcols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[j], -1, p)
-        if inv != 1:
-            rows[rank] = prow = [inv * a % p for a in prow]
-        for i in range(nrows):
-            if i != rank:
-                c = rows[i][j]
-                if c:
-                    ri = rows[i]
-                    rows[i] = [(a - c * b) % p for a, b in zip(ri, prow)]
-        pivots.append(j)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, pivots
-
-
-def _rref_binary(m: int, tabs, rows: list[list], limit_cols) -> tuple[int, list[int]]:
-    exp, log = tabs
-    n = (1 << m) - 1
     ncols = len(rows[0]) if rows else 0
     pcols = ncols if limit_cols is None else limit_cols
-    rank = 0
-    pivots = []
-    nrows = len(rows)
-    for j in range(pcols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        if prow[j] != 1:
-            li = n - log[prow[j]]
-            if li == n:
-                li = 0
-            rows[rank] = prow = [
-                exp[(li + log[a]) % n] if a else 0 for a in prow
-            ]
-        for i in range(nrows):
-            if i != rank:
-                c = rows[i][j]
-                if c:
-                    lc = log[c]
-                    ri = rows[i]
-                    rows[i] = [
-                        (a ^ exp[(lc + log[b]) % n]) if b else a
-                        for a, b in zip(ri, prow)
-                    ]
-        pivots.append(j)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, pivots
-
-
-def _rref_generic(F: Field, rows: list[list], limit_cols) -> tuple[int, list[int]]:
-    ncols = len(rows[0]) if rows else 0
-    pcols = ncols if limit_cols is None else limit_cols
+    reduce, unit, prepare, submul = _row_ops(F)
     zero = F.zero
     rank = 0
     pivots = []
     for j in range(pcols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][j] != zero:
-                piv = i
+        if rank == nrows:
+            break
+        for i in range(rank, nrows):
+            c = reduce(rows[i][j])
+            if c:
                 break
-        if piv is None:
+        else:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = F.inv(prow[j])
-        if inv != F.one:
-            mul = F.mul
-            rows[rank] = prow = [mul(inv, a) for a in prow]
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            c = rows[i][j]
-            if c == zero:
-                continue
+        prow = rows[i]
+        rows[i] = rows[rank]
+        rows[rank] = prow = [zero] * j + unit(prow[j:], c)
+        tail = prepare(prow[j:])
+        for i in range(rank + 1, nrows):
             ri = rows[i]
-            mul = F.mul
-            sub = F.sub
-            rows[i] = [sub(a, mul(c, b)) for a, b in zip(ri, prow)]
+            c = reduce(ri[j])
+            if c:
+                ri[j:] = submul(ri[j:], c, tail)
         pivots.append(j)
         rank += 1
-        if rank == len(rows):
-            break
+    for i in range(rank, nrows):
+        rows[i] = [reduce(a) for a in rows[i]]
+    for k in range(rank - 1, -1, -1):
+        j = pivots[k]
+        rows[k] = prow = [reduce(a) for a in rows[k]]
+        cols = [t for t in range(j + 1, ncols) if prow[t]]
+        tail = prepare([prow[t] for t in cols])
+        for ri in rows[:k]:
+            c = ri[j]
+            if c:
+                ri[j] = zero
+                for t, a in zip(cols, submul([ri[t] for t in cols], c, tail)):
+                    ri[t] = a
     return rank, pivots
+
+
+def _row_ops(F: Field):
+    """The field-specific steps of ``_rref``: ``reduce(a)`` (the stored entry
+    as a field value), ``unit(row, c)`` (the row times 1/c, c its leading
+    entry), ``prepare(row)`` (a pivot row as ``submul`` reads it) and
+    ``submul(row, c, prepared)`` (the cell update row - c*pivot row).  The
+    prime and tabled binary kinds bypass ``Field``'s counted operations."""
+    if F.kind == "prime":
+        p = F.p
+
+        def unit(row, c):
+            inv = pow(c, -1, p)
+            return [inv * a % p for a in row]
+
+        def submul(row, c, prow):
+            return [a - c * b for a, b in zip(row, prow)]
+
+        return (lambda a: a % p), unit, (lambda row: row), submul
+    tabs = F._tables() if F.kind == "binary" else None
+    if tabs is not None:
+        # exp has n = 2^m - 1 entries, so exp[s - n] is exp[s mod n] for
+        # 0 <= s < 2n: log sums index it with no modulo
+        exp, log = tabs
+        n = len(exp)
+
+        def unit(row, c):
+            li = -log[c]
+            return [exp[li + log[a]] if a else 0 for a in row]
+
+        def submul(row, c, logs):
+            lc = log[c] - n
+            return [a ^ exp[lc + lb] if lb is not None else a for a, lb in zip(row, logs)]
+
+        return (lambda a: a), unit, (lambda row: [log[b] if b else None for b in row]), submul
+    mul, sub = F.mul, F.sub
+
+    def unit(row, c):
+        inv = F.inv(c)
+        return [mul(inv, a) for a in row]
+
+    def submul(row, c, prow):
+        return [sub(a, mul(c, b)) for a, b in zip(row, prow)]
+
+    return (lambda a: a), unit, (lambda row: row), submul
 
 
 def solve_kernel(M: Matrix) -> list[list]:

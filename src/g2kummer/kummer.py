@@ -32,8 +32,7 @@ from .algebra import (
     Poly,
     QUARTIC4,
     eval_quartic,
-    irreducible_quadratic_factors,
-    roots,
+    roots_and_quadratic_factors,
 )
 from .curve import CurveModel, PairDivisor, secant, simplified_rhs
 from .errors import (
@@ -343,7 +342,8 @@ def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
     F = c.field
     h, f = c.h, c.f
     out = []
-    hroots = [r for r, _m in roots(h)] if h.degree >= 1 else []
+    rts, hquads = roots_and_quadratic_factors(h) if h.degree >= 1 else ([], [])
+    hroots = [r for r, _m in rts]
     # affine-affine classes from pairs of distinct rational roots
     for i in range(len(hroots)):
         for j in range(i + 1, len(hroots)):
@@ -352,7 +352,7 @@ def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
             s, b = secant(F, x1, y1, x2, y2)
             out.append(_char2_affine_data(c, s, b, label=f"aa:{F.to_str(x1)},{F.to_str(x2)}"))
     # affine-affine classes from irreducible quadratic factors (conjugate pairs)
-    for q in irreducible_quadratic_factors(h):
+    for q in hquads:
         s1 = q[1]  # x1 + x2 in characteristic 2
         s2 = q[0]
         frem = f % q
@@ -450,13 +450,14 @@ def _two_torsion_odd(c: CurveModel) -> list[TwoTorsionData]:
     g = simplified_rhs(c)
     half = F.inv(F.from_int(2))
     out = []
-    groots = [r for r, _m in roots(g)]
+    rts, irreducible = roots_and_quadratic_factors(g)
+    groots = [r for r, _m in rts]
     quads = []
     for i in range(len(groots)):
         for j in range(i + 1, len(groots)):
             x1, x2 = groots[i], groots[j]
             quads.append(Poly(F, [F.mul(x1, x2), F.neg(F.add(x1, x2)), F.one]))
-    quads.extend(irreducible_quadratic_factors(g))
+    quads.extend(irreducible)
     for s in quads:
         t = g.exact_div(s)
         b = (c.h.scale(F.neg(half))) % s

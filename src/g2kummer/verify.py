@@ -16,7 +16,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dfield
 
-from .algebra import biquadratic_rows, eval_quartic, quadratic_monomials, quadratic_value, quartic_values
+from .algebra import (
+    biquadratic_rows,
+    eval_quartic,
+    quadratic_monomials,
+    quadratic_value,
+    quartic_values,
+    roots_and_quadratic_factors,
+)
 from .curve import CurveModel, normal_form_curve, simplified_model, validate
 from .errors import CounterexampleFound, SuiteFailed
 from .field import BinaryField
@@ -315,20 +322,13 @@ def two_torsion_count_check(c: CurveModel) -> dict:
     Distinct roots are counted over the closure: rational roots once each,
     any surviving irreducible factor contributes its degree (for deg <= 3 it
     is automatically squarefree), plus the infinite root when deg h < 3."""
-    from .algebra import Poly, irreducible_quadratic_factors
-    from .algebra import roots as poly_roots
-
     F = c.field
-    rational = poly_roots(c.h) if c.h.degree >= 1 else []
-    rest = c.h.monic()
-    for r, mult in rational:
-        factor = Poly(F, [F.neg(r), F.one])
-        for _ in range(mult):
-            rest = rest // factor
-    n_closure = len(rational) + rest.degree + (1 if c.h[3] == F.zero else 0)
+    rational, quads = roots_and_quadratic_factors(c.h) if c.h.degree >= 1 else ([], [])
+    rest_degree = c.h.degree - sum(mult for _r, mult in rational)
+    n_closure = len(rational) + rest_degree + (1 if c.h[3] == F.zero else 0)
     geometric = 1 << (n_closure - 1)
     n_rat = len(rational) + (1 if c.h[3] == F.zero else 0)
-    pred = n_rat * (n_rat - 1) // 2 + len(irreducible_quadratic_factors(c.h))
+    pred = n_rat * (n_rat - 1) // 2 + len(quads)
     classes = two_torsion_classes(c)
     return {
         "ok": geometric in (1, 2, 4) and len(classes) == pred,

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kummer import algebra
 from g2kummer.algebra import (
     BIQUADRATIC44,
     Matrix,
@@ -272,6 +274,114 @@ def test_matrix_inverse():
         if matrix_rank(M) == 4:
             break
     assert M.mul(M.inverse()) == Matrix.identity(F1009, 4)
+
+
+def _gauss_jordan(F, rows, limit_cols):
+    """Textbook Gauss-Jordan on a copy, through Field's own operations: each
+    pivot row is scaled to a unit pivot and its column cleared from every
+    other row at once."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank, pivots = 0, []
+    for j in range(ncols if limit_cols is None else limit_cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j] != F.zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = F.inv(rows[rank][j])
+        prow = rows[rank] = [F.mul(inv, a) for a in rows[rank]]
+        for i, row in enumerate(rows):
+            c = row[j]
+            if i != rank and c != F.zero:
+                rows[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(row, prow)]
+        pivots.append(j)
+        rank += 1
+    return rank, pivots, rows
+
+
+def _random_system(F, rng, nrows, ncols, rank):
+    """An nrows x ncols matrix of rank at most ``rank``: a product of random
+    nrows x rank and rank x ncols factors."""
+    def draw():
+        if F.order() is None:
+            return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        return F.random(rng)
+
+    left = [[draw() for _ in range(rank)] for _ in range(nrows)]
+    right = [[draw() for _ in range(ncols)] for _ in range(rank)]
+    out = []
+    for lrow in left:
+        row = []
+        for j in range(ncols):
+            acc = F.zero
+            for a, rrow in zip(lrow, right):
+                acc = F.add(acc, F.mul(a, rrow[j]))
+            row.append(acc)
+        out.append(row)
+    return out, draw
+
+
+def _is_reduced(F, a):
+    if F.kind == "prime":
+        return type(a) is int and 0 <= a < F.p
+    if F.kind == "binary":
+        return type(a) is int and 0 <= a < 1 << F.m
+    return isinstance(a, Fraction)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        F1009,
+        PrimeField(2**61 - 1),
+        BinaryField(16, 0x1002B),
+        B8,
+        BinaryField(23, (1 << 23) | (1 << 5) | 1),  # beyond the log/exp tables
+        RationalField(),
+    ],
+    ids=lambda F: F.spec_string(),
+)
+def test_rref_matches_gauss_jordan(F):
+    rng = random.Random(f"rref/{F.spec_string()}")
+    shapes = [(0, 0), (1, 1), (1, 7), (7, 1), (4, 4), (6, 9), (9, 6), (12, 12), (15, 10)]
+    consistent = inconsistent = 0
+    for nrows, ncols in shapes * 4:
+        k = rng.randrange(min(nrows, ncols) + 1)
+        rows, draw = _random_system(F, rng, nrows, ncols, k)
+        limit = None
+        if ncols > 1 and rng.random() < 0.5:
+            # augmented: the product's own trailing columns as right-hand
+            # sides, or arbitrary ones
+            limit = rng.randrange(1, ncols)
+            if rng.random() < 0.5:
+                for row in rows:
+                    row[limit:] = [draw() for _ in range(ncols - limit)]
+        expect_rank, expect_pivots, expect = _gauss_jordan(F, rows, limit)
+        got = [list(r) for r in rows]
+        rank, pivots = algebra._rref(F, got, limit)
+        assert (rank, pivots) == (expect_rank, expect_pivots)
+        assert got[:rank] == expect[:rank]
+        for r, j in enumerate(pivots):
+            assert [row[j] for row in got] == [F.one if i == r else F.zero for i in range(nrows)]
+        assert all(_is_reduced(F, a) for row in got for a in row)
+        pcols = ncols if limit is None else limit
+        assert all(a == F.zero for row in got[rank:] for a in row[:pcols])
+        residual = [any(a != F.zero for a in row) for row in got[rank:]]
+        assert residual == [any(a != F.zero for a in row) for row in expect[rank:]]
+        if limit is not None:
+            # consistent exactly when the right-hand sides add no rank
+            full_rank = _gauss_jordan(F, rows, None)[0]
+            assert any(residual) == (full_rank > rank)
+            consistent += not any(residual)
+            inconsistent += any(residual)
+    assert consistent and inconsistent
+
+
+def test_rref_of_an_all_zero_matrix():
+    for F in (F1009, B8, RationalField()):
+        rows = [[F.zero] * 5 for _ in range(3)]
+        assert algebra._rref(F, rows) == (0, [])
+        assert rows == [[F.zero] * 5 for _ in range(3)]
 
 
 def test_basis_shapes_and_order():

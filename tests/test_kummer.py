@@ -345,6 +345,30 @@ def test_two_torsion_char2_counts():
     assert tags == ["affineAffine", "affineInfinity", "affineInfinity"]
 
 
+@pytest.mark.parametrize("name, degree", [("m61_h2_f5", 5), ("c2_general_f", 3)])
+def test_two_torsion_finds_the_roots_once(monkeypatch, name, degree):
+    # roots and quadratic factors come from one factorization of g (odd
+    # characteristic) or h (characteristic 2); ``roots`` is wrapped wherever
+    # it is bound, so a call through an imported name counts too
+    import sys
+
+    from g2kummer import algebra
+    from g2kummer.corpus import default_corpus
+
+    degrees = []
+    inner = algebra.roots
+
+    def counted(p):
+        degrees.append(p.degree)
+        return inner(p)
+
+    for module in (algebra, sys.modules["g2kummer.kummer"]):
+        if getattr(module, "roots", None) is inner:
+            monkeypatch.setattr(module, "roots", counted)
+    two_torsion_classes(dict(default_corpus())[name])
+    assert degrees == [degree]
+
+
 def test_two_torsion_odd_example():
     # 4f + h^2 = (x^2 - 1) t(x): the class {(1, -h(1)/2), (-1, -h(-1)/2)}
     F = F1009
