@@ -21,10 +21,10 @@ from .curve import (
     char2_normal_form,
     curve_from_text,
     involution,
+    kummer_matrix,
     normal_form_curve,
     rational_weierstrass_points,
     sample_point,
-    simplified_kummer_matrix,
     simplified_model,
     transform,
     transform_pair,
@@ -67,6 +67,7 @@ from .synthesis import (
     synthesize_delta,
     synthesize_formula_set,
     synthesize_w_oddchar,
+    transport_forms,
 )
 from .ladder import LadderContext, bench, ladder, make_context, xadd, xdbl
 from .verify import (

@@ -598,6 +598,13 @@ def quadratic_monomials(F: Field, point) -> list:
     return [mul(point[u], point[v]) for u, v in _QUADRATIC_VARS]
 
 
+def symmetric_square(F: Field, A) -> Matrix:
+    """The 10x10 R with q(A X) = R q(X), for A the rows of a 4x4 matrix."""
+    add, mul = F.add, F.mul
+    return Matrix(F, [[mul(A[u][s], A[v][s]) if s == t else add(mul(A[u][s], A[v][t]), mul(A[u][t], A[v][s]))
+                       for s, t in _QUADRATIC_VARS] for u, v in _QUADRATIC_VARS])
+
+
 def eval_form(F: Field, basis: MonomialBasis, coeffs: list, *points) -> object:
     """Evaluate a form over ``basis`` at raw quadruples.
 

@@ -599,7 +599,7 @@ def _transport_irreducible_quadratic(F: Field, iso, a: Poly, b: Poly):
 
 
 # ---------------------------------------------------------------------------
-# The simplified model (odd characteristic) and its Kummer-coordinate map
+# The simplified model (odd characteristic); Kummer matrices of isomorphisms
 # ---------------------------------------------------------------------------
 
 def simplified_model(c: CurveModel) -> tuple[CurveModel, ModelIsomorphism]:
@@ -607,35 +607,59 @@ def simplified_model(c: CurveModel) -> tuple[CurveModel, ModelIsomorphism]:
     F = c.field
     if F.characteristic() == 2:
         raise CharacteristicTwo("no simplified model in characteristic 2")
-    iso = ModelIsomorphism(
-        F, (F.one, F.zero, F.zero, F.one), F.from_int(2), c.h
-    )
-    target = transform(c, iso)
-    return target, iso
+    iso = ModelIsomorphism(F, (F.one, F.zero, F.zero, F.one), F.from_int(2), c.h)
+    return transform(c, iso), iso
 
 
-def simplified_kummer_matrix(c: CurveModel) -> Matrix:
-    """Matrix of the induced linear map on Kummer coordinates for the model
-    change y -> 2y + h(x): the last coordinate maps to
-    4*k4 - 2*(h0 h2 k1 + h0 h3 k2 + h1 h3 k3)."""
+def kummer_matrix(c: CurveModel, iso: ModelIsomorphism) -> Matrix:
+    """The 4x4 matrix M with kappa_t ~ M kappa, for kappa the Kummer
+    coordinates on ``c`` and kappa_t those on ``transform(c, iso)``, in any
+    characteristic.  ``iso`` is split into steps, each applied to the
+    current model:
+
+    - y -> e*y + u(x) fixes k1..k3; row 4 is (2u0u2 - e(h0u2 + h2u0),
+      2u0u3 - e(h0u3 + h3u0), 2u1u3 - e(h1u3 + h3u1), e^2);
+    - x -> x + t: rows (1,0,0,0), (2t,1,0,0), (t^2,t,1,0) and (f3t - 2f4t^2
+      + 4f5t^3 - 8f6t^4, f5t^2 - 4f6t^3, 2f5t - 6f6t^2, 1);
+    - x -> lam*x is diag(1, lam, lam^2, lam^-2), and x -> 1/x swaps k1, k3.
+
+    With c != 0 the Moebius map is translate by d/c, scale by c, invert,
+    scale by -det/c, translate by a/c; with c = 0 it is scale by a/d,
+    translate by b/d, and d^-3 moves into e and u."""
     F = c.field
-    if F.characteristic() == 2:
-        raise CharacteristicTwo("the coordinate change needs odd characteristic")
-    two = F.from_int(2)
+    zero, one, n, mul, add = F.zero, F.one, F.from_int, F.mul, F.add
+    a, b, g, d = iso.mobius
+    e, u = iso.yscale, iso.yshift
+    if g == zero:
+        d3inv = F.inv(mul(mul(d, d), d))
+        e, u = mul(e, d3inv), u.scale(d3inv)
+        steps = [(F.div(a, d), zero, zero, one), (one, F.div(b, d), zero, one)]
+    else:
+        steps = [(one, F.div(d, g), zero, one), (g, zero, zero, one), (zero, one, one, zero),
+                 (F.neg(F.div(iso.det(), g)), zero, zero, one), (one, F.div(a, g), zero, one)]
     h = c.h
-    last = [
-        F.neg(F.mul(two, F.mul(h[0], h[2]))),
-        F.neg(F.mul(two, F.mul(h[0], h[3]))),
-        F.neg(F.mul(two, F.mul(h[1], h[3]))),
-        F.from_int(4),
-    ]
-    rows = [
-        [F.one, F.zero, F.zero, F.zero],
-        [F.zero, F.one, F.zero, F.zero],
-        [F.zero, F.zero, F.one, F.zero],
-        last,
-    ]
-    return Matrix(F, rows)
+    row4 = [F.sub(mul(n(2), mul(u[i], u[j])), mul(e, add(mul(h[i], u[j]), mul(h[j], u[i]))))
+            for i, j in ((0, 2), (0, 3), (1, 3))]
+    eye = Matrix.identity(F, 4).rows
+    M = Matrix(F, eye[:3] + [row4 + [mul(e, e)]])
+    cur = transform(c, ModelIsomorphism(F, (one, zero, zero, one), e, u))
+    for mob in steps:
+        lam, t, inverts, _ = mob
+        if inverts != zero:
+            step = [eye[2], eye[1], eye[0], eye[3]]
+        elif t == zero:
+            l2 = mul(lam, lam)
+            step = [[v if k == r else zero for k in range(4)] for r, v in enumerate((one, lam, l2, F.inv(l2)))]
+        else:
+            f3, f4, f5, f6 = (cur.f[i] for i in range(3, 7))
+            s = mul(n(-2), t)  # row 4 in powers of s = -2t
+            step = [[one, zero, zero, zero], [add(t, t), one, zero, zero], [mul(t, t), t, one, zero],
+                    [mul(t, add(add(f3, mul(s, f4)), mul(mul(s, s), add(f5, mul(s, f6))))),
+                     mul(mul(t, t), add(f5, mul(n(2), mul(s, f6)))),
+                     mul(t, add(mul(n(2), f5), mul(n(3), mul(s, f6)))), one]]
+        M = Matrix(F, step).mul(M)
+        cur = transform(cur, ModelIsomorphism(F, mob, one, Poly(F, [])))
+    return M
 
 
 # ---------------------------------------------------------------------------

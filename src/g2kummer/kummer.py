@@ -51,7 +51,9 @@ class KummerPoint:
 
     def __init__(self, field: Field, coords):
         coords = tuple(coords)
-        if len(coords) != 4 or all(v == field.zero for v in coords):
+        if len(coords) != 4:
+            raise ValueError(f"a Kummer point has four coordinates, got {len(coords)}")
+        if all(v == field.zero for v in coords):
             raise ValueError("a Kummer point is a nonzero quadruple")
         self.field = field
         self.coords = coords

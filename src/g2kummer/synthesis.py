@@ -61,9 +61,10 @@ from .algebra import (
     quartic_values,
     solve_kernel,
     symmetric_biquadratic_row,
+    symmetric_square,
     _rref,
 )
-from .curve import CurveModel, simplified_model, simplified_kummer_matrix, validate
+from .curve import CurveModel, kummer_matrix, simplified_model, validate
 from .errors import (
     CrossCheckFailed,
     ExhaustedRetries,
@@ -825,20 +826,46 @@ def deserialize_formula_set(text: str) -> FormulaSet:
 
 
 # ---------------------------------------------------------------------------
-# Cross-checks against the printed conversion identities
+# Form transport between models, and the cross-checks through it
 # ---------------------------------------------------------------------------
+
+def transport_forms(F: Field, bqf, M: Matrix) -> dict:
+    """The biquadratic forms of a target model from those ``bqf`` of a
+    source model, where kappa_target ~ M kappa_source (``kummer_matrix``).
+
+    With w_t = M w and z_t = M z, each target t_ij(w_t, z_t) combines the
+    source t_ab(w, z): for i < j with M_ia M_jb + M_ja M_ib (a < b) and
+    2 M_ia M_ja (a = b), for i = j with M_ia M_ib and M_ia^2, which is column
+    ij of symmetric_square(M^T).  Nothing is halved, so characteristic 2
+    works.  Both arguments of each combined form are then substituted by
+    N = M^-1: on its 10x10 coefficient matrix C (x-monomials by y-monomials)
+    that is C' = R^T C R with R = symmetric_square(N)."""
+    S = symmetric_square(F, list(zip(*M.rows))).rows
+    R = symmetric_square(F, M.inverse().rows)
+    Rt = Matrix(F, list(zip(*R.rows)))
+    out = {}
+    for col, p in enumerate(BQF_INDEX_PAIRS):
+        comb = [F.zero] * BIQUADRATIC44.size
+        for row, q in zip(S, BQF_INDEX_PAIRS):
+            if row[col] != F.zero:
+                comb = [F.add(acc, F.mul(row[col], v)) for acc, v in zip(comb, bqf[q])]
+        C = Rt.mul(Matrix(F, [comb[10 * r : 10 * r + 10] for r in range(10)]).mul(R))
+        out[p] = tuple(v for r in C.rows for v in r)
+    return out
+
 
 def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, delta_prime=None) -> dict:
     """Conjugation consistency of duplication with the model change.
 
     Synthesizes duplication on the curve and on its simplified model
     y^2 = 4f + h^2, then checks T(delta(k)) = const * delta'(T(k)) at sampled
-    surface points, with one constant across all points and coordinates."""
+    surface points, with T the Kummer matrix of the model change and one
+    constant across all points and coordinates."""
     F = c.field
     if F.characteristic() == 2:
         raise UnsupportedField("the simplified model needs odd characteristic")
     csimp, iso = simplified_model(c)
-    T = simplified_kummer_matrix(c)
+    T = kummer_matrix(c, iso)
     if delta is None:
         delta = synthesize_delta(c, rng)
     if delta_prime is None:
@@ -860,94 +887,33 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
     return {"ok": True, "points": npoints, "ratio": F.to_str(ratio)}
 
 
-def _conversion_vector(F: Field, h: Poly):
-    return (
-        F.mul(h[0], h[2]),
-        F.mul(h[0], h[3]),
-        F.mul(h[1], h[3]),
-    )
-
-
-def convert_bqf_from_simplified(F: Field, h: Poly, bprime: dict) -> dict:
-    """The conversion taking simplified-model biquadratic values b'_{ij}
-    (halved diagonals) to the general-model values, derived from the
-    coordinate change k4' = 4 k4 - 2(h0h2 k1 + h0h3 k2 + h1h3 k3).
-
-    ``bprime`` maps (i, j) to raw values at a fixed argument pair."""
-    cvec = _conversion_vector(F, h)
-    inv4 = F.inv(F.from_int(4))
-    inv2 = F.inv(F.from_int(2))
-    inv8 = F.inv(F.from_int(8))
-    inv16 = F.inv(F.from_int(16))
-
-    def bp(i, j):
-        return bprime[(min(i, j), max(i, j))]
-
-    out = {}
-    for (i, j) in BQF_INDEX_PAIRS:
-        if j <= 3:
-            out[(i, j)] = bp(i, j)
-    for i in (1, 2, 3):
-        acc = F.mul(inv4, bp(i, 4))
-        inner = F.zero
-        for j in (1, 2, 3):
-            term = F.mul(cvec[j - 1], bp(i, j))
-            if j == i:
-                term = F.add(term, term)  # diagonal b' is halved
-            inner = F.add(inner, term)
-        out[(i, 4)] = F.add(acc, F.mul(inv2, inner))
-    acc = F.mul(inv16, bp(4, 4))
-    mid = F.zero
-    for j in (1, 2, 3):
-        mid = F.add(mid, F.mul(cvec[j - 1], bp(j, 4)))
-    acc = F.add(acc, F.mul(inv8, mid))
-    quad = F.zero
-    for a in (1, 2, 3):
-        quad = F.add(quad, F.mul(F.mul(cvec[a - 1], cvec[a - 1]), bp(a, a)))
-    for a, b in ((1, 2), (1, 3), (2, 3)):
-        quad = F.add(quad, F.mul(F.mul(cvec[a - 1], cvec[b - 1]), bp(a, b)))
-    out[(4, 4)] = F.add(acc, F.mul(inv4, quad))
-    return out
-
-
 def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bqf_prime=None) -> dict:
-    """Printed-style conversion between the general and simplified
-    biquadratic families, checked with a single fitted scalar.
+    """The biquadratic forms of the simplified model y^2 = 4f + h^2,
+    transported back to the curve, against the curve's own forms.
 
-    The i, j <= 3 block converts by identity, the fourth row/column by the
-    displayed linear combinations (with the diagonal bookkeeping of our
-    halved convention); one scalar must fit all ten entries at every sampled
-    argument pair."""
+    The two families are synthesized independently, one on each model.
+    ``bqf_prime`` is transported once, through the inverse of the Kummer
+    matrix of the model change, and one scalar must fit all ten entries at
+    every sampled argument pair."""
     F = c.field
     if F.characteristic() == 2:
-        raise UnsupportedField("the conversion needs odd characteristic")
-    csimp, _iso = simplified_model(c)
-    T = simplified_kummer_matrix(c)
+        raise UnsupportedField("the simplified model needs odd characteristic")
+    csimp, iso = simplified_model(c)
     if bqf is None:
         bqf = synthesize_bqf(c, rng)
     if bqf_prime is None:
         bqf_prime = synthesize_bqf(csimp, rng)
+    back = transport_forms(F, bqf_prime, kummer_matrix(c, iso).inverse())
     wm = working_model(c)
-    sampler = default_sampler(wm)
     scalar = None
-    for checked, (kx, ky) in enumerate(oracle_draws(c, wm, sampler, rng, npoints, arity=2)):
-        x, y = kx.coords, ky.coords
-        xs = tuple(T.apply(list(x)))
-        ys = tuple(T.apply(list(y)))
-        conv = convert_bqf_from_simplified(F, c.h, eval_bqf_all(F, bqf_prime, xs, ys))
-        vals = eval_bqf_all(F, bqf, x, y)
+    for checked, (kx, ky) in enumerate(oracle_draws(c, wm, default_sampler(wm), rng, npoints, arity=2)):
+        conv = eval_bqf_all(F, back, kx.coords, ky.coords)
+        vals = eval_bqf_all(F, bqf, kx.coords, ky.coords)
         for (i, j) in BQF_INDEX_PAIRS:
-            val = vals[(i, j)]
-            if scalar is None:
-                if conv[(i, j)] == F.zero:
-                    if val != F.zero:
-                        raise CrossCheckFailed("conversion zero/nonzero mismatch")
-                    continue
-                scalar = F.div(val, conv[(i, j)])
-            if val != F.mul(scalar, conv[(i, j)]):
-                raise CrossCheckFailed(
-                    f"conversion failed at entry B{i}{j} after {checked} points"
-                )
+            if scalar is None and conv[(i, j)] != F.zero:
+                scalar = F.div(vals[(i, j)], conv[(i, j)])
+            if vals[(i, j)] != F.mul(F.zero if scalar is None else scalar, conv[(i, j)]):
+                raise CrossCheckFailed(f"conversion failed at entry B{i}{j} after {checked} points")
     return {
         "ok": True,
         "points": npoints,

@@ -136,6 +136,16 @@ def test_off_surface_point_rejected(synth_file, capsys):
         assert "not on the Kummer surface" in captured.err
 
 
+@pytest.mark.parametrize("point", ["1:2:3", "1:2:3:4:5"])
+def test_point_needs_four_coordinates(synth_file, capsys, point):
+    cpath, kfs = synth_file
+    assert main(["dbl", cpath, "--formulas", kfs, "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    n = len(point.split(":"))
+    assert captured.err == f"error: a Kummer point has four coordinates, got {n}\n"
+
+
 @pytest.mark.parametrize("extra", ["B5 biquadratic44 1", "B biquadratic44 1", "delta0 quartic4 1"])
 def test_malformed_formula_file_is_usage_error(synth_file, tmp_path, capsys, extra):
     cpath, kfs = synth_file

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2kummer.algebra import Matrix, Poly
+from g2kummer.corpus import default_corpus
 from g2kummer.curve import (
     CurveModel,
     CurvePoint,
@@ -12,25 +14,31 @@ from g2kummer.curve import (
     char2_normal_form,
     curve_from_text,
     involution,
+    kummer_matrix,
     normal_form_curve,
+    pair_from_mumford,
     pair_from_points,
     rational_weierstrass_points,
     sample_point,
-    simplified_kummer_matrix,
     simplified_model,
     simplified_rhs,
     transform,
+    transform_pair,
     transform_point,
     validate,
 )
-from g2kummer.errors import CharacteristicTwo, RootsNotRational, SingularCurve
+from g2kummer.errors import CharacteristicTwo, RootsNotRational, SingularCurve, UnsupportedDivisor
 from g2kummer.field import BinaryField, PrimeField, RationalField
+from g2kummer.jacobian import to_point_pair, working_model
+from g2kummer.kummer import KummerPoint, kummer_coords
+from g2kummer.synthesis import default_sampler
 
 F7 = PrimeField(7)
 F1009 = PrimeField(1009)
 B2 = BinaryField(2, 0b111)
 B8 = BinaryField(3, 0b1011)
 B16 = BinaryField(16, 0x1002B)
+QQ = RationalField()
 
 
 def _random_valid_curve(F, rng, deg6=True):
@@ -236,16 +244,94 @@ def test_simplified_model():
 
 def test_simplified_kummer_matrix():
     c = CurveModel(F1009, Poly.from_ints(F1009, [1, 1, 0, 0, 0, 1]), Poly(F1009, []))
-    T = simplified_kummer_matrix(c)
+    T = kummer_matrix(c, simplified_model(c)[1])
     assert T == Matrix(F1009, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]])
     # h0 = h2 = 1, h1 = h3 = 0: last row (-2, 0, 0, 4)
     c2 = CurveModel(
         F1009, Poly.from_ints(F1009, [1, 1, 0, 0, 0, 1]), Poly.from_ints(F1009, [1, 0, 1])
     )
-    T2 = simplified_kummer_matrix(c2)
+    T2 = kummer_matrix(c2, simplified_model(c2)[1])
     assert T2.rows[3] == [1009 - 2, 0, 0, 4]
     prod = T2.mul(T2.inverse())
     assert prod == Matrix.identity(F1009, 4)
+
+
+def _kappa_proportional(F, M, k, kt):
+    return KummerPoint(F, M.apply(list(k.coords))).proportional(kt)
+
+
+def test_kummer_matrix_through_the_working_model_link():
+    """kappa on the working model ~ M kappa on the user model, for M the
+    Kummer matrix of the link, on oracle classes of every corpus curve."""
+    for name, c in default_corpus():
+        wm = working_model(c)
+        sampler = default_sampler(wm)
+        M = kummer_matrix(c, wm.link)
+        rng = random.Random(name)
+        want = 20 if c.field.order() is None else 60
+        checked = 0
+        for _ in range(4 * want):
+            D = sampler(rng)
+            try:
+                k_user = kummer_coords(c, to_point_pair(wm, D))
+                k_work = kummer_coords(wm.model, pair_from_mumford(wm.model, D.a, D.b))
+            except UnsupportedDivisor:
+                continue
+            assert _kappa_proportional(c.field, M, k_user, k_work), name
+            checked += 1
+            if checked == want:
+                break
+        assert checked == want, name
+
+
+def _random_iso(F, draw, mobius_c_zero):
+    while True:
+        a, b, g, d = (draw() for _ in range(4))
+        if mobius_c_zero:
+            g = F.zero
+        try:
+            return ModelIsomorphism(F, (a, b, g, d), draw(), Poly(F, [draw() for _ in range(4)]))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("F", [F1009, B16, QQ], ids=str)
+def test_kummer_matrix_of_random_isomorphisms(F):
+    """kappa on transform(c, iso) ~ M kappa on c, with the pair data carried
+    by transform_pair."""
+    rng = random.Random(12)
+    if F.order() is None:
+        c = dict(default_corpus())["rational_small"]
+        wm = working_model(c)
+        sampler = default_sampler(wm)
+        pairs = [to_point_pair(wm, sampler(rng)) for _ in range(6)]
+        curves = [(c, pairs)] * 8
+
+        def draw():
+            return Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+    else:
+        curves = []
+        for _ in range(30):
+            c = _random_valid_curve(F, rng)
+            pts = [sample_point(c, rng) for _ in range(8)]
+            curves.append((c, [pair_from_points(c, P, Q) for P, Q in zip(pts[::2], pts[1::2])]))
+
+        def draw():
+            return F.random(rng)
+    kinds = []
+    for t, (c, pairs) in enumerate(curves):
+        iso = _random_iso(F, draw, mobius_c_zero=t % 2 == 1)
+        target = transform(c, iso)
+        M = kummer_matrix(c, iso)
+        _a, _b, g, d = iso.mobius
+        for pair in pairs:
+            try:
+                kt = kummer_coords(target, transform_pair(target, iso, pair))
+            except UnsupportedDivisor:
+                continue
+            assert _kappa_proportional(F, M, kummer_coords(c, pair), kt)
+            kinds.append("c != 0" if g != F.zero else "c = 0, d != 1" if d != F.one else "c = 0, d = 1")
+    assert len(kinds) > 3 * len(curves) and {"c != 0", "c = 0, d != 1"} <= set(kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2kummer.algebra import BIQUADRATIC44, Matrix, Poly, QUARTIC4, biquadratic_rows, solve_kernel
-from g2kummer.curve import CurveModel, normal_form_curve, validate
+from g2kummer.corpus import default_corpus
+from g2kummer.curve import CurveModel, kummer_matrix, normal_form_curve, validate
 from g2kummer.errors import (
     ExhaustedRetries,
     KernelDimensionUnexpected,
@@ -38,6 +39,7 @@ from g2kummer.synthesis import (
     synthesize_delta,
     synthesize_formula_set,
     synthesize_w_oddchar,
+    transport_forms,
 )
 
 F1009 = PrimeField(1009)
@@ -549,6 +551,22 @@ def test_crosschecks_pass_odd_char(delta_1009, bqf_1009):
     assert rep["ok"] and rep["points"] == 60
     rep = crosscheck_b_conversion(CURVE_1009, rng, npoints=60, bqf=bqf_1009)
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("name", ["c2_general_f", "c2_h3_split", "m61_h3_f6"])
+def test_transport_from_the_working_model_gives_the_user_forms(name):
+    """The forms synthesized on the working model, transported to the user
+    model through the inverse Kummer matrix of the link and scaled so B11
+    leads with one, are the user model's forms; characteristic 2 included,
+    where the simplified-model cross-checks do not run."""
+    c = dict(default_corpus())[name]
+    F = c.field
+    wm = working_model(c)
+    work = synthesize_bqf(wm.model, random.Random(120))
+    forms = transport_forms(F, work, kummer_matrix(c, wm.link).inverse())
+    inv = F.inv(next(v for v in forms[(1, 1)] if v != F.zero))
+    scaled = {p: tuple(F.mul(inv, v) for v in vec) for p, vec in forms.items()}
+    assert scaled == synthesize_bqf(c, random.Random(121))
 
 
 def test_crosscheck_h0_degenerates_to_scaling():
