@@ -3,7 +3,8 @@
 
 Per curve: the median microseconds of one generic addition, one doubling,
 one ``random_divisor`` and one kappa (``to_point_pair`` + ``kummer_coords``),
-and the sampler calls and wall time of one 130-sample ``_bqf_samples``.
+and the sampler calls and wall time of one ``_bqf_samples`` of
+``PAIR_KERNEL_SAMPLES`` samples.
 Usage: scripts/bench_oracle.py [seed]
 """
 
@@ -19,7 +20,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from g2kummer.jacobian import add, random_divisor, to_point_pair, working_model
 from g2kummer.kummer import kummer_coords
-from g2kummer.synthesis import _bqf_samples, default_sampler, deserialize_formula_set
+from g2kummer.synthesis import PAIR_KERNEL_SAMPLES, _bqf_samples, default_sampler, deserialize_formula_set
 
 CURVES = ("m61_h2_f5", "c2_general_f")
 REPEATS, CALLS = 7, 200
@@ -48,7 +49,7 @@ def report(c, seed):
         return sampler(r)
 
     t0 = time.perf_counter()
-    samples = _bqf_samples(c, wm, counted, random.Random(seed), 130)
+    samples = _bqf_samples(c, wm, counted, random.Random(seed), PAIR_KERNEL_SAMPLES)
     bqf_s = time.perf_counter() - t0
     return {
         "add_us": median_us(lambda: add(wm, D1, D2)),

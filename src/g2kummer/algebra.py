@@ -17,7 +17,9 @@ The same orderings are used by formula synthesis and serialization.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt, lcm
 
 from .errors import DivisionByZero, LengthMismatch, UnsupportedField
 from .field import Field
@@ -261,22 +263,24 @@ def _equal_degree_split(p: Poly, d: int) -> list[Poly]:
 
 
 def roots(p: Poly) -> list[tuple[object, int]]:
-    """All roots of p in its finite base field, with their multiplicities,
-    sorted by the field's sort key.
+    """All roots of p in its base field, with their multiplicities, sorted
+    by the field's sort key.
 
-    gcd(p, x^q - x) is the product of the distinct linear factors of p;
-    ``_equal_degree_split`` separates them and repeated division counts
-    each one.  Raises UnsupportedField over an infinite field and
-    ValueError for the zero polynomial."""
+    Over a finite field gcd(p, x^q - x) is the product of the distinct
+    linear factors of p, which ``_equal_degree_split`` separates; over Q
+    the rational-root theorem bounds the candidates.  Repeated division
+    counts each root.  Raises ValueError for the zero polynomial."""
     F = p.field
     q = F.order()
-    if q is None:
-        raise UnsupportedField("root finding requires a finite field")
     if p.is_zero():
         raise ValueError("root finding needs a nonzero polynomial")
-    x = Poly.x(F)
+    if q is None:
+        linear = [Poly(F, [F.neg(r), F.one]) for r in _rational_root_candidates(p) if p(r) == F.zero]
+    else:
+        x = Poly.x(F)
+        linear = _equal_degree_split((_pow_poly_mod(x, q, p) - x).gcd(p), 1)
     out = []
-    for factor in _equal_degree_split((_pow_poly_mod(x, q, p) - x).gcd(p), 1):
+    for factor in linear:
         mult, rest = 0, p
         while True:
             quot, rem = rest.divrem(factor)
@@ -287,10 +291,25 @@ def roots(p: Poly) -> list[tuple[object, int]]:
     return sorted(out, key=lambda rm: F.sort_key(rm[0]))
 
 
+def _rational_root_candidates(p: Poly) -> set:
+    """Zero and every +-a/b with a dividing the lowest nonzero and b the
+    leading coefficient of p cleared of denominators: by the rational-root
+    theorem, a superset of the rational roots of p."""
+    den = lcm(*(co.denominator for co in p.coeffs))
+    ints = [abs(int(co * den)) for co in p.coeffs if co]
+
+    def divisors(n):
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small]
+
+    cands = {Fraction(s * a, b) for a in divisors(ints[0]) for b in divisors(ints[-1]) for s in (1, -1)}
+    return cands | {Fraction(0)}
+
+
 def irreducible_quadratic_factors(p: Poly) -> list[Poly]:
     """The distinct monic irreducible quadratic factors of p over its finite
     base field, each once whatever its multiplicity, sorted by coefficients.
-    Raises like ``roots``."""
+    Raises like ``roots_and_quadratic_factors``."""
     return roots_and_quadratic_factors(p)[1]
 
 
@@ -300,8 +319,10 @@ def roots_and_quadratic_factors(p: Poly) -> tuple[list[tuple[object, int]], list
 
     With the linear factors divided out, gcd(x^(q^2) - x, rest) is the
     product of the distinct irreducible quadratic factors, which
-    ``_equal_degree_split`` separates."""
+    ``_equal_degree_split`` separates.  Raises UnsupportedField over Q."""
     F = p.field
+    if F.order() is None:
+        raise UnsupportedField("quadratic factors need a finite field")
     rts = roots(p)
     rest = p.monic()
     for r, mult in rts:

@@ -29,7 +29,6 @@ from .ladder import bench as run_bench
 from .ladder import ladder as run_ladder
 from .ladder import make_context, xdbl
 from .synthesis import (
-    PAIR_KERNEL_SAMPLES,
     deserialize_formula_set,
     fingerprint,
     serialize_formula_set,
@@ -87,7 +86,7 @@ def cmd_synth(args) -> int:
     c = _load_curve(args.curve)
     _print_seed(args.seed)
     rng = random.Random(args.seed)
-    fs = synthesize_formula_set(c, rng, bqf_samples=args.samples)
+    fs = synthesize_formula_set(c, rng)
     text = serialize_formula_set(fs)
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -234,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("synth", help="synthesize a formula file for a curve")
     q.add_argument("curve")
     q.add_argument("--out", required=True)
-    q.add_argument("--samples", type=int, default=PAIR_KERNEL_SAMPLES,
-                   help=f"oracle samples for the biquadratic solve (default and minimum {PAIR_KERNEL_SAMPLES})")
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q.set_defaults(fn=cmd_synth)
 

@@ -18,7 +18,6 @@ key is labelled "+".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .algebra import Matrix, Poly, roots
 from .errors import (
@@ -215,8 +214,6 @@ def rational_weierstrass_points(c: CurveModel) -> list[CurvePoint]:
     F = c.field
     out = []
     if F.characteristic() == 2:
-        if F.order() is None:
-            raise UnsupportedField("finite field required")
         for r, _m in roots(c.h):
             out.append(CurvePoint("affine", x=r, y=F.sqrt(c.f(r))))
         if c.h[3] == F.zero:
@@ -224,58 +221,11 @@ def rational_weierstrass_points(c: CurveModel) -> list[CurvePoint]:
         return out
     g = simplified_rhs(c)
     half = F.inv(F.from_int(2))
-    if F.order() is None:
-        root_list = [(r, 1) for r in _rational_roots(g)]
-    else:
-        root_list = roots(g)
-    for r, _m in root_list:
+    for r, _m in roots(g):
         out.append(CurvePoint("affine", x=r, y=F.neg(F.mul(half, c.h(r)))))
     if g.degree == 5:
         out.append(CurvePoint("infinity", branch=F.neg(F.mul(half, c.h[3]))))
     return out
-
-
-def _rational_roots(p: Poly) -> list:
-    """Rational roots of a polynomial over the rationals (root theorem)."""
-    from fractions import Fraction
-
-    F = p.field
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    # clear denominators to an integer polynomial
-    denlcm = 1
-    for co in p.coeffs:
-        denlcm = denlcm * co.denominator // gcd(denlcm, co.denominator)
-    ints = [int(co * denlcm) for co in p.coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out x; x = 0 handled below
-    out = set()
-    if p(Fraction(0)) == 0:
-        out.add(Fraction(0))
-    if not ints:
-        return sorted(out)
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                if p(cand) == 0:
-                    out.add(cand)
-    return sorted(out)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,7 @@ def working_model(c: CurveModel) -> WorkingModel:
         return WorkingModel(c, c, ModelIsomorphism.identity(F))
     cur, iso = simplified_model(c)
     if cur.f.degree == 6:
-        if F.order() is None:
-            from .curve import _rational_roots
-
-            groots = [(r, 1) for r in _rational_roots(cur.f)]
-        else:
-            groots = roots(cur.f)
+        groots = roots(cur.f)
         if not groots:
             raise NoRationalWeierstrassPoint("4f + h^2 has no rational root")
         r = groots[0][0]

@@ -33,16 +33,19 @@ on the designated monomial k2^2 k4^2 is forced to zero and the first nonzero
 coefficient of the concatenated vector is scaled to one.  The biquadratic
 family is scaled so the first nonzero coefficient of B_11 is one.
 
-Field routing: tiny binary fields are lifted to an extension (degree 16 for
-GF(2)) where generic samples exist, and the coefficients are descended back;
-the rationals are handled by solving modulo one or more 62-bit primes,
-rational reconstruction, and an exact verification over Q.  The sampling and
-solving pipeline itself is field-independent.
+Field routing: large prime and binary fields are solved directly; tiny
+binary fields are lifted to an extension (degree 16 for GF(2)) where generic
+samples exist, and the coefficients are descended back; the rationals are
+solved modulo one or more 62-bit primes, then combined by CRT and rational
+reconstruction and checked exactly over Q.  All three routes run the same
+sample-and-solve loop, which doubles its sample count on a failed kernel or
+rank check.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -301,8 +304,8 @@ def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24,
 # Biquadratic forms
 # ---------------------------------------------------------------------------
 
-# Oracle samples for the biquadratic solve, default and floor: its (B11, B12)
-# pair kernel has 110 columns, and 20 rows beyond that leave a margin.
+# Oracle samples for the first biquadratic solve: its (B11, B12) pair kernel
+# has 110 columns, and 20 rows beyond that leave a margin.
 PAIR_KERNEL_SAMPLES = 130
 
 
@@ -408,40 +411,47 @@ def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
             )
 
 
-def synthesize_bqf(
-    c: CurveModel, rng, samples: int = PAIR_KERNEL_SAMPLES, wm=None, sampler=None, check: int = 24
-):
+def _solve_bqf(c: CurveModel, wm, sampler, rng, check: int):
+    """The sample-and-solve loop of every field route: PAIR_KERNEL_SAMPLES
+    pool-paired samples, the staged solve and ``check`` fresh samples,
+    doubling the sample count, up to four times PAIR_KERNEL_SAMPLES, while a
+    kernel or rank check fails."""
+    n = PAIR_KERNEL_SAMPLES
+    while True:
+        data = _bqf_samples(c, wm, sampler, rng, n)
+        try:
+            forms = _bqf_solve(c.field, data)
+            _fresh_check_bqf(c, wm, sampler, rng, forms, check)
+            return forms
+        except KernelDimensionUnexpected:
+            if n >= 4 * PAIR_KERNEL_SAMPLES:
+                raise
+            n *= 2
+
+
+def synthesize_bqf(c: CurveModel, rng, wm=None, sampler=None, check: int = 24):
     """The ten biquadratic forms, scaled so B11 starts with coefficient one.
 
     The diagonal forms satisfy B_ii = w_i z_i (halved relative to the i = j
     specialization of the off-diagonal identity), which stays nonzero in
     characteristic 2.  The forms are solved for in the 55-coefficient
     symmetric basis, so the staged solve reaches full rank at about 110
-    samples; at least PAIR_KERNEL_SAMPLES are drawn, doubling up to four
-    times that while a kernel or rank check fails."""
+    samples.  Every route runs ``_solve_bqf``: on the curve itself, on its
+    lift to the binary extension, or modulo each reduction prime over Q."""
     F = c.field
     route = _route_field(F)
     if route == "lift":
         cl, _fwd, back = _lift(c)
-        return {k: _descend(vec, back) for k, vec in synthesize_bqf(cl, rng, samples, check=check).items()}
-    if route == "modular":
-        return _modular_bqf(c, rng, samples, check)
+        wml = working_model(cl)
+        forms = _solve_bqf(cl, wml, default_sampler(wml), rng, check)
+        return {k: _descend(vec, back) for k, vec in forms.items()}
     if wm is None:
         wm = working_model(c)
     if sampler is None:
         sampler = default_sampler(wm)
-    n = max(samples, PAIR_KERNEL_SAMPLES)
-    last = None
-    while n <= 4 * max(samples, PAIR_KERNEL_SAMPLES):
-        data = _bqf_samples(c, wm, sampler, rng, n)
-        try:
-            forms = _bqf_solve(F, data)
-            _fresh_check_bqf(c, wm, sampler, rng, forms, check)
-            return forms
-        except KernelDimensionUnexpected as exc:
-            last = exc
-            n *= 2
-    raise last
+    if route == "modular":
+        return _modular_bqf(c, wm, sampler, rng, check)
+    return _solve_bqf(c, wm, sampler, rng, check)
 
 
 # ---------------------------------------------------------------------------
@@ -642,79 +652,53 @@ def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
     return res_a + mod_a * t
 
 
-def _modular_solve(c: CurveModel, rng, solve_mod, verify):
-    """Shared machinery: run ``solve_mod`` over reductions of the curve,
-    CRT + rational reconstruction coefficient-wise, stop once ``verify``
-    accepts the exact rational result."""
-    import random as _random
-
-    residues = None
-    modulus = None
+def _modular_bqf(c: CurveModel, wm, sampler, rng, check: int):
+    """The forms over Q: ``_solve_bqf`` modulo each reduction prime with no
+    fresh check there, then CRT and rational reconstruction coefficient-wise,
+    until a reconstruction passes ``check`` fresh samples over Q."""
+    residues = modulus = None
     for p in _reduction_primes():
         cm = _reduce_curve_mod(c, p)
         if cm is None:
             continue
-        vec = solve_mod(cm, _random.Random(rng.randrange(1 << 62)))
+        wmm = working_model(cm)
+        forms = _solve_bqf(cm, wmm, default_sampler(wmm), random.Random(rng.randrange(1 << 62)), 0)
+        vec = [a for q in BQF_INDEX_PAIRS for a in forms[q]]
         if residues is None:
-            residues, modulus = list(vec), p
+            residues, modulus = vec, p
         else:
             residues = [_crt(a, modulus, b, p) for a, b in zip(residues, vec)]
             modulus *= p
         recon = [_rational_reconstruct(r, modulus) for r in residues]
         if any(v is None for v in recon):
             continue
-        if verify(recon):
-            return recon
-    raise KernelDimensionUnexpected("rational reconstruction failed to stabilize")
-
-
-def _modular_bqf(c: CurveModel, rng, samples, check):
-    wm = working_model(c)
-    sampler = default_sampler(wm)
-
-    def solve_mod(cm, sub_rng):
-        wmm = working_model(cm)
-        sm = default_sampler(wmm)
-        data = _bqf_samples(cm, wmm, sm, sub_rng, max(samples, PAIR_KERNEL_SAMPLES))
-        forms = _bqf_solve(cm.field, data)
-        return [a for p in BQF_INDEX_PAIRS for a in forms[p]]
-
-    def verify(recon):
-        forms = {
-            p: tuple(recon[100 * t : 100 * (t + 1)]) for t, p in enumerate(BQF_INDEX_PAIRS)
-        }
+        forms = {q: tuple(recon[100 * t : 100 * (t + 1)]) for t, q in enumerate(BQF_INDEX_PAIRS)}
         try:
             _fresh_check_bqf(c, wm, sampler, rng, forms, check)
         except CrossCheckFailed:
-            return False
-        return True
-
-    flat = _modular_solve(c, rng, solve_mod, verify)
-    return {p: tuple(flat[100 * t : 100 * (t + 1)]) for t, p in enumerate(BQF_INDEX_PAIRS)}
+            continue
+        return forms
+    raise KernelDimensionUnexpected("rational reconstruction failed to stabilize")
 
 
 # ---------------------------------------------------------------------------
 # Whole formula sets
 # ---------------------------------------------------------------------------
 
-def synthesize_formula_set(
-    c: CurveModel,
-    rng,
-    bqf_samples: int = PAIR_KERNEL_SAMPLES,
-) -> FormulaSet:
+def synthesize_formula_set(c: CurveModel, rng) -> FormulaSet:
     """Synthesize the full formula family of a curve: the biquadratic forms,
     the duplication quartics derived from them, and over finite fields the
     two-torsion translations (read off the forms in odd characteristic,
     transcribed in characteristic 2).
 
-    On the direct route one working model and sampler serve every stage;
-    the lift and modular routes build their own."""
+    On the direct and rational routes one working model and sampler of the
+    curve serve every stage; the lift route builds its own on the extension."""
     F = c.field
     wm = sampler = None
-    if _route_field(F) == "direct":
+    if _route_field(F) != "lift":
         wm = working_model(c)
         sampler = default_sampler(wm)
-    bqf = synthesize_bqf(c, rng, bqf_samples, wm=wm, sampler=sampler)
+    bqf = synthesize_bqf(c, rng, wm=wm, sampler=sampler)
     delta = synthesize_delta(c, rng, wm=wm, sampler=sampler, bqf=bqf)
     w = []
     if F.order() is not None:

@@ -34,7 +34,6 @@ from .kummer import (
     quartic_from_curve,
     squares_to_scalar,
     two_torsion_classes,
-    w_matrix_char2,
     zero_class_point,
 )
 from .ladder import ladder, make_context, xadd
@@ -49,7 +48,6 @@ from .synthesis import (
     synthesize_delta,
     synthesize_bqf,
     synthesize_formula_set,
-    synthesize_w_oddchar,
 )
 
 
@@ -174,14 +172,12 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
     if not classes:
         return {"ok": True, "n": 0, "note": "no rational two-torsion"}
     q = quartic_from_curve(c)
+    ws = dict(fs.w)
     checked = 0
     for T in classes:
-        if F.characteristic() == 2:
-            W = w_matrix_char2(c, T)
-        else:
-            W = dict(fs.w).get(T.label)
-            if W is None:
-                W = synthesize_w_oddchar(c, T, fs.bqf)
+        W = ws.get(T.label)
+        if W is None:
+            return {"ok": False, "witness": f"no translation matrix for class {T.label}"}
         if not squares_to_scalar(W):
             return {"ok": False, "witness": f"W^2 not scalar for class {T.label}"}
         DQ = from_point_pair(wm, T.divisor)

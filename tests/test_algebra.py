@@ -88,8 +88,13 @@ def test_roots_examples():
     assert roots(x * x - Poly.const(F7, 1)) == [(1, 1), (6, 1)]
     xb = Poly.x(B8)
     assert roots(xb * xb + xb) == [(0, 1), (1, 1)]
+    QQ = RationalField()
+    xq = Poly.x(QQ)
+    half, three = Poly.const(QQ, Fraction(1, 2)), Poly.const(QQ, Fraction(3))
+    assert roots(xq * (xq - half) * (xq - half) * (xq + three)) == [(-3, 1), (0, 1), (Fraction(1, 2), 2)]
+    assert roots(Poly.const(QQ, QQ.one)) == []
     with pytest.raises(UnsupportedField):
-        roots(Poly.const(RationalField(), RationalField().one))
+        irreducible_quadratic_factors(xq * xq + Poly.const(QQ, QQ.one))
 
 
 def test_roots_random_cubics_vs_exhaustive():

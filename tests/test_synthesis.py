@@ -154,6 +154,29 @@ def test_formula_set_builds_one_working_model(monkeypatch):
     monkeypatch.setattr(synthesis, "working_model", counted)
     synthesize_formula_set(dict(default_corpus())["m61_h2_f5"], random.Random(115))
     assert len(calls) == 1
+    # over Q each reduction prime builds its own, the curve itself one
+    calls.clear()
+    synthesize_formula_set(dict(default_corpus())["rational_small"], random.Random(7))
+    assert sum(c.field.order() is None for c in calls) == 1
+
+
+def test_rational_route_retries_a_failed_solve(monkeypatch):
+    # a kernel check failing modulo the first reduction prime doubles the
+    # samples there, as on the direct route, instead of ending synthesis
+    import g2kummer.synthesis as synthesis
+
+    solve, sizes = synthesis._bqf_solve, []
+
+    def first_fails(F, data):
+        sizes.append(len(data))
+        if len(sizes) == 1:
+            raise KernelDimensionUnexpected("injected")
+        return solve(F, data)
+
+    monkeypatch.setattr(synthesis, "_bqf_solve", first_fails)
+    fs = synthesize_formula_set(dict(default_corpus())["rational_small"], random.Random(7))
+    assert serialize_formula_set(fs) == (REFERENCE_DIR / "rational_small.kfs").read_text()
+    assert sizes[:2] == [130, 260]
 
 
 @pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f", "rational_small"])

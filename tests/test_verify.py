@@ -118,3 +118,30 @@ def test_proposition_suites_detects_corruption():
     assert report_lines(rep)[-1] == "FAIL"
     with pytest.raises(SuiteFailed):
         raise_on_failure(rep)
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("c2_h3_split", "swap_rows"),
+    ("c2_h3_split", "no_w"),
+    ("p1009_2tors", "no_w"),
+])
+def test_translation_suite_checks_the_formula_sets_own_w(name, damage):
+    from g2kummer.algebra import Matrix
+    from g2kummer.corpus import default_corpus
+    from g2kummer.jacobian import working_model
+    from g2kummer.synthesis import FormulaSet, default_sampler, synthesize_formula_set
+    from g2kummer.verify import _suite_translation
+
+    c = dict(default_corpus())[name]
+    fs = synthesize_formula_set(c, random.Random(9))
+    wm = working_model(c)
+    sampler = default_sampler(wm)
+    assert _suite_translation(c, wm, sampler, random.Random(10), fs, 6)["ok"]
+    if damage == "swap_rows":
+        (label, W), *rest = fs.w
+        w = [(label, Matrix(W.field, [W.rows[1], W.rows[0], *W.rows[2:]])), *rest]
+    else:
+        w = []
+    bad = FormulaSet(fs.curve, fs.fingerprint, fs.delta, fs.bqf, w, fs.convention)
+    rep = _suite_translation(c, wm, sampler, random.Random(10), bad, 6)
+    assert not rep["ok"] and rep["witness"]
