@@ -16,8 +16,10 @@ The same orderings are used by formula synthesis and serialization.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import isqrt, lcm
 
@@ -375,29 +377,14 @@ class Matrix:
         F = self.field
         if self.ncols != other.nrows:
             raise LengthMismatch("matrix shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = F.zero
-                for k in range(self.ncols):
-                    acc = F.add(acc, F.mul(self.rows[i][k], other.rows[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(F, out)
+        cols = list(zip(*other.rows))
+        return Matrix(F, [[_dot(F, row, col) for col in cols] for row in self.rows])
 
     def apply(self, vec) -> list:
         F = self.field
         if len(vec) != self.ncols:
             raise LengthMismatch("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = F.zero
-            for a, b in zip(row, vec):
-                if a != F.zero and b != F.zero:
-                    acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return out
+        return [_dot(F, row, vec) for row in self.rows]
 
     def scale(self, c) -> "Matrix":
         F = self.field
@@ -492,7 +479,7 @@ def _row_ops(F: Field):
             return [a - c * b for a, b in zip(row, prow)]
 
         return (lambda a: a % p), unit, (lambda row: row), submul
-    tabs = F._tables() if F.kind == "binary" else None
+    tabs = _tables(F)
     if tabs is not None:
         # exp has n = 2^m - 1 entries, so exp[s - n] is exp[s mod n] for
         # 0 <= s < 2n: log sums index it with no modulo
@@ -612,11 +599,83 @@ _QUARTIC_FACTORS = [
 QUADRATIC_MULS = len(_QUADRATIC_VARS)
 
 
+# The products of every form evaluation.  Over GF(p) and tabled GF(2^m)
+# these kernels work on the raw integers and count their own products on
+# ``Field.counter``: GF(p) reduces once per sum, and GF(2^m) adds logarithms
+# (exp has n = 2^m - 1 entries, so for a log sum s in [0, 2n) the index
+# s - n wraps when negative).  Q and untabled GF(2^m) use the counted
+# ``Field`` operations.  The tables are fetched per call, never kept on an
+# object: a kept reference would outlive a rebuild of the table cache.
+
+
+def _tables(F: Field):
+    """The (exp, log) tables of a tabled binary field, else None."""
+    return F._tables() if F.kind == "binary" else None
+
+
+def _count(F: Field, muls: int):
+    if F.counter is not None:
+        F.counter.mul += muls
+
+
+def pair_products(F: Field, values, pairs) -> list:
+    """values[a] * values[b] for each index pair (a, b)."""
+    tabs = _tables(F)
+    if tabs is None and F.kind != "prime":
+        return [F.mul(values[a], values[b]) for a, b in pairs]
+    _count(F, len(pairs))
+    if tabs is None:
+        return [values[a] * values[b] % F.p for a, b in pairs]
+    exp, log = tabs
+    n = len(exp)
+    logs = [log[v] if v else None for v in values]
+    return [0 if logs[a] is None or logs[b] is None else exp[logs[a] + logs[b] - n] for a, b in pairs]
+
+
+def _dot(F: Field, xs, ys):
+    """The sum of xs[i] * ys[i]."""
+    tabs = _tables(F)
+    if tabs is None and F.kind != "prime":
+        return reduce(F.add, map(F.mul, xs, ys), F.zero)
+    _count(F, len(xs))
+    if tabs is None:
+        return sum(map(operator.mul, xs, ys)) % F.p
+    exp, log = tabs
+    n = len(exp)
+    return reduce(operator.xor, [exp[log[x] + log[y] - n] for x, y in zip(xs, ys) if x and y], 0)
+
+
+def _dots(F: Field, rows, values) -> list:
+    """Per row of (a, c) terms, the sum of c * values[a], with each c
+    stored as ``CompiledForms`` stores it."""
+    tabs = _tables(F)
+    if tabs is None and F.kind != "prime":
+        return [_dot(F, [c for _a, c in terms], [values[a] for a, _c in terms]) for terms in rows]
+    _count(F, sum(map(len, rows)))
+    out = []
+    if tabs is None:
+        p = F.p
+        for terms in rows:
+            acc = 0
+            for a, c in terms:
+                acc += c * values[a]
+            out.append(acc % p)
+        return out
+    exp, log = tabs
+    logs = [log[v] if v else None for v in values]
+    for terms in rows:
+        acc = 0
+        for a, lc in terms:
+            if logs[a] is not None:
+                acc ^= exp[lc + logs[a]]
+        out.append(acc)
+    return out
+
+
 def quadratic_monomials(F: Field, point) -> list:
     """The ten quadratic monomials of a quadruple of raw values, in the
     order of a BIQUADRATIC44 block: one multiplication each."""
-    mul = F.mul
-    return [mul(point[u], point[v]) for u, v in _QUADRATIC_VARS]
+    return pair_products(F, point, _QUADRATIC_VARS)
 
 
 def symmetric_square(F: Field, A) -> Matrix:
@@ -645,7 +704,8 @@ def eval_quartic(F: Field, coeffs: list, point) -> object:
 
 
 def eval_biquadratic(F: Field, coeffs: list, x, y) -> object:
-    return biquadratic_values(F, [coeffs], x, y)[0]
+    (row,) = biquadratic_rows(F, [coeffs], x)
+    return quadratic_value(F, row, quadratic_monomials(F, y))
 
 
 class CompiledForms:
@@ -658,74 +718,60 @@ class CompiledForms:
     value is the sum over rows of q_b(y) times the row's combination of the
     q_a(x).  Only zero coefficients are skipped, never values that happen
     to vanish, so an evaluation costs a number of multiplications fixed by
-    the sparsity alone (``quartic_muls``, ``biquadratic_muls``)."""
+    the sparsity alone (``quartic_muls``, ``biquadratic_muls``).  Over
+    tabled GF(2^m) a coefficient c is stored as log c - n for ``_dots``."""
 
     def __init__(self, F: Field, quartics=(), biquadratics=None):
         zero = F.zero
+        tabs = _tables(F)
+        store = (lambda c: tabs[1][c] - len(tabs[0])) if tabs else (lambda c: c)
         self.field = F
-        self.quartics = []
-        for coeffs in quartics:
-            if len(coeffs) != QUARTIC4.size:
-                raise LengthMismatch("quartic coefficient vector must have 35 entries")
-            self.quartics.append([(k, c) for k, c in enumerate(coeffs) if c != zero])
-        used = sorted({k for form in self.quartics for k, _ in form})
-        self.quartic_monomials = [(k,) + _QUARTIC_FACTORS[k] for k in used]
+        if any(len(coeffs) != QUARTIC4.size for coeffs in quartics):
+            raise LengthMismatch("quartic coefficient vector must have 35 entries")
+        used = sorted({k for coeffs in quartics for k, c in enumerate(coeffs) if c != zero})
+        self.quartic_pairs = [_QUARTIC_FACTORS[k] for k in used]
+        self.quartics = [
+            [(t, store(coeffs[k])) for t, k in enumerate(used) if coeffs[k] != zero] for coeffs in quartics
+        ]
         self.biquadratics = {}
         for key, coeffs in (biquadratics or {}).items():
             if len(coeffs) != BIQUADRATIC44.size:
                 raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
             rows = [
-                (b, [(a, coeffs[10 * a + b]) for a in range(10) if coeffs[10 * a + b] != zero])
+                (b, [(a, store(coeffs[10 * a + b])) for a in range(10) if coeffs[10 * a + b] != zero])
                 for b in range(10)
             ]
-            self.biquadratics[key] = [(b, row) for b, row in rows if row]
+            rows = [(b, terms) for b, terms in rows if terms]
+            self.biquadratics[key] = ([b for b, _t in rows], [terms for _b, terms in rows])
 
     def quartic_values(self, quad) -> list:
         """The quartic forms at the point whose quadratic monomials are
         ``quad``."""
         F = self.field
-        zero, add, mul = F.zero, F.add, F.mul
-        mono = [None] * QUARTIC4.size
-        for k, a, b in self.quartic_monomials:
-            mono[k] = mul(quad[a], quad[b])
-        out = []
-        for form in self.quartics:
-            acc = zero
-            for k, c in form:
-                acc = add(acc, mul(c, mono[k]))
-            out.append(acc)
-        return out
+        return _dots(F, self.quartics, pair_products(F, quad, self.quartic_pairs))
 
     def biquadratic_rows(self, keys, qx) -> list:
         """Substitute x into the biquadratic forms named by ``keys``: per
         form, the (b, coefficient) pairs of the quadratic form in y that
         remains."""
         F = self.field
-        zero, add, mul = F.zero, F.add, F.mul
-        out = []
-        for key in keys:
-            row = []
-            for b, terms in self.biquadratics[key]:
-                acc = zero
-                for a, c in terms:
-                    acc = add(acc, mul(c, qx[a]))
-                row.append((b, acc))
-            out.append(row)
-        return out
+        return [list(zip(bs, _dots(F, rows, qx))) for bs, rows in (self.biquadratics[k] for k in keys)]
 
     def biquadratic_values(self, keys, qx, qy) -> list:
         """The biquadratic forms named by ``keys`` at the argument pair whose
         quadratic monomials are ``qx`` and ``qy``."""
         F = self.field
-        return [quadratic_value(F, row, qy) for row in self.biquadratic_rows(keys, qx)]
+        return [
+            _dot(F, _dots(F, rows, qx), [qy[b] for b in bs]) for bs, rows in (self.biquadratics[k] for k in keys)
+        ]
 
     def quartic_muls(self) -> int:
         """Multiplications of one ``quartic_values`` call."""
-        return len(self.quartic_monomials) + sum(len(form) for form in self.quartics)
+        return len(self.quartic_pairs) + sum(map(len, self.quartics))
 
     def biquadratic_muls(self, keys) -> int:
         """Multiplications of one ``biquadratic_values`` call on ``keys``."""
-        return sum(len(terms) + 1 for key in keys for _b, terms in self.biquadratics[key])
+        return sum(len(bs) + sum(map(len, rows)) for bs, rows in (self.biquadratics[k] for k in keys))
 
 
 def quartic_values(F: Field, forms, point) -> list:
@@ -745,11 +791,7 @@ def quadratic_value(F: Field, row, qy) -> object:
     """Value of a quadratic form, given by its (b, coefficient) pairs from
     ``biquadratic_rows``, at the point whose quadratic monomials are
     ``qy``."""
-    add, mul = F.add, F.mul
-    acc = F.zero
-    for b, c in row:
-        acc = add(acc, mul(c, qy[b]))
-    return acc
+    return _dot(F, [c for _b, c in row], [qy[b] for b, _c in row])
 
 
 def quadratic_form_matrix(F: Field, row) -> list[list]:
@@ -766,12 +808,6 @@ def quadratic_form_matrix(F: Field, row) -> list[list]:
         else:
             S[u][v] = S[v][u] = F.mul(half, c)
     return S
-
-
-def biquadratic_values(F: Field, forms, x, y) -> list:
-    """Values of BIQUADRATIC44 forms at one argument pair."""
-    qy = quadratic_monomials(F, y)
-    return [quadratic_value(F, row, qy) for row in biquadratic_rows(F, forms, x)]
 
 
 # one coefficient per unordered pair of quadratic monomials

@@ -18,9 +18,12 @@ evaluated from the ten quadratic monomials of their arguments.  The points
 ``xdbl`` and ``xadd`` return carry these monomials, so a ladder computes
 each point's monomials once, as it makes the point, and the doubling and
 the addition that consume it share them; a point from elsewhere has its
-monomials computed on each use and is never annotated.  The ladder keeps
-the invariant pair (kappa(mP), kappa((m+1)P)) whose difference is the fixed
-base point, consuming scalar bits from the top.
+monomials computed on each use and is never annotated.  Every product, the
+seven that combine the forms' values in ``xadd`` included, is made by the
+raw-integer kernels of ``algebra``, which over GF(p) and tabled GF(2^m)
+call no ``Field`` method per product; the context holds no log/exp table.
+The ladder keeps the invariant pair (kappa(mP), kappa((m+1)P)) whose
+difference is the fixed base point, consuming scalar bits from the top.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import QUADRATIC_MULS, CompiledForms, quadratic_monomials
+from .algebra import QUADRATIC_MULS, CompiledForms, pair_products, quadratic_monomials
 from .curve import CurveModel
 from .errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
 from .field import OpCounter
@@ -41,8 +44,10 @@ _PIVOT_FORMS = [
     for j in range(4)
 ]
 
-# multiplications of xadd outside the forms: one for w_j, two per other w_i
-_COMBINE_MULS = 1 + 2 * 3
+# the products of xadd outside the forms, over (z_j, B_jj, the other three
+# B_ij, the other three z_i): z_j B_jj, then z_j B_ij and B_jj z_i per i
+_COMBINE_PAIRS = [(0, 1), (0, 2), (1, 5), (0, 3), (1, 6), (0, 4), (1, 7)]
+_COMBINE_MULS = len(_COMBINE_PAIRS)
 
 
 @dataclass
@@ -115,14 +120,11 @@ def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
 def _pseudo_sum(ctx: LadderContext, j: int, qx, qy, zc) -> list:
     """The coordinates w~ of kappa(P+Q) under pivot j."""
     F = ctx.curve.field
-    mul, sub = F.mul, F.sub
     bjj, *bij = ctx.forms.biquadratic_values(_PIVOT_FORMS[j], qx, qy)
-    zj = zc[j]
-    others = iter(bij)
-    return [
-        mul(zj, bjj) if i == j else sub(mul(zj, next(others)), mul(bjj, zc[i]))
-        for i in range(4)
-    ]
+    wj, *prods = pair_products(F, [zc[j], bjj, *bij, *(zc[i] for i in range(4) if i != j)], _COMBINE_PAIRS)
+    w = [F.sub(prods[t], prods[t + 1]) for t in range(0, 6, 2)]
+    w.insert(j, wj)
+    return w
 
 
 def xadd(ctx: LadderContext, x: KummerPoint, y: KummerPoint, z: KummerPoint) -> KummerPoint:

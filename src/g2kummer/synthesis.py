@@ -53,15 +53,15 @@ from math import isqrt
 from .algebra import (
     BIQUADRATIC44,
     SYMMETRIC_PAIRS,
+    CompiledForms,
     Matrix,
     Poly,
     QUARTIC4,
     biquadratic_rows,
-    biquadratic_values,
     eval_biquadratic,
     expand_symmetric,
     quadratic_form_matrix,
-    quartic_values,
+    quadratic_monomials,
     solve_kernel,
     symmetric_biquadratic_row,
     symmetric_square,
@@ -266,14 +266,21 @@ def _delta_solve(F: Field, bqf, quartic_vec):
     return tuple(tuple(F.mul(inv, a) for a in blk) for blk in blocks)
 
 
+def duplication(F: Field, delta):
+    """The map k -> delta(k) on Kummer points, with the quartics compiled
+    once for all the points it is applied to."""
+    forms = CompiledForms(F, delta)
+    return lambda k: KummerPoint(F, forms.quartic_values(quadratic_monomials(F, k.coords)))
+
+
 def apply_delta(F: Field, delta, k: KummerPoint) -> KummerPoint:
-    return KummerPoint(F, quartic_values(F, delta, k.coords))
+    return duplication(F, delta)(k)
 
 
 def _fresh_check_delta(c, wm, sampler, rng, delta, n):
-    F = c.field
+    double = duplication(c.field, delta)
     for x, d2 in _delta_samples(c, wm, sampler, rng, n):
-        if not apply_delta(F, delta, x).proportional(d2):
+        if not double(x).proportional(d2):
             raise CrossCheckFailed(f"duplication self-check failed at {x.text()}")
 
 
@@ -353,9 +360,10 @@ def _bqf_solve(F: Field, samples):
     c12 = [F.mul(inv, a) for a in c12]
     # stage 2: per sample, lam = B11(x,y)/t11; solve M c_ij = lam * t_ij
     rest = [(i, j) for (i, j) in BQF_INDEX_PAIRS if (i, j) not in ((1, 1), (1, 2))]
+    b11 = bqf_values(F, {(1, 1): c11})
     aug = []
     for (x, y, _w, _z), mono, tg in zip(samples, monos, targets):
-        lam = F.div(eval_biquadratic(F, c11, x, y), tg[(1, 1)])
+        lam = F.div(b11(x, y)[(1, 1)], tg[(1, 1)])
         aug.append(mono + [F.mul(lam, tg[p]) for p in rest])
     rank, pivots = _rref(F, aug, nsym)
     if rank != nsym:
@@ -376,18 +384,23 @@ def eval_bqf(F: Field, forms, i: int, j: int, x, y):
     return eval_biquadratic(F, forms[(min(i, j), max(i, j))], x, y)
 
 
-def eval_bqf_all(F: Field, forms, x, y) -> dict:
-    """All ten B_ij(x, y), keyed by (i, j)."""
-    values = biquadratic_values(F, [forms[p] for p in BQF_INDEX_PAIRS], x, y)
-    return dict(zip(BQF_INDEX_PAIRS, values))
+def bqf_values(F: Field, forms):
+    """The map (x, y) -> {(i, j): B_ij(x, y)} over the keys of ``forms``,
+    with the forms compiled once for all the argument pairs."""
+    compiled = CompiledForms(F, biquadratics=forms)
+    keys = list(forms)
+    return lambda x, y: dict(
+        zip(keys, compiled.biquadratic_values(keys, quadratic_monomials(F, x), quadratic_monomials(F, y)))
+    )
 
 
-def bqf_identity_mismatch(F: Field, forms, x, y, w, z):
+def bqf_identity_mismatch(F: Field, values, x, y, w, z):
     """Check B_ij(x, y) = lam * t_ij(w, z) for x, y, w, z the Kummer
-    coordinates of P, Q, P+Q, P-Q, with one scalar lam fitted on the first
-    nonzero target.  Returns the first (i, j) that fails, or None."""
+    coordinates of P, Q, P+Q, P-Q, with ``values`` the ``bqf_values`` map
+    of the forms and one scalar lam fitted on the first nonzero target.
+    Returns the first (i, j) that fails, or None."""
     tg = _bqf_targets(F, w, z)
-    vals = eval_bqf_all(F, forms, x, y)
+    vals = values(x, y)
     lam = None
     for p in BQF_INDEX_PAIRS:
         if lam is None:
@@ -403,8 +416,9 @@ def bqf_identity_mismatch(F: Field, forms, x, y, w, z):
 
 def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
     F = c.field
+    values = bqf_values(F, forms)
     for x, y, w, z in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
-        bad = bqf_identity_mismatch(F, forms, x.coords, y.coords, w.coords, z.coords)
+        bad = bqf_identity_mismatch(F, values, x.coords, y.coords, w.coords, z.coords)
         if bad is not None:
             raise CrossCheckFailed(
                 f"biquadratic self-check failed: B{bad[0]}{bad[1]} at {x.text()} , {y.text()}"
@@ -691,15 +705,18 @@ def synthesize_formula_set(c: CurveModel, rng) -> FormulaSet:
     two-torsion translations (read off the forms in odd characteristic,
     transcribed in characteristic 2).
 
-    On the direct and rational routes one working model and sampler of the
-    curve serve every stage; the lift route builds its own on the extension."""
+    One working model and sampler serve every stage: the curve's own, or on
+    the lift route those of the curve lifted once to the extension."""
     F = c.field
-    wm = sampler = None
-    if _route_field(F) != "lift":
-        wm = working_model(c)
-        sampler = default_sampler(wm)
-    bqf = synthesize_bqf(c, rng, wm=wm, sampler=sampler)
-    delta = synthesize_delta(c, rng, wm=wm, sampler=sampler, bqf=bqf)
+    target, back = c, None
+    if _route_field(F) == "lift":
+        target, _fwd, back = _lift(c)
+    wm = working_model(target)
+    sampler = default_sampler(wm)
+    big = synthesize_bqf(target, rng, wm=wm, sampler=sampler)
+    descend = tuple if back is None else (lambda vec: _descend(vec, back))
+    bqf = {k: descend(vec) for k, vec in big.items()}
+    delta = tuple(map(descend, synthesize_delta(target, rng, wm=wm, sampler=sampler, bqf=big)))
     w = []
     if F.order() is not None:
         for T in two_torsion_classes(c):
@@ -838,13 +855,16 @@ def transport_forms(F: Field, bqf, M: Matrix) -> dict:
     return out
 
 
-def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, delta_prime=None) -> dict:
+def crosscheck_tau_delta(
+    c: CurveModel, rng, npoints: int = 200, delta=None, delta_prime=None, wm=None, sampler=None
+) -> dict:
     """Conjugation consistency of duplication with the model change.
 
     Synthesizes duplication on the curve and on its simplified model
     y^2 = 4f + h^2, then checks T(delta(k)) = const * delta'(T(k)) at sampled
     surface points, with T the Kummer matrix of the model change and one
-    constant across all points and coordinates."""
+    constant across all points and coordinates.  The points are drawn with
+    the working model ``wm`` and ``sampler`` of the curve, when given."""
     F = c.field
     if F.characteristic() == 2:
         raise UnsupportedField("the simplified model needs odd characteristic")
@@ -854,12 +874,13 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
         delta = synthesize_delta(c, rng)
     if delta_prime is None:
         delta_prime = synthesize_delta(csimp, rng)
-    wm = working_model(c)
-    sampler = default_sampler(wm)
+    wm = wm or working_model(c)
+    sampler = sampler or default_sampler(wm)
+    double, double_prime = duplication(F, delta), duplication(F, delta_prime)
     ratio = None
     for (k,) in oracle_draws(c, wm, sampler, rng, npoints):
-        lhs = T.apply(list(apply_delta(F, delta, k).coords))
-        rhs = apply_delta(F, delta_prime, KummerPoint(F, T.apply(list(k.coords)))).coords
+        lhs = T.apply(list(double(k).coords))
+        rhs = double_prime(KummerPoint(F, T.apply(list(k.coords)))).coords
         piv = next((i for i in range(4) if rhs[i] != F.zero), None)
         if piv is None:
             raise CrossCheckFailed("simplified-model duplication vanished")
@@ -871,14 +892,16 @@ def crosscheck_tau_delta(c: CurveModel, rng, npoints: int = 200, delta=None, del
     return {"ok": True, "points": npoints, "ratio": F.to_str(ratio)}
 
 
-def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bqf_prime=None) -> dict:
+def crosscheck_b_conversion(
+    c: CurveModel, rng, npoints: int = 200, bqf=None, bqf_prime=None, wm=None, sampler=None
+) -> dict:
     """The biquadratic forms of the simplified model y^2 = 4f + h^2,
     transported back to the curve, against the curve's own forms.
 
     The two families are synthesized independently, one on each model.
     ``bqf_prime`` is transported once, through the inverse of the Kummer
     matrix of the model change, and one scalar must fit all ten entries at
-    every sampled argument pair."""
+    every sampled argument pair, drawn as in ``crosscheck_tau_delta``."""
     F = c.field
     if F.characteristic() == 2:
         raise UnsupportedField("the simplified model needs odd characteristic")
@@ -887,12 +910,14 @@ def crosscheck_b_conversion(c: CurveModel, rng, npoints: int = 200, bqf=None, bq
         bqf = synthesize_bqf(c, rng)
     if bqf_prime is None:
         bqf_prime = synthesize_bqf(csimp, rng)
-    back = transport_forms(F, bqf_prime, kummer_matrix(c, iso).inverse())
-    wm = working_model(c)
+    back = bqf_values(F, transport_forms(F, bqf_prime, kummer_matrix(c, iso).inverse()))
+    own = bqf_values(F, bqf)
+    wm = wm or working_model(c)
+    sampler = sampler or default_sampler(wm)
     scalar = None
-    for checked, (kx, ky) in enumerate(oracle_draws(c, wm, default_sampler(wm), rng, npoints, arity=2)):
-        conv = eval_bqf_all(F, back, kx.coords, ky.coords)
-        vals = eval_bqf_all(F, bqf, kx.coords, ky.coords)
+    for checked, (kx, ky) in enumerate(oracle_draws(c, wm, sampler, rng, npoints, arity=2)):
+        conv = back(kx.coords, ky.coords)
+        vals = own(kx.coords, ky.coords)
         for (i, j) in BQF_INDEX_PAIRS:
             if scalar is None and conv[(i, j)] != F.zero:
                 scalar = F.div(vals[(i, j)], conv[(i, j)])

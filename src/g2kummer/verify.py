@@ -16,14 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dfield
 
-from .algebra import (
-    biquadratic_rows,
-    eval_quartic,
-    quadratic_monomials,
-    quadratic_value,
-    quartic_values,
-    roots_and_quadratic_factors,
-)
+from .algebra import CompiledForms, quadratic_monomials, quadratic_value, roots_and_quadratic_factors
 from .curve import CurveModel, normal_form_curve, simplified_model, validate
 from .errors import CounterexampleFound, SuiteFailed
 from .field import BinaryField
@@ -70,7 +63,7 @@ def _surface_points(c: CurveModel):
     """All nonzero quadruples over a tiny field lying on the quartic."""
     F = c.field
     q = F.order()
-    vec = quartic_from_curve(c).vector
+    surface = CompiledForms(F, [quartic_from_curve(c).vector])
     pts = []
     for a in range(q):
         for b in range(q):
@@ -79,7 +72,7 @@ def _surface_points(c: CurveModel):
                     if a == b == d == e == 0:
                         continue
                     pt = (a, b, d, e)
-                    if eval_quartic(F, vec, pt) == F.zero:
+                    if surface.quartic_values(quadratic_monomials(F, pt)) == [F.zero]:
                         pts.append(pt)
     return pts
 
@@ -95,11 +88,11 @@ def lemma_delta_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     f1, f3, f5 = coeffs
     c = normal_form_curve(F, case, f1, f3, f5)  # raises SingularCurve when degenerate
     t0 = time.time()
-    delta = synthesize_delta(c, rng)
+    delta = CompiledForms(F, synthesize_delta(c, rng))
     counter = [
         {"x": pt}
         for pt in _surface_points(c)
-        if all(v == F.zero for v in quartic_values(F, delta, pt))
+        if all(v == F.zero for v in delta.quartic_values(quadratic_monomials(F, pt)))
     ]
     return LemmaReport(
         lemma="delta",
@@ -120,13 +113,12 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     f1, f3, f5 = coeffs
     c = normal_form_curve(F, case, f1, f3, f5)
     t0 = time.time()
-    forms = synthesize_bqf(c, rng)
+    forms = CompiledForms(F, biquadratics=synthesize_bqf(c, rng))
     pts = _surface_points(c)
-    form_list = [forms[p] for p in BQF_INDEX_PAIRS]
     qys = [quadratic_monomials(F, y) for y in pts]
     counter = []
     for x in pts:
-        rows = biquadratic_rows(F, form_list, x)
+        rows = forms.biquadratic_rows(BQF_INDEX_PAIRS, quadratic_monomials(F, x))
         for y, qy in zip(pts, qys):
             # stops at the first form that does not vanish at (x, y)
             if all(quadratic_value(F, row, qy) == F.zero for row in rows):
@@ -191,14 +183,16 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
     return {"ok": True, "n": checked, "classes": [T.label for T in classes]}
 
 
-def _suite_crosschecks(c, rng, fs, n):
+def _suite_crosschecks(c, wm, sampler, rng, fs, n):
     if c.field.characteristic() == 2:
         return {"ok": True, "note": "conversion checks need odd characteristic"}
     csimp, _iso = simplified_model(c)
-    bqf_prime = synthesize_bqf(csimp, rng)
-    delta_prime = synthesize_delta(csimp, rng, bqf=bqf_prime)
-    rep1 = crosscheck_tau_delta(c, rng, npoints=n, delta=fs.delta, delta_prime=delta_prime)
-    rep2 = crosscheck_b_conversion(c, rng, npoints=n, bqf=fs.bqf, bqf_prime=bqf_prime)
+    wm_simp = working_model(csimp)
+    sampler_simp = default_sampler(wm_simp)
+    bqf_prime = synthesize_bqf(csimp, rng, wm=wm_simp, sampler=sampler_simp)
+    delta_prime = synthesize_delta(csimp, rng, wm=wm_simp, sampler=sampler_simp, bqf=bqf_prime)
+    rep1 = crosscheck_tau_delta(c, rng, n, fs.delta, delta_prime, wm, sampler)
+    rep2 = crosscheck_b_conversion(c, rng, n, fs.bqf, bqf_prime, wm, sampler)
     return {"ok": rep1["ok"] and rep2["ok"], "tau_delta": rep1, "b_conversion": rep2}
 
 
@@ -264,7 +258,7 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
         suites["delta"] = guarded(_suite_delta, c, wm, sampler, rng, fs, sizes["delta"])
         suites["bqf"] = guarded(_suite_bqf, c, wm, sampler, rng, fs, sizes["bqf"])
         suites["translation"] = guarded(_suite_translation, c, wm, sampler, rng, fs, sizes["translation"])
-        suites["crosschecks"] = guarded(_suite_crosschecks, c, rng, fs, sizes["crosschecks"])
+        suites["crosschecks"] = guarded(_suite_crosschecks, c, wm, sampler, rng, fs, sizes["crosschecks"])
         suites["chain"] = guarded(_suite_chain, c, wm, sampler, rng, fs, sizes["chain"])
         entry["status"] = "pass" if all(s.get("ok") for s in suites.values()) else "fail"
         entry["suites"] = suites

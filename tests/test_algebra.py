@@ -448,3 +448,79 @@ def test_symmetric_basis_row_matches_expanded_form(F):
         for c, m in zip(s, symmetric_biquadratic_row(F, x, y)):
             dot = F.add(dot, F.mul(c, m))
         assert eval_biquadratic(F, full, x, y) == dot == eval_biquadratic(F, full, y, x)
+
+
+def _naive_monomial(F, point, exps):
+    t = F.one
+    for v, e in zip(point, exps):
+        for _ in range(e):
+            t = F.mul(t, v)
+    return t
+
+
+def _naive_quartic(F, coeffs, x):
+    acc = F.zero
+    for c, e in zip(coeffs, QUARTIC4.exponents):
+        acc = F.add(acc, F.mul(c, _naive_monomial(F, x, e)))
+    return acc
+
+
+def _naive_biquadratic(F, coeffs, x, y):
+    acc = F.zero
+    for c, (ex, ey) in zip(coeffs, BIQUADRATIC44.exponents):
+        acc = F.add(acc, F.mul(c, F.mul(_naive_monomial(F, x, ex), _naive_monomial(F, y, ey))))
+    return acc
+
+
+def _random_value(F, rng):
+    if F.kind == "rational":
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+    return F.random(rng)
+
+
+# GF(p) and tabled GF(2^m) take the raw-integer products; GF(2^23) has no
+# log/exp tables and Q has no raw integers, so those two take Field's
+@pytest.mark.parametrize(
+    "F",
+    [
+        F1009,
+        PrimeField(2**61 - 1),
+        B8,
+        BinaryField(16, 0x1002B),
+        BinaryField(23, (1 << 23) | 0b100001),
+        RationalField(),
+    ],
+    ids=lambda F: F.spec_string(),
+)
+def test_compiled_forms_match_a_dense_evaluation(F):
+    from g2kummer import field as field_mod
+    from g2kummer.field import OpCounter
+
+    rng = random.Random(79)
+
+    def sparse(n):
+        return [_random_value(F, rng) if rng.random() < 0.5 else F.zero for _ in range(n)]
+
+    quartics = [sparse(35) for _ in range(4)]
+    biquadratics = {key: sparse(100) for key in range(5)}
+    biquadratics[5] = [F.zero] * 100
+    forms = algebra.CompiledForms(F, quartics, biquadratics)
+    keys = [3, 0, 5, 2]
+    zero, one = F.zero, F.one
+    points = [tuple(_random_value(F, rng) for _ in range(4)) for _ in range(6)]
+    points += [(zero, zero, zero, one), (one, zero, zero, zero), (zero, points[0][1], zero, points[0][3])]
+    for x in points:
+        for y in points[-4:]:
+            ctr = OpCounter()
+            field_mod.Field.counter = ctr
+            try:
+                qx, qy = algebra.quadratic_monomials(F, x), algebra.quadratic_monomials(F, y)
+                quartic_vals = forms.quartic_values(qx)
+                quartic_muls, ctr.mul = ctr.mul, 0
+                biquadratic_vals = forms.biquadratic_values(keys, qx, qy)
+            finally:
+                field_mod.Field.counter = None
+            assert quartic_vals == [_naive_quartic(F, q, x) for q in quartics]
+            assert biquadratic_vals == [_naive_biquadratic(F, biquadratics[k], x, y) for k in keys]
+            assert quartic_muls == 2 * algebra.QUADRATIC_MULS + forms.quartic_muls()
+            assert ctr.mul == forms.biquadratic_muls(keys)

@@ -340,3 +340,40 @@ def test_ladder_from_a_base_with_zero_first_coordinate(pivot_case):
         out = ladder(fast, x, n)
         assert out.proportional(_kappa(c, wm, scalar_mul(wm, D, n)))
         assert out.proportional(ladder(checked, x, n))
+
+
+def _reachable_ids(root):
+    """ids of the objects reachable from root through instance data,
+    containers and the closures and defaults of functions, but not through
+    classes, modules or a function's globals, which reach every
+    module-level cache."""
+    import gc
+    import types
+
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.BuiltinFunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.MethodType):
+            todo.extend([obj.__self__, obj.__func__])
+        elif isinstance(obj, types.FunctionType):
+            todo.extend([*(obj.__closure__ or ()), obj.__defaults__, obj.__kwdefaults__])
+        else:
+            todo.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_a_binary_context_keeps_no_reference_to_the_field_tables():
+    # the log/exp lists are the field module's cache; a context holding them
+    # would keep every rebuilt copy alive
+    fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
+    ctx = make_context(fs.curve, fs)
+    tables = fs.curve.field._tables()
+    reached = _reachable_ids(ctx)
+    assert not {id(tables), id(tables[0]), id(tables[1])} & reached
+    # the walk does find a table that an object or a closure holds
+    assert id(tables[0]) in _reachable_ids([ctx, {"held": tables}])
+    exp = tables[0]
+    assert id(exp) in _reachable_ids(lambda i: exp[i])

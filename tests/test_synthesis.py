@@ -617,3 +617,44 @@ def test_rational_synthesis_modular_route():
         x = kummer_coords(c, to_point_pair(wm, D)).normalized()
         d2 = kummer_coords(c, to_point_pair(wm, add(wm, D, D))).normalized()
         assert apply_delta(QQ, delta, x).proportional(d2)
+
+
+def test_lift_route_lifts_once(monkeypatch):
+    # the formula set of the GF(2) case-(a) normal form lifts the curve and
+    # builds the extension's working model once for the forms and the
+    # quartics (twice each when both stages lifted)
+    import g2kummer.synthesis as synthesis
+
+    embeddings, models = [], []
+
+    def embedding(sub, big):
+        embeddings.append((sub, big))
+        return binary_embedding(sub, big)
+
+    def model(c):
+        models.append(c)
+        return working_model(c)
+
+    monkeypatch.setattr(synthesis, "binary_embedding", embedding)
+    monkeypatch.setattr(synthesis, "working_model", model)
+    c = normal_form_curve(BinaryField(1, 0b10), "a", 0, 0, 1)
+    synthesize_formula_set(c, random.Random(116))
+    assert [big.m for _sub, big in embeddings] == [16]
+    assert [cm.field.m for cm in models] == [16]
+
+
+def test_a_formula_set_compiles_each_form_family_once_per_use(monkeypatch):
+    # the solve's lambda, the forms' fresh check and the quartics' fresh
+    # check each compile their forms once, not once per sample
+    import g2kummer.synthesis as synthesis
+
+    built = []
+
+    class Counted(synthesis.CompiledForms):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "CompiledForms", Counted)
+    synthesize_formula_set(dict(default_corpus())["m61_h2_f5"], random.Random(117))
+    assert len(built) == 3

@@ -145,3 +145,29 @@ def test_translation_suite_checks_the_formula_sets_own_w(name, damage):
     bad = FormulaSet(fs.curve, fs.fingerprint, fs.delta, fs.bqf, w, fs.convention)
     rep = _suite_translation(c, wm, sampler, random.Random(10), bad, 6)
     assert not rep["ok"] and rep["witness"]
+
+
+def test_verify_quick_reuses_the_working_models(monkeypatch, tmp_path):
+    # verify --quick on an odd-characteristic curve builds one working model
+    # for synthesis, one for the suites (the cross-checks included) and one
+    # for the simplified model; it built six when each cross-check and each
+    # stage on the simplified model built its own
+    from pathlib import Path
+
+    import g2kummer.synthesis as synthesis
+    import g2kummer.verify as verify
+    from g2kummer.cli import main
+    from g2kummer.jacobian import working_model
+
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return working_model(c)
+
+    monkeypatch.setattr(synthesis, "working_model", counted)
+    monkeypatch.setattr(verify, "working_model", counted)
+    manifest = tmp_path / "one.corpus"
+    manifest.write_text(str(Path(__file__).resolve().parent.parent / "corpus" / "m61_h3_f6.curve") + "\n")
+    assert main(["verify", str(manifest), "--quick", "--seed", "7"]) == 0
+    assert len(calls) == 3
