@@ -24,7 +24,6 @@ from .errors import (
     CharacteristicTwo,
     DegreeOverflow,
     ExhaustedRetries,
-    NoSolutionCertificate,
     RootsNotRational,
     SingularCurve,
     UnsupportedDivisor,
@@ -467,7 +466,16 @@ def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
 
 def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor) -> PairDivisor:
     """Transport pair data through ``iso`` onto ``target``, the model that
-    ``iso`` maps onto."""
+    ``iso`` maps onto.
+
+    A quadratic pair is transported in R = k[x]/(a), where the class rho of
+    x stands for both roots at once (rho^2 = s1 rho - s2), so rational and
+    conjugate pairs take the same route and no root of a is computed.  For
+    the Moebius matrix (al, be, ga, de) and w = ga rho + de, the images
+    X = (al rho + be) / w and Y = (e b(rho) + u(rho)) / w^3 give
+    a_t = x^2 - Tr(X) x + N(X) and b_t the line through (X, Y).  Only when
+    N(w) = 0 does a rational root of a, -de/ga, go to infinity; the two
+    points are then transported one by one."""
     F = target.field
     if pair.kind == "zero":
         return pair
@@ -480,72 +488,39 @@ def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor)
         Pa = transform_point(iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
         Pi = transform_point(iso, CurvePoint("infinity", branch=pair.branch))
         return pair_from_points(target, Pa, Pi)
-    # quadratic Mumford data
+    # quadratic Mumford data; elements of R are pairs (c0, c1) = c0 + c1 rho
+    add, mul = F.add, F.mul
     a, b = pair.a, pair.b
-    rational = _quadratic_roots(F, a)
-    if rational is not None:
-        r1, r2 = rational
-        P1 = transform_point(iso, CurvePoint("affine", x=r1, y=b(r1)))
-        P2 = transform_point(iso, CurvePoint("affine", x=r2, y=b(r2)))
-        return pair_from_points(target, P1, P2)
-    at, bt = _transport_irreducible_quadratic(F, iso, a, b)
-    return PairDivisor("quadratic", a=at, b=bt)
-
-
-def _quadratic_roots(F: Field, a: Poly):
-    """Roots of a monic quadratic in the base field, or None."""
-    a1, a0 = a[1], a[0]
-    sols = None
-    try:
-        sols = F.quad_solve(a1, F.neg(a0))  # y^2 + a1 y = -a0
-    except NoSolutionCertificate:
-        return None
-    if not sols:
-        return None
-    if len(sols) == 1:
-        return (sols[0], sols[0])
-    return (sols[0], sols[1])
-
-
-def _transport_irreducible_quadratic(F: Field, iso, a: Poly, b: Poly):
-    """Transport conjugate-pair Mumford data; all arithmetic in k[x]/(a)."""
+    s1, s2 = F.neg(a[1]), a[0]
     al, be, ga, de = iso.mobius
     e, u = iso.yscale, iso.yshift
-    s1 = F.neg(a[1])
-    s2 = a[0]
-    # W2 = (g r1 + d)(g r2 + d), P = (a r1 + b)(a r2 + b), S the mixed sum
-    W2 = F.add(F.add(F.mul(F.mul(ga, ga), s2), F.mul(F.mul(ga, de), s1)), F.mul(de, de))
-    Pprod = F.add(F.add(F.mul(F.mul(al, al), s2), F.mul(F.mul(al, be), s1)), F.mul(be, be))
-    S = F.add(
-        F.add(F.mul(F.from_int(2), F.mul(F.mul(al, ga), s2)),
-              F.mul(F.add(F.mul(ga, be), F.mul(de, al)), s1)),
-        F.mul(F.from_int(2), F.mul(de, be)),
-    )
-    if W2 == F.zero:
-        raise UnsupportedDivisor("conjugate pair crossing infinity")
-    invW2 = F.inv(W2)
-    at = Poly(F, [F.mul(Pprod, invW2), F.neg(F.mul(S, invW2)), F.one])
-    # b_t via the residue ring R = k[x]/(a)
-    def rmul(p, q):
-        return (p * q) % a
 
-    wbar = Poly(F, [de, ga]) % a
-    Bbar = (b.scale(e) + u) % a
-    g, _s, winv = a.xgcd(wbar)
-    if g.degree != 0:
-        raise UnsupportedDivisor("non-invertible element in transport ring")
-    w3inv = rmul(rmul(winv, winv), winv)
-    xi = rmul(Bbar, w3inv)
-    mbar = rmul(Poly(F, [be, al]) % a, winv)
-    # solve xi = p*mbar + q with p, q in k
-    m0, m1 = mbar[0], mbar[1]
-    x0, x1 = xi[0], xi[1]
-    if m1 == F.zero:
-        raise UnsupportedDivisor("Moebius image collapsed in transport")
-    p = F.div(x1, m1)
-    q = F.sub(x0, F.mul(p, m0))
-    bt = Poly(F, [q, p])
-    return at, bt
+    def rmul(p, q):
+        t = mul(p[1], q[1])
+        return (F.sub(mul(p[0], q[0]), mul(t, s2)),
+                add(add(mul(p[0], q[1]), mul(p[1], q[0])), mul(t, s1)))
+
+    def norm(p):
+        return add(mul(p[0], add(p[0], mul(p[1], s1))), mul(mul(p[1], p[1]), s2))
+
+    W2 = norm((de, ga))
+    if W2 == F.zero:
+        r = F.neg(F.div(de, ga))
+        P1 = transform_point(iso, CurvePoint("affine", x=r, y=b(r)))
+        r2 = F.sub(s1, r)
+        P2 = transform_point(iso, CurvePoint("affine", x=r2, y=b(r2)))
+        return pair_from_points(target, P1, P2)
+    inv = F.inv(W2)
+    winv = (mul(add(de, mul(ga, s1)), inv), F.neg(mul(ga, inv)))
+    X = rmul((be, al), winv)
+    v = (u[3], F.zero)  # u(rho) by Horner; rho (v0 + v1 rho) = -v1 s2 + (v0 + v1 s1) rho
+    for i in (2, 1, 0):
+        v = (F.sub(u[i], mul(v[1], s2)), add(v[0], mul(v[1], s1)))
+    Y = rmul((add(mul(e, b[0]), v[0]), add(mul(e, b[1]), v[1])), rmul(rmul(winv, winv), winv))
+    p = F.div(Y[1], X[1])
+    trace = add(add(X[0], X[0]), mul(X[1], s1))
+    at = Poly(F, [norm(X), F.neg(trace), F.one])
+    return PairDivisor("quadratic", a=at, b=Poly(F, [F.sub(Y[0], mul(p, X[0])), p]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ degree-0 class group.  A ``ModelIsomorphism`` links the user's model to the
 working model.  A ``WorkingModel`` holds both models, the link and its
 inverse; divisor classes cross in either direction as point-pair data
 through :func:`g2kummer.curve.transform_pair`, which is handed the model on
-the far side rather than rebuilding it.
+the far side rather than rebuilding it.  A degree-2 class crosses as its
+Mumford data, transported in k[x]/(a) whether the two points are rational
+or conjugate, so no root of a is taken on the way.
 
 ``add`` first tries the frequent case on raw coefficients (Lange, AAECC
 2005): two degree-2 classes with Res(a1, a2) != 0, or the doubling of a

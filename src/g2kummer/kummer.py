@@ -34,7 +34,7 @@ from .algebra import (
     eval_quartic,
     roots_and_quadratic_factors,
 )
-from .curve import CurveModel, PairDivisor, secant, simplified_rhs
+from .curve import CurveModel, PairDivisor, simplified_rhs
 from .errors import (
     FormulaSetMissing,
     TwoTorsionK2Zero,
@@ -346,25 +346,20 @@ def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
     out = []
     rts, hquads = roots_and_quadratic_factors(h) if h.degree >= 1 else ([], [])
     hroots = [r for r, _m in rts]
-    # affine-affine classes from pairs of distinct rational roots
-    for i in range(len(hroots)):
-        for j in range(i + 1, len(hroots)):
-            x1, x2 = hroots[i], hroots[j]
-            y1, y2 = F.sqrt(f(x1)), F.sqrt(f(x2))
-            s, b = secant(F, x1, y1, x2, y2)
-            out.append(_char2_affine_data(c, s, b, label=f"aa:{F.to_str(x1)},{F.to_str(x2)}"))
-    # affine-affine classes from irreducible quadratic factors (conjugate pairs)
-    for q in hquads:
-        s1 = q[1]  # x1 + x2 in characteristic 2
-        s2 = q[0]
+    # affine-affine classes: a monic quadratic q | h for each pair of distinct
+    # rational roots or conjugate pair of roots of h; with f mod q = c1 x + c0,
+    # s1 = x1 + x2 and s2 = x1 x2, the line through (x1, y1), (x2, y2) has
+    # b1 s1 = y1 + y2 = sqrt(c1 s1) and b0 s1 = x2 y1 + x1 y2 = sqrt(c1 s1 s2 + c0 s1^2)
+    pairs = [(Poly(F, [F.mul(x1, x2), F.add(x1, x2), F.one]), f"aa:{F.to_str(x1)},{F.to_str(x2)}")
+             for i, x1 in enumerate(hroots) for x2 in hroots[i + 1:]]
+    pairs += [(q, f"aa:irr:{F.to_str(q[0])},{F.to_str(q[1])}") for q in hquads]
+    for q, label in pairs:
+        s1, s2 = q[1], q[0]
         frem = f % q
-        c1 = frem[1]
-        c0 = frem[0]
-        # y1 + y2 = sqrt(f(x1) + f(x2)) = sqrt(c1*s1); cross term similarly
+        c1, c0 = frem[1], frem[0]
         b1 = F.div(F.sqrt(F.mul(c1, s1)), s1)
         b0 = F.div(F.sqrt(F.add(_mono(F, c1, s2, s1), _mono(F, c0, s1, s1))), s1)
-        b = Poly(F, [b0, b1])
-        out.append(_char2_affine_data(c, q, b, label=f"aa:irr:{F.to_str(q[0])},{F.to_str(q[1])}"))
+        out.append(_char2_affine_data(c, q, Poly(F, [b0, b1]), label=label))
     # affine-infinity classes (the infinite point is Weierstrass iff h3 = 0)
     if h[3] == F.zero and not h.is_zero():
         for r in hroots:

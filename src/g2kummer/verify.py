@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dfield
 
 from .algebra import CompiledForms, quadratic_monomials, quadratic_value, roots_and_quadratic_factors
 from .curve import CurveModel, normal_form_curve, simplified_model, validate
-from .errors import CounterexampleFound, SuiteFailed
+from .errors import CounterexampleFound, NoRationalWeierstrassPoint, SuiteFailed, UnsupportedField
 from .field import BinaryField
 from .jacobian import add, from_point_pair, working_model
 from .kummer import (
@@ -196,19 +196,32 @@ def _suite_crosschecks(c, wm, sampler, rng, fs, n):
     return {"ok": rep1["ok"] and rep2["ok"], "tau_delta": rep1, "b_conversion": rep2}
 
 
-def _suite_chain(c, wm, sampler, rng, fs, n, scalar_bits=16):
+# Over Q the ladder never rescales, and kappa(nP) on rational_small has about
+# 4.8 n^2 digits (4,581 at n = 31), so 16-bit scalars are out of reach there:
+# the rational chain draws m, k with m + k at most this bound instead.
+RATIONAL_CHAIN_MAX_SUM = 31
+
+
+def _suite_chain(c, wm, sampler, rng, fs, n):
     F = c.field
     ctx = make_context(c, fs)
     ((x,),) = oracle_draws(c, wm, sampler, rng, 1)
+    rational = F.order() is None
     for _ in range(n):
-        m = rng.randrange(1, 1 << scalar_bits)
-        k = rng.randrange(1, 1 << scalar_bits)
+        if rational:
+            m = rng.randrange(1, RATIONAL_CHAIN_MAX_SUM)
+            k = rng.randrange(1, RATIONAL_CHAIN_MAX_SUM - m + 1)
+        else:
+            m = rng.randrange(1, 1 << 16)
+            k = rng.randrange(1, 1 << 16)
         km = ladder(ctx, x, m)
         kn = ladder(ctx, x, k)
         kd = ladder(ctx, x, abs(m - k)) if m != k else zero_class_point(F)
         ksum = ladder(ctx, x, m + k)
         if not xadd(ctx, km, kn, kd).proportional(ksum):
             return {"ok": False, "witness": f"m={m}, n={k}"}
+    if rational:
+        return {"ok": True, "n": n, "max_m_plus_k": RATIONAL_CHAIN_MAX_SUM}
     return {"ok": True, "n": n}
 
 
@@ -226,24 +239,31 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
     """Run the full identity suites over a corpus of (name, CurveModel).
 
     Returns a machine-readable report; deterministic given the rng seed.
-    Invalid curves are reported as skipped.  ``formula_sets`` may carry
-    pre-synthesized FormulaSets keyed by curve name."""
+    Invalid curves, and valid ones the oracle or synthesis cannot serve (no
+    rational Weierstrass point, or a prime field below 257), are reported as
+    skipped.  ``formula_sets`` may carry pre-synthesized FormulaSets keyed by
+    curve name."""
     sizes = dict(DEFAULT_SUITE_SIZES, **(sizes or {}))
     formula_sets = formula_sets or {}
     report = {"curves": [], "ok": True}
     for name, c in corpus:
         entry = {"name": name, "field": c.field.spec_string()}
         v = validate(c)
-        if not v.ok:
+        reason = None if v.ok else v.reason
+        if v.ok:
+            fs = formula_sets.get(name)
+            try:
+                if fs is None:
+                    fs = synthesize_formula_set(c, rng)
+                wm = working_model(c)
+                sampler = default_sampler(wm)
+            except (NoRationalWeierstrassPoint, UnsupportedField) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+        if reason is not None:
             entry["status"] = "skipped"
-            entry["reason"] = v.reason
+            entry["reason"] = reason
             report["curves"].append(entry)
             continue
-        fs = formula_sets.get(name)
-        if fs is None:
-            fs = synthesize_formula_set(c, rng)
-        wm = working_model(c)
-        sampler = default_sampler(wm)
 
         def guarded(fn, *args):
             from .errors import G2KummerError

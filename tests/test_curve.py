@@ -334,6 +334,67 @@ def test_kummer_matrix_of_random_isomorphisms(F):
     assert len(kinds) > 3 * len(curves) and {"c != 0", "c = 0, d != 1"} <= set(kinds)
 
 
+def _split_points(c, rng):
+    """Five affine points of c with distinct x."""
+    F = c.field
+    if F.order() is None:
+        # rational_small has rational points at x = -1, 0, 1, 2, 3
+        xs = [F.from_int(x) for x in range(-1, 4)]
+        return [CurvePoint("affine", x=x, y=F.quad_solve(c.h(x), c.f(x))[-1]) for x in xs]
+    pts = {}
+    while len(pts) < 5:
+        P = sample_point(c, rng)
+        pts[P.x] = P
+    return list(pts.values())
+
+
+def _iso_with_row(F, draw, g, d):
+    """A random isomorphism whose Moebius matrix has the bottom row (g, d)."""
+    while True:
+        try:
+            return ModelIsomorphism(F, (draw(), draw(), g, d), draw(), Poly(F, [draw() for _ in range(4)]))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("F", [F1009, B16, QQ], ids=str)
+def test_transform_pair_of_split_pairs_matches_the_point_route(F):
+    """transform_pair carries a pair of rational points to the pair of the
+    transported points.  With the Moebius row (c, d) = (1, -x1), the norm of
+    w = c*x + d vanishes and x1 goes to infinity: the image is an
+    affine-infinity pair and kappa on the target is M kappa."""
+    rng = random.Random(18)
+    if F.order() is None:
+        c = dict(default_corpus())["rational_small"]
+
+        def draw():
+            return Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
+    else:
+        c = _random_valid_curve(F, rng)
+
+        def draw():
+            return F.random(rng)
+    pts = _split_points(c, rng)
+    kinds = []
+    for i, P1 in enumerate(pts):
+        for P2 in pts[i + 1:]:
+            pair = pair_from_points(c, P1, P2)
+            for crossing in (False, True):
+                g, d = (F.one, F.neg(P1.x)) if crossing else (draw(), draw())
+                if not crossing and F.zero in (F.add(F.mul(g, P.x), d) for P in (P1, P2)):
+                    continue
+                iso = _iso_with_row(F, draw, g, d)
+                target = transform(c, iso)
+                got = transform_pair(target, iso, pair)
+                assert got == pair_from_points(target, transform_point(iso, P1), transform_point(iso, P2))
+                assert got.kind == ("affine_inf" if crossing else "quadratic")
+                if crossing:
+                    M = kummer_matrix(c, iso)
+                    assert _kappa_proportional(F, M, kummer_coords(c, pair), kummer_coords(target, got))
+                kinds.append(got.kind)
+    assert kinds.count("affine_inf") == 10 and kinds.count("quadratic") >= 8
+
+
 # ---------------------------------------------------------------------------
 # transformations
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from g2kummer.curve import (
     normal_form_curve,
     pair_from_points,
     sample_point,
+    secant,
     validate,
 )
 from g2kummer.errors import UnsupportedDivisor
@@ -343,6 +344,28 @@ def test_two_torsion_char2_counts():
     classes = two_torsion_classes(c)
     tags = sorted(T.case_tag for T in classes)
     assert tags == ["affineAffine", "affineInfinity", "affineInfinity"]
+
+
+@pytest.mark.parametrize("F", [B8, BinaryField(8, 0x11B), B16], ids=str)
+def test_two_torsion_char2_split_pairs_match_the_secant(F):
+    # the class of two rational roots x1, x2 of h, built from the quadratic
+    # (x + x1)(x + x2) like a conjugate pair, is the secant through
+    # (x1, sqrt f(x1)) and (x2, sqrt f(x2))
+    rng = random.Random(19)
+    checked = 0
+    while checked < 40:
+        h = Poly.const(F, F.one)
+        for _ in range(3):
+            h = h * Poly(F, [F.random(rng), F.one])
+        c = CurveModel(F, Poly(F, [F.random(rng) for _ in range(7)]), h)
+        if not validate(c).ok:
+            continue
+        for T in two_torsion_classes(c):
+            if T.case_tag == "affineAffine" and not T.label.startswith("aa:irr:"):
+                x1, x2 = (F.parse(v) for v in T.label[3:].split(","))
+                a, b = secant(F, x1, F.sqrt(c.f(x1)), x2, F.sqrt(c.f(x2)))
+                assert (T.divisor.a, T.divisor.b) == (a, b)
+                checked += 1
 
 
 @pytest.mark.parametrize("name, degree", [("m61_h2_f5", 5), ("c2_general_f", 3)])

@@ -171,3 +171,52 @@ def test_verify_quick_reuses_the_working_models(monkeypatch, tmp_path):
     manifest.write_text(str(Path(__file__).resolve().parent.parent / "corpus" / "m61_h3_f6.curve") + "\n")
     assert main(["verify", str(manifest), "--quick", "--seed", "7"]) == 0
     assert len(calls) == 3
+
+
+def test_verify_skips_curves_it_cannot_synthesize_for(tmp_path, capsys):
+    # one valid curve without a rational Weierstrass point and one over a
+    # prime below the synthesis bound are reported as skipped, with the
+    # error as the reason, and the rest of the corpus is still verified
+    from pathlib import Path
+
+    from g2kummer.cli import main
+
+    (tmp_path / "no_weierstrass.curve").write_text("field prime:p=1009\nf 3,1,0,0,0,0,1\nh 0,0,0,0\n")
+    (tmp_path / "small_prime.curve").write_text("field prime:p=101\nf 1,1,0,0,0,1,0\nh 0,0,0,0\n")
+    torsion = Path(__file__).resolve().parent.parent / "corpus" / "p1009_2tors.curve"
+    manifest = tmp_path / "mixed.corpus"
+    manifest.write_text(f"no_weierstrass.curve\nsmall_prime.curve\n{torsion}\n")
+    assert main(["verify", str(manifest), "--quick", "--seed", "7", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    statuses = {e["name"]: (e["status"], e.get("reason", "")) for e in report["curves"]}
+    assert statuses["no_weierstrass"][0] == "skipped"
+    assert statuses["no_weierstrass"][1].startswith("NoRationalWeierstrassPoint: ")
+    assert statuses["small_prime"][0] == "skipped"
+    assert statuses["small_prime"][1].startswith("UnsupportedField: ")
+    assert statuses["p1009_2tors"][0] == "pass"
+    assert report["ok"] is True
+
+
+def test_chain_over_q_keeps_its_scalars_under_the_stated_bound(monkeypatch):
+    # over Q coordinates grow quadratically in the scalar, so the chain suite
+    # draws m + k <= RATIONAL_CHAIN_MAX_SUM there and says so in its report
+    import g2kummer.verify as verify
+    from g2kummer.corpus import default_corpus
+    from g2kummer.jacobian import working_model
+    from g2kummer.synthesis import default_sampler, synthesize_formula_set
+
+    c = dict(default_corpus())["rational_small"]
+    rng = random.Random(3)
+    fs = synthesize_formula_set(c, rng)
+    wm = working_model(c)
+    scalars = []
+    inner = verify.ladder
+
+    def recorded(ctx, x, n):
+        scalars.append(n)
+        return inner(ctx, x, n)
+
+    monkeypatch.setattr(verify, "ladder", recorded)
+    rep = verify._suite_chain(c, wm, default_sampler(wm), rng, fs, 6)
+    assert rep == {"ok": True, "n": 6, "max_m_plus_k": verify.RATIONAL_CHAIN_MAX_SUM}
+    assert scalars and max(scalars) <= verify.RATIONAL_CHAIN_MAX_SUM
