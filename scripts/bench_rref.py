@@ -5,8 +5,14 @@ Per curve: the two ``_rref`` systems of one formula set (the 130x110 pair
 kernel and the 130x63 stage-two system, whose right-hand sides start at
 column 55), captured by wrapping ``_rref`` in ``algebra`` and in
 ``synthesis`` during ``synthesize_formula_set``, then replayed on fresh
-copies.  Prints, as JSON, each system's shape, pivot-column limit, rank and
-median milliseconds per reduction.
+copies.  Prints one JSON object:
+
+- ``counts``: per curve, each system's shape, pivot-column limit and rank,
+  which depend on the curve and the seed alone;
+- ``ms``: per curve, the median, min and max over REPEATS reductions of
+  each system in milliseconds, and ``total_ms``, the sum of the medians;
+- ``machine``: as in ``scripts/bench_ladder.py``.
+
 Usage: scripts/bench_rref.py [seed]
 """
 
@@ -20,6 +26,7 @@ import time
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from bench_ladder import machine
 from g2kummer import algebra, synthesis
 from g2kummer.synthesis import deserialize_formula_set, synthesize_formula_set
 
@@ -46,32 +53,31 @@ def capture(c, seed):
 
 
 def replay(F, rows, limit_cols):
-    """Median milliseconds of REPEATS reductions of copies of ``rows``, and
-    the rank."""
+    """Milliseconds of REPEATS reductions of copies of ``rows`` (median,
+    min, max), and the rank."""
     runs = []
     for _ in range(REPEATS):
         work = [list(r) for r in rows]
         t0 = time.perf_counter()
         rank, _pivots = algebra._rref(F, work, limit_cols)
         runs.append((time.perf_counter() - t0) * 1e3)
-    return round(statistics.median(runs), 2), rank
-
-
-def report(c, seed):
-    out = []
-    for F, rows, limit_cols in capture(c, seed):
-        ms, rank = replay(F, rows, limit_cols)
-        out.append({"shape": [len(rows), len(rows[0])], "limit_cols": limit_cols, "rank": rank, "median_ms": ms})
-    return {"systems": out, "total_ms": round(sum(s["median_ms"] for s in out), 2)}
+    return {"median": statistics.median(runs), "min": min(runs), "max": max(runs)}, rank
 
 
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
-    print(f"seed {seed}")
+    counts, timings = {}, {}
     for name in CURVES:
         with open(os.path.join(ROOT, "perfbench", "reference", f"{name}.kfs")) as fh:
             c = deserialize_formula_set(fh.read()).curve
-        print(name, json.dumps(report(c, seed)))
+        counts[name], systems = [], []
+        for F, rows, limit_cols in capture(c, seed):
+            ms, rank = replay(F, rows, limit_cols)
+            counts[name].append({"shape": [len(rows), len(rows[0])], "limit_cols": limit_cols, "rank": rank})
+            systems.append(ms)
+        timings[name] = {"systems": systems, "total_ms": sum(s["median"] for s in systems)}
+    out = {"seed": seed, "repeats": REPEATS, "counts": counts, "ms": timings}
+    print(json.dumps({**out, "machine": machine()}, indent=2))
 
 
 if __name__ == "__main__":

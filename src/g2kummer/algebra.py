@@ -19,12 +19,12 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations_with_replacement
 from math import isqrt, lcm
 
 from .errors import DivisionByZero, LengthMismatch, UnsupportedField
-from .field import Field
+from .field import Field, _gf2x_inv, _gf2x_mod
 
 
 class Poly:
@@ -409,102 +409,154 @@ def _rref(F: Field, rows: list[list], limit_cols: int | None = None) -> tuple[in
     Only columns below ``limit_cols`` are eligible as pivots (the remaining
     columns ride along, e.g. an augmented right-hand side).
 
-    Forward elimination clears each pivot column from the rows below the
-    pivot only, and only at and right of it, so every pivot row is zero left
-    of its unit pivot.  Back-substitution then clears the pivot columns from
-    the rows above, bottom pivot first, touching only the pivot row's
-    nonzero entries: by then its non-pivot columns.  Over GF(p) eliminated
-    entries are stored unreduced (a - c*b) and reduced when read as a leading
-    coefficient or a pivot row.  The rows beyond the rank come out reduced
-    and zero below ``limit_cols``; their other columns hold the residual,
-    all zero exactly when the augmented system is consistent.
+    Forward elimination clears each unit pivot's column from the rows below
+    it only, so every pivot row is zero left of its pivot; back-substitution
+    then clears the pivot columns from the rows above, bottom pivot first.
+    Rows are held as ``_row_ops`` stores them, reduced as pivot rows and when
+    written back.  The rows beyond the rank come out zero below
+    ``limit_cols``, the rest being a residual that is zero exactly when the
+    augmented system is consistent.
     """
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    pcols = ncols if limit_cols is None else limit_cols
-    reduce, unit, prepare, submul = _row_ops(F)
-    zero = F.zero
-    rank = 0
+    pack, entry, pivot_row, eliminator, unpack = _row_ops(F, ncols)
+    work = [pack(r) for r in rows]
     pivots = []
-    for j in range(pcols):
-        if rank == nrows:
+
+    def clear(prow, j, back, targets):
+        eliminate = eliminator(prow, j, back)
+        for i in targets:
+            c = entry(work[i], j)
+            if c:
+                work[i] = eliminate(work[i], c)
+
+    for j in range(ncols if limit_cols is None else limit_cols):
+        rank = len(pivots)
+        if rank == len(work):
             break
-        for i in range(rank, nrows):
-            c = reduce(rows[i][j])
+        for i in range(rank, len(work)):
+            c = entry(work[i], j)
             if c:
                 break
         else:
             continue
-        prow = rows[i]
-        rows[i] = rows[rank]
-        rows[rank] = prow = [zero] * j + unit(prow[j:], c)
-        tail = prepare(prow[j:])
-        for i in range(rank + 1, nrows):
-            ri = rows[i]
-            c = reduce(ri[j])
-            if c:
-                ri[j:] = submul(ri[j:], c, tail)
+        work[i], work[rank] = work[rank], pivot_row(work[i], j, c)
+        clear(work[rank], j, False, range(rank + 1, len(work)))
         pivots.append(j)
-        rank += 1
-    for i in range(rank, nrows):
-        rows[i] = [reduce(a) for a in rows[i]]
-    for k in range(rank - 1, -1, -1):
-        j = pivots[k]
-        rows[k] = prow = [reduce(a) for a in rows[k]]
-        cols = [t for t in range(j + 1, ncols) if prow[t]]
-        tail = prepare([prow[t] for t in cols])
-        for ri in rows[:k]:
-            c = ri[j]
-            if c:
-                ri[j] = zero
-                for t, a in zip(cols, submul([ri[t] for t in cols], c, tail)):
-                    ri[t] = a
-    return rank, pivots
+    for k in range(len(pivots) - 1, -1, -1):
+        work[k] = pivot_row(work[k], pivots[k], None)
+        clear(work[k], pivots[k], True, range(k))
+    rows[:] = map(unpack, work)
+    return len(pivots), pivots
 
 
-def _row_ops(F: Field):
-    """The field-specific steps of ``_rref``: ``reduce(a)`` (the stored entry
-    as a field value), ``unit(row, c)`` (the row times 1/c, c its leading
-    entry), ``prepare(row)`` (a pivot row as ``submul`` reads it) and
-    ``submul(row, c, prepared)`` (the cell update row - c*pivot row).  The
-    prime and tabled binary kinds bypass ``Field``'s counted operations."""
+def _row_ops(F: Field, ncols: int):
+    """The field-specific steps of ``_rref`` on stored rows: ``pack(row)``,
+    ``entry(stored, j)`` (as a field value), ``pivot_row(stored, j, c)``
+    (reduced, and times 1/c unless c is None), ``eliminator(prow, j, back)``
+    (the update (stored, c) -> stored - c*prow) and ``unpack``.
+
+    Over GF(p) and Q a row is a list, updated from column j on, or only at
+    the pivot row's nonzero columns in back-substitution; GF(p) keeps
+    entries unreduced (a - c*b), Q uses the counted ``Field`` operations.
+    Over GF(2^m) a row is one int, entry j in the w-bit lane at bit j*w (w
+    = 2m in whole bytes).  An update is a carry-less product of the reduced
+    c and pivot row, four bits of c at a time, so lanes stay under 2m - 1
+    bits; entries are reduced by byte tables when read, rows one bit
+    position at a time (f times a bit in every lane has no carries)."""
+    if F.kind == "binary":
+        m, mod, size = F.m, F.mod, (F.m + 3) // 4  # 2m bits in whole bytes
+        w, tables = 8 * size, _reduction_tables(m, mod)
+        lane, low, ones = (1 << w) - 1, (1 << m) - 1, ((1 << w * ncols) - 1) // ((1 << w) - 1)
+
+        def entry(row, j):
+            a = row >> w * j & lane
+            r = a & low
+            a >>= m
+            for tab in tables:
+                r ^= tab[a & 255]
+                a >>= 8
+            return r
+
+        def reduced(row):
+            for t in range(2 * m - 2, m - 1, -1):
+                high = row >> t & ones
+                if high:
+                    row ^= high * mod << t - m
+            return row
+
+        def eliminator(prow, j, back):
+            multiples = [0, prow]
+            for d in range(2, 16):
+                multiples.append(multiples[d >> 1] << 1 ^ multiples[d & 1])
+
+            def eliminate(row, c):
+                s = 0
+                while c:
+                    row, c, s = row ^ multiples[c & 15] << s, c >> 4, s + 4
+                return row
+
+            return eliminate
+
+        def pivot_row(row, j, c):
+            row = reduced(row)
+            return row if c is None else reduced(eliminator(row, j, False)(0, _gf2x_inv(c, mod)))
+
+        def pack(row):
+            return int.from_bytes(b"".join([a.to_bytes(size, "little") for a in row]), "little")
+
+        def unpack(row):
+            raw = reduced(row).to_bytes(size * ncols, "little")
+            return [int.from_bytes(raw[t : t + size], "little") for t in range(0, len(raw), size)]
+
+        return pack, entry, pivot_row, eliminator, unpack
+    zero = F.zero
     if F.kind == "prime":
         p = F.p
+        entry, reduced = (lambda row, j: row[j] % p), (lambda row: [a % p for a in row])
 
         def unit(row, c):
             inv = pow(c, -1, p)
             return [inv * a % p for a in row]
 
-        def submul(row, c, prow):
-            return [a - c * b for a, b in zip(row, prow)]
-
-        return (lambda a: a % p), unit, (lambda row: row), submul
-    tabs = _tables(F)
-    if tabs is not None:
-        # exp has n = 2^m - 1 entries, so exp[s - n] is exp[s mod n] for
-        # 0 <= s < 2n: log sums index it with no modulo
-        exp, log = tabs
-        n = len(exp)
+        def submul(row, c, tail):
+            return [a - c * b for a, b in zip(row, tail)]
+    else:
+        mul, sub = F.mul, F.sub
+        entry, reduced = (lambda row, j: row[j]), list
 
         def unit(row, c):
-            li = -log[c]
-            return [exp[li + log[a]] if a else 0 for a in row]
+            inv = F.inv(c)
+            return [mul(inv, a) for a in row]
 
-        def submul(row, c, logs):
-            lc = log[c] - n
-            return [a ^ exp[lc + lb] if lb is not None else a for a, lb in zip(row, logs)]
+        def submul(row, c, tail):
+            return [sub(a, mul(c, b)) for a, b in zip(row, tail)]
 
-        return (lambda a: a), unit, (lambda row: [log[b] if b else None for b in row]), submul
-    mul, sub = F.mul, F.sub
+    def eliminator(prow, j, back):
+        cols = [t for t in range(j + 1, ncols) if prow[t]] if back else range(j, ncols)
+        tail = [prow[t] for t in cols]
 
-    def unit(row, c):
-        inv = F.inv(c)
-        return [mul(inv, a) for a in row]
+        def forward(row, c):
+            row[j:] = submul(row[j:], c, tail)
+            return row
 
-    def submul(row, c, prow):
-        return [sub(a, mul(c, b)) for a, b in zip(row, prow)]
+        def backward(row, c):
+            row[j] = zero
+            for t, a in zip(cols, submul([row[t] for t in cols], c, tail)):
+                row[t] = a
+            return row
 
-    return (lambda a: a), unit, (lambda row: row), submul
+        return backward if back else forward
+
+    def pivot_row(row, j, c):
+        return reduced(row) if c is None else [zero] * j + unit(row[j:], c)
+
+    return list, entry, pivot_row, eliminator, reduced
+
+
+@cache
+def _reduction_tables(m: int, mod: int) -> list[list[int]]:
+    """Byte tables of b * x^(m + 8k) mod f, for the bytes above bit m - 1."""
+    return [[_gf2x_mod(b << m + 8 * k, mod) for b in range(256)] for k in range((m + 6) // 8)]
 
 
 def solve_kernel(M: Matrix) -> list[list]:
@@ -599,13 +651,13 @@ _QUARTIC_FACTORS = [
 QUADRATIC_MULS = len(_QUADRATIC_VARS)
 
 
-# The products of every form evaluation.  Over GF(p) and tabled GF(2^m)
-# these kernels work on the raw integers and count their own products on
-# ``Field.counter``: GF(p) reduces once per sum, and GF(2^m) adds logarithms
-# (exp has n = 2^m - 1 entries, so for a log sum s in [0, 2n) the index
-# s - n wraps when negative).  Q and untabled GF(2^m) use the counted
-# ``Field`` operations.  The tables are fetched per call, never kept on an
-# object: a kept reference would outlive a rebuild of the table cache.
+# The products of every form evaluation and sample row.  Over GF(p) and
+# tabled GF(2^m) these kernels work on the raw integers and count their own
+# products on ``Field.counter``: GF(p) reduces once per sum, and GF(2^m) adds
+# logarithms (exp has n = 2^m - 1 entries, so for a log sum s in [0, 2n) the
+# index s - n wraps when negative).  Q and untabled GF(2^m) use the counted
+# ``Field`` operations, which ``_rref`` uses over Q only.  The tables are
+# fetched per call: a kept reference would outlive a rebuild of the cache.
 
 
 def _tables(F: Field):
@@ -814,17 +866,17 @@ def quadratic_form_matrix(F: Field, row) -> list[list]:
 SYMMETRIC_PAIRS = [(a, b) for a in range(10) for b in range(a, 10)]
 
 
+# q_a(x) q_b(y) for each pair, then q_b(x) q_a(y) for a < b, over qx + qy
+_SYMMETRIC_PRODUCTS = [(a, 10 + b) for a, b in SYMMETRIC_PAIRS] + [(b, 10 + a) for a, b in SYMMETRIC_PAIRS if a < b]
+
+
 def symmetric_biquadratic_row(F: Field, x, y) -> list:
     """The 55 monomial values of a symmetric biquadratic sample row:
     q_a(x) q_b(y) + q_b(x) q_a(y) for a < b and q_a(x) q_a(y) for a = b.
     Nothing is halved, so the basis also serves characteristic 2."""
-    qx = quadratic_monomials(F, x)
-    qy = quadratic_monomials(F, y)
-    add, mul = F.add, F.mul
-    return [
-        mul(qx[a], qy[a]) if a == b else add(mul(qx[a], qy[b]), mul(qx[b], qy[a]))
-        for a, b in SYMMETRIC_PAIRS
-    ]
+    prods = pair_products(F, quadratic_monomials(F, x) + quadratic_monomials(F, y), _SYMMETRIC_PRODUCTS)
+    swapped = iter(prods[len(SYMMETRIC_PAIRS) :])
+    return [u if a == b else F.add(u, next(swapped)) for (a, b), u in zip(SYMMETRIC_PAIRS, prods)]
 
 
 def expand_symmetric(F: Field, coeffs) -> list:

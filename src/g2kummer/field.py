@@ -79,6 +79,18 @@ def _gf2x_mod(a: int, mod: int) -> int:
     return a
 
 
+def _gf2x_inv(a: int, mod: int) -> int:
+    """The reduced inverse of a nonzero reduced a modulo an irreducible mod."""
+    u, v, g1, g2 = a, mod, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
 def _gf2x_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _gf2x_mod(a, b)
@@ -101,22 +113,19 @@ def gf2_poly_is_irreducible(mod: int) -> bool:
 
     if x_pow_pow2(m) != 2:
         return False
-    q = m
-    primes = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            primes.append(d)
-            while q % d == 0:
-                q //= d
+    return all(_gf2x_gcd(x_pow_pow2(m // p) ^ 2, mod) == 1 for p in _prime_factors(m))
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if q > 1:
-        primes.append(q)
-    for p in primes:
-        g = _gf2x_gcd(x_pow_pow2(m // p) ^ 2, mod)
-        if g != 1:
-            return False
-    return True
+    return out + [n] * (n > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +377,9 @@ class BinaryField(Field):
             n = (1 << self.m) - 1
             exp = [0] * n
             log = [0] * (n + 1)
-            # find a multiplicative generator
+            # the first multiplicative generator: g^(n/q) != 1 for each prime q | n
             g = 2
-            while self._mult_order_nolog(g, n) != n:
+            while any(self._pow_nolog(g, n // q) == 1 for q in _prime_factors(n)):
                 g += 1
             x = 1
             for i in range(n):
@@ -380,25 +389,6 @@ class BinaryField(Field):
             tabs = (exp, log)
             _BINARY_TABLES[key] = tabs
         return tabs
-
-    def _mult_order_nolog(self, g: int, n: int) -> int:
-        # order of g divides n = 2^m - 1
-        order = n
-        d = 2
-        nn = n
-        factors = []
-        while d * d <= nn:
-            if nn % d == 0:
-                factors.append(d)
-                while nn % d == 0:
-                    nn //= d
-            d += 1
-        if nn > 1:
-            factors.append(nn)
-        for q in factors:
-            while order % q == 0 and self._pow_nolog(g, order // q) == 1:
-                order //= q
-        return order
 
     def _pow_nolog(self, a: int, n: int) -> int:
         r, b = 1, a
@@ -458,7 +448,7 @@ class BinaryField(Field):
             n = (1 << self.m) - 1
             k = log[a]
             return exp[0] if k == 0 else exp[n - k]
-        return self._pow_nolog(a, (1 << self.m) - 2)
+        return _gf2x_inv(a, self.mod)
 
     def from_int(self, n: int):
         return n & 1

@@ -60,6 +60,7 @@ from .algebra import (
     biquadratic_rows,
     eval_biquadratic,
     expand_symmetric,
+    pair_products,
     quadratic_form_matrix,
     quadratic_monomials,
     solve_kernel,
@@ -340,11 +341,8 @@ def _bqf_solve(F: Field, samples):
     monos = [symmetric_biquadratic_row(F, x, y) for (x, y, _w, _z) in samples]
     targets = [_bqf_targets(F, w, z) for (_x, _y, w, z) in samples]
     # stage 1: B11(x,y) * t12 - B12(x,y) * t11 = 0
-    rows = []
-    for mono, tg in zip(monos, targets):
-        t11, t12 = tg[(1, 1)], tg[(1, 2)]
-        row = [F.mul(mv, t12) for mv in mono] + [F.neg(F.mul(mv, t11)) for mv in mono]
-        rows.append(row)
+    stage_one = [(k, nsym) for k in range(nsym)] + [(k, nsym + 1) for k in range(nsym)]
+    rows = [pair_products(F, mono + [tg[(1, 2)], F.neg(tg[(1, 1)])], stage_one) for mono, tg in zip(monos, targets)]
     kernel = solve_kernel(Matrix(F, rows))
     if len(kernel) != 1:
         raise KernelDimensionUnexpected(

@@ -342,6 +342,10 @@ def _is_reduced(F, a):
         BinaryField(16, 0x1002B),
         B8,
         BinaryField(23, (1 << 23) | (1 << 5) | 1),  # beyond the log/exp tables
+        BinaryField(1, 0b11),
+        BinaryField(2, 0b111),
+        BinaryField(32, (1 << 32) | 0x8D),
+        BinaryField(63, (1 << 63) | 0b11),  # 126-bit lanes
         RationalField(),
     ],
     ids=lambda F: F.spec_string(),
@@ -380,6 +384,44 @@ def test_rref_matches_gauss_jordan(F):
             consistent += not any(residual)
             inconsistent += any(residual)
     assert consistent and inconsistent
+    if F.kind == "binary":
+        # every entry 2^m - 1, and the same off a unit diagonal, where each
+        # update multiplies 2^m - 1 by 2^m - 1: a lane of the full 2m - 1 bits
+        top = (1 << F.m) - 1
+        for diagonal in (top, F.one):
+            rows = [[diagonal if i == j else top for j in range(9)] for i in range(7)]
+            for limit in (None, 5):
+                got = [list(r) for r in rows]
+                rank, pivots = algebra._rref(F, got, limit)
+                assert (rank, pivots, got) == _gauss_jordan(F, rows, limit)
+
+
+def test_rref_of_a_130_by_110_system_over_gf2_16():
+    # the pair kernel's shape, with the stage-two system's 55 pivot columns
+    F = BinaryField(16, 0x1002B)
+    rng = random.Random("rref/130x110")
+    rows = [[F.random(rng) for _ in range(110)] for _ in range(130)]
+    got = [list(r) for r in rows]
+    rank, pivots = algebra._rref(F, got, 55)
+    expect_rank, expect_pivots, expect = _gauss_jordan(F, rows, 55)
+    assert (rank, pivots, got) == (expect_rank, expect_pivots, expect)
+    assert rank == 55
+
+
+@pytest.mark.parametrize("F", [BinaryField(16, 0x1002B), BinaryField(23, (1 << 23) | (1 << 5) | 1)], ids=str)
+def test_rref_over_gf2m_counts_no_field_operations(F):
+    from g2kummer import field as field_mod
+    from g2kummer.field import OpCounter
+
+    rows, _draw = _random_system(F, random.Random(16), 14, 12, 9)
+    ctr = OpCounter()
+    field_mod.Field.counter = ctr
+    try:
+        rank, _pivots = algebra._rref(F, rows, 10)
+    finally:
+        field_mod.Field.counter = None
+    assert rank == 9
+    assert ctr.snapshot() == {"mul": 0, "sqr": 0, "inv": 0}
 
 
 def test_rref_of_an_all_zero_matrix():
