@@ -4,15 +4,11 @@ against an independent Mumford/Cantor group-law oracle."""
 
 from .field import (
     BinaryField,
-    FieldElement,
     PrimeField,
     RationalField,
-    arith,
     field_from_spec,
-    quad_solve,
-    random_element,
 )
-from .algebra import BIQUADRATIC44, Matrix, MonomialBasis, Poly, QUARTIC4, eval_form, poly_ops, roots, solve_kernel
+from .algebra import BIQUADRATIC44, Matrix, MonomialBasis, Poly, QUARTIC4, roots, solve_kernel
 from .curve import (
     CurveModel,
     CurvePoint,
@@ -20,7 +16,6 @@ from .curve import (
     PairDivisor,
     char2_normal_form,
     curve_from_text,
-    involution,
     kummer_matrix,
     normal_form_curve,
     rational_weierstrass_points,
@@ -35,11 +30,9 @@ from .jacobian import (
     MumfordDivisor,
     WorkingModel,
     add,
-    enumerate_divisors,
     from_point_pair,
     negate,
     random_divisor,
-    scalar_mul,
     to_point_pair,
     working_model,
 )
@@ -50,7 +43,6 @@ from .kummer import (
     kummer_coords,
     on_surface,
     quartic_from_curve,
-    translate_by_two_torsion,
     two_torsion_classes,
     w_matrix_char2,
     zero_class_point,
@@ -59,7 +51,6 @@ from .synthesis import (
     FormulaSet,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
-    descend_coefficients,
     deserialize_formula_set,
     fingerprint,
     serialize_formula_set,
@@ -75,7 +66,6 @@ from .verify import (
     lemma_b_search,
     lemma_delta_search,
     proposition_suites,
-    two_torsion_count_check,
 )
 
 __version__ = "0.1.0"

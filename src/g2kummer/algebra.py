@@ -200,19 +200,6 @@ class Poly:
         return self.gcd(d).degree == 0
 
 
-def poly_ops(a: Poly, b: Poly, op: str):
-    """Named polynomial operations: add, mul, divrem, gcd."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divrem":
-        return a.divrem(b)
-    if op == "gcd":
-        return a.gcd(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Root finding over finite fields
 # ---------------------------------------------------------------------------
@@ -308,16 +295,10 @@ def _rational_root_candidates(p: Poly) -> set:
     return cands | {Fraction(0)}
 
 
-def irreducible_quadratic_factors(p: Poly) -> list[Poly]:
-    """The distinct monic irreducible quadratic factors of p over its finite
-    base field, each once whatever its multiplicity, sorted by coefficients.
-    Raises like ``roots_and_quadratic_factors``."""
-    return roots_and_quadratic_factors(p)[1]
-
-
 def roots_and_quadratic_factors(p: Poly) -> tuple[list[tuple[object, int]], list[Poly]]:
-    """``roots(p)`` and ``irreducible_quadratic_factors(p)``, finding the
-    roots once.
+    """``roots(p)``, and the distinct monic irreducible quadratic factors of
+    p over its finite base field, each once whatever its multiplicity, sorted
+    by coefficients; the roots are found once.
 
     With the linear factors divided out, gcd(x^(q^2) - x, rest) is the
     product of the distinct irreducible quadratic factors, which
@@ -590,12 +571,6 @@ def solve_kernel(M: Matrix) -> list[list]:
     return basis
 
 
-def matrix_rank(M: Matrix) -> int:
-    rows = [list(r) for r in M.rows]
-    rank, _ = _rref(M.field, rows)
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Monomial bases
 # ---------------------------------------------------------------------------
@@ -737,27 +712,8 @@ def symmetric_square(F: Field, A) -> Matrix:
                        for s, t in _QUADRATIC_VARS] for u, v in _QUADRATIC_VARS])
 
 
-def eval_form(F: Field, basis: MonomialBasis, coeffs: list, *points) -> object:
-    """Evaluate a form over ``basis`` at raw quadruples.
-
-    ``quartic4`` takes one quadruple; ``biquadratic44`` takes two.
-    """
-    if basis.name == "quartic4":
-        (point,) = points
-        return eval_quartic(F, coeffs, point)
-    if basis.name == "biquadratic44":
-        x, y = points
-        return eval_biquadratic(F, coeffs, x, y)
-    raise ValueError(f"unknown basis {basis.name!r}")
-
-
 def eval_quartic(F: Field, coeffs: list, point) -> object:
     return quartic_values(F, [coeffs], point)[0]
-
-
-def eval_biquadratic(F: Field, coeffs: list, x, y) -> object:
-    (row,) = biquadratic_rows(F, [coeffs], x)
-    return quadratic_value(F, row, quadratic_monomials(F, y))
 
 
 class CompiledForms:

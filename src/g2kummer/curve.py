@@ -83,9 +83,6 @@ class CurveModel:
         """Roots of Y^2 + h3*Y = f6, sorted by the canonical key."""
         return self.field.quad_solve(self.h[3], self.f[6])
 
-    def infinity_points(self) -> list[CurvePoint]:
-        return [CurvePoint("infinity", branch=r) for r in self.branch_values()]
-
     def is_ramified_at_infinity(self) -> bool:
         """True when the infinite fibre is one point (a Weierstrass point)."""
         F = self.field
@@ -200,16 +197,9 @@ def sample_point(c: CurveModel, rng) -> CurvePoint:
     raise ExhaustedRetries("no affine point found in 10^4 draws")
 
 
-def involution(c: CurveModel, P: CurvePoint) -> CurvePoint:
-    """The hyperelliptic involution (x, y) -> (x, -y - h(x))."""
-    F = c.field
-    if P.kind == "affine":
-        return CurvePoint("affine", x=P.x, y=F.sub(F.neg(P.y), c.h(P.x)))
-    return CurvePoint("infinity", branch=F.sub(F.neg(P.branch), c.h[3]))
-
-
 def rational_weierstrass_points(c: CurveModel) -> list[CurvePoint]:
-    """All rational fixed points of the involution, infinity included."""
+    """All rational fixed points of the hyperelliptic involution
+    (x, y) -> (x, -y - h(x)), infinity included."""
     F = c.field
     out = []
     if F.characteristic() == 2:
@@ -298,16 +288,6 @@ class ModelIsomorphism:
             F.neg(F.inv(self.yscale))
         )
         return ModelIsomorphism(F, inv_mob, e_inv, u_inv).normalized()
-
-    def is_identity(self) -> bool:
-        F = self.field
-        n = self.normalized()
-        return (
-            n.mobius == (F.one, F.zero, F.zero, F.one)
-            and n.yscale == F.one
-            and n.yshift.is_zero()
-        )
-
 
 def _mobius_substitute(P: Poly, mobius, degree: int) -> Poly:
     """(c*x + d)**degree * P((a*x + b)/(c*x + d)) as a polynomial."""
@@ -422,7 +402,7 @@ def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> PairDivis
             if g == F.zero:
                 raise UnsupportedDivisor("doubled Weierstrass point")
             return PairDivisor("doubled", x0=P1.x, y0=P1.y)
-        return PairDivisor("zero")  # {P, involution(P)}
+        return PairDivisor("zero")  # P and its image under the involution
     a, b = secant(F, P1.x, P1.y, P2.x, P2.y)
     return PairDivisor("quadratic", a=a, b=b)
 

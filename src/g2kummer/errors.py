@@ -5,10 +5,6 @@ class G2KummerError(Exception):
     """Base class for all library errors."""
 
 
-class FieldMismatch(G2KummerError):
-    """Operands belong to different fields; elements are never coerced."""
-
-
 class DivisionByZero(G2KummerError, ZeroDivisionError):
     pass
 
@@ -74,14 +70,6 @@ class NotInSubfield(G2KummerError):
 
 
 class CrossCheckFailed(G2KummerError):
-    pass
-
-
-class CounterexampleFound(G2KummerError):
-    pass
-
-
-class SuiteFailed(G2KummerError):
     pass
 
 

@@ -8,10 +8,8 @@ Three field kinds are supported:
   bit-patterns of degree < m polynomials over GF(2)),
 - arbitrary-precision rationals (raw values are ``fractions.Fraction``).
 
-Internally all arithmetic works on raw values through a ``Field`` object;
-``FieldElement`` is a thin immutable wrapper used at API boundaries.  Elements
-of different fields never combine.  Randomness is always drawn from an
-explicit ``random.Random`` passed by the caller.
+All arithmetic works on raw values through a ``Field`` object.  Randomness
+is always drawn from an explicit ``random.Random`` passed by the caller.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from math import isqrt
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     NoSolutionCertificate,
     UnsupportedField,
 )
@@ -217,16 +214,6 @@ class Field:
 
     def parse(self, text: str):
         raise NotImplementedError
-
-    # -- wrapper helpers --------------------------------------------------
-    def el(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatch("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, self.from_int(value))
-        return FieldElement(self, value)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -664,91 +651,3 @@ def _spec_params(text: str, keys: tuple) -> list[int]:
     if len(items) != len(keys) or set(found) != set(keys):
         raise ValueError(f"field spec {text!r} needs exactly " + ",".join(f"{k}=<int>" for k in keys))
     return [int(found[k], 0) for k in keys]
-
-
-# ---------------------------------------------------------------------------
-# Wrapper element
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Immutable field element; operands must share the same field."""
-
-    field: Field
-    value: object
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch("elements of different fields never combine")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, self.field.from_int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(o.value, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.value, o.value))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.div(o.value, self.value))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.value, n))
-
-    def __bool__(self):
-        return self.value != self.field.zero
-
-    def __str__(self):
-        return self.field.to_str(self.value)
-
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Binary field arithmetic on wrapped elements: op in {add, sub, mul, div}."""
-    if a.field != b.field:
-        raise FieldMismatch("elements of different fields never combine")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def quad_solve(b: FieldElement, c: FieldElement) -> set[FieldElement]:
-    """All y with y**2 + b*y = c in the elements' common field."""
-    if b.field != c.field:
-        raise FieldMismatch("elements of different fields never combine")
-    return {FieldElement(b.field, v) for v in b.field.quad_solve(b.value, c.value)}
-
-
-def random_element(field: Field, rng) -> FieldElement:
-    """Uniform element of a finite field, deterministic given the rng state."""
-    return FieldElement(field, field.random(rng))

@@ -267,21 +267,6 @@ def negate(wm: WorkingModel, D: MumfordDivisor) -> MumfordDivisor:
     return MumfordDivisor(D.a, (-D.b - wm.model.h) % D.a)
 
 
-def scalar_mul(wm: WorkingModel, D: MumfordDivisor, n: int) -> MumfordDivisor:
-    """n*D by double-and-add; n must be nonnegative."""
-    if n < 0:
-        raise ValueError("nonnegative scalars only")
-    acc = wm.zero()
-    base = D
-    while n:
-        if n & 1:
-            acc = add(wm, acc, base)
-        n >>= 1
-        if n:
-            base = add(wm, base, base)
-    return acc
-
-
 def divisor_from_points(wm: WorkingModel, P1: CurvePoint, P2: CurvePoint) -> MumfordDivisor:
     """Mumford divisor of two affine working-model points with distinct x."""
     if P1.x == P2.x:
@@ -420,31 +405,3 @@ def small_rational_sampler(wm: WorkingModel):
         raise ExhaustedRetries("rational sampler kept hitting degenerate sums")
 
     return sample
-
-
-def enumerate_divisors(wm: WorkingModel) -> list[MumfordDivisor]:
-    """All reduced divisors over a tiny finite field (exhaustive)."""
-    F = wm.field
-    q = F.order()
-    if q is None or q > 64:
-        raise ValueError("exhaustive enumeration is for tiny fields")
-    f, h = wm.model.f, wm.model.h
-    out = [wm.zero()]
-    elems = list(range(q))
-    # degree 1
-    for a0 in elems:
-        for b0 in elems:
-            a = Poly(F, [a0, F.one])
-            b = Poly.const(F, b0)
-            if ((b * b + b * h - f) % a).is_zero():
-                out.append(MumfordDivisor(a, b))
-    # degree 2
-    for a0 in elems:
-        for a1 in elems:
-            a = Poly(F, [a0, a1, F.one])
-            for b0 in elems:
-                for b1 in elems:
-                    b = Poly(F, [b0, b1])
-                    if ((b * b + b * h - f) % a).is_zero():
-                        out.append(MumfordDivisor(a, b))
-    return out

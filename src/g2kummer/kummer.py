@@ -36,7 +36,6 @@ from .algebra import (
 )
 from .curve import CurveModel, PairDivisor, simplified_rhs
 from .errors import (
-    FormulaSetMissing,
     TwoTorsionK2Zero,
     UnsupportedDivisor,
     UnsupportedField,
@@ -518,20 +517,3 @@ def squares_to_scalar(W: Matrix) -> bool:
     W2 = W.mul(W)
     lam = W2.rows[0][0]
     return lam != F.zero and W2 == Matrix.identity(F, W.nrows).scale(lam)
-
-
-def translate_by_two_torsion(
-    c: CurveModel, T: TwoTorsionData, k: KummerPoint, w: Matrix | None = None
-) -> KummerPoint:
-    """W * k for the translation matrix of the class T.
-
-    Characteristic 2 uses the transcribed matrix; odd characteristic needs
-    the matrix of a formula set passed in ``w`` (FormulaSetMissing otherwise)."""
-    F = c.field
-    if w is None:
-        if F.characteristic() != 2:
-            raise FormulaSetMissing(
-                "odd-characteristic translation needs the matrix of a formula set"
-            )
-        w = w_matrix_char2(c, T)
-    return KummerPoint(F, w.apply(list(k.coords)))

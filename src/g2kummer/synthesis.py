@@ -58,7 +58,6 @@ from .algebra import (
     Poly,
     QUARTIC4,
     biquadratic_rows,
-    eval_biquadratic,
     expand_symmetric,
     pair_products,
     quadratic_form_matrix,
@@ -274,10 +273,6 @@ def duplication(F: Field, delta):
     return lambda k: KummerPoint(F, forms.quartic_values(quadratic_monomials(F, k.coords)))
 
 
-def apply_delta(F: Field, delta, k: KummerPoint) -> KummerPoint:
-    return duplication(F, delta)(k)
-
-
 def _fresh_check_delta(c, wm, sampler, rng, delta, n):
     double = duplication(c.field, delta)
     for x, d2 in _delta_samples(c, wm, sampler, rng, n):
@@ -376,10 +371,6 @@ def _bqf_solve(F: Field, samples):
             vec[col] = aug[rix][nsym + t]
         forms[p] = tuple(expand_symmetric(F, vec))
     return forms
-
-
-def eval_bqf(F: Field, forms, i: int, j: int, x, y):
-    return eval_biquadratic(F, forms[(min(i, j), max(i, j))], x, y)
 
 
 def bqf_values(F: Field, forms):
@@ -585,25 +576,6 @@ def _descend(vec, back) -> tuple:
         return tuple(back[v] for v in vec)
     except KeyError:
         raise NotInSubfield("coefficient lies outside the subfield") from None
-
-
-def descend_coefficients(fs: "FormulaSet", subfield: Field) -> "FormulaSet":
-    """Re-express a FormulaSet over a subfield containing all coefficients."""
-    F = fs.curve.field
-    if F == subfield:
-        return fs
-    if isinstance(F, BinaryField) and isinstance(subfield, BinaryField):
-        _fwd, back = binary_embedding(subfield, F)
-        curve = CurveModel(
-            subfield,
-            Poly(subfield, _descend(fs.curve.f.coeffs, back)),
-            Poly(subfield, _descend(fs.curve.h.coeffs, back)),
-        )
-        delta = tuple(_descend(blk, back) for blk in fs.delta)
-        bqf = {k: _descend(vec, back) for k, vec in fs.bqf.items()}
-        w = [(label, Matrix(subfield, [_descend(row, back) for row in m.rows])) for label, m in fs.w]
-        return FormulaSet(curve, fingerprint(curve), delta, bqf, w, fs.convention)
-    raise NotInSubfield(f"no descent from {F!r} to {subfield!r}")
 
 
 # -- rationals: solve modulo large primes, reconstruct, verify exactly ------

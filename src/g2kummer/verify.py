@@ -16,9 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dfield
 
-from .algebra import CompiledForms, quadratic_monomials, quadratic_value, roots_and_quadratic_factors
+from .algebra import CompiledForms, quadratic_monomials, quadratic_value
 from .curve import CurveModel, normal_form_curve, simplified_model, validate
-from .errors import CounterexampleFound, NoRationalWeierstrassPoint, SuiteFailed, UnsupportedField
+from .errors import NoRationalWeierstrassPoint, UnsupportedField
 from .field import BinaryField
 from .jacobian import add, from_point_pair, working_model
 from .kummer import (
@@ -300,49 +300,3 @@ def report_lines(report: dict) -> list[str]:
             lines.append(f"{status} curve={entry['name']} suite={sname}{extra}")
     lines.append("PASS" if report["ok"] else "FAIL")
     return lines
-
-
-def raise_on_failure(report: dict):
-    if not report["ok"]:
-        for entry in report["curves"]:
-            if entry.get("status") == "fail":
-                for sname, res in entry["suites"].items():
-                    if not res.get("ok"):
-                        raise SuiteFailed(
-                            f"{entry['name']}/{sname}: {res.get('witness', 'failed')}"
-                        )
-        raise SuiteFailed("corpus verification failed")
-
-
-def assert_lemma(report: LemmaReport):
-    """Raise CounterexampleFound when a lemma search reported a witness."""
-    if not report.ok:
-        raise CounterexampleFound(
-            f"{report.lemma} lemma, case ({report.case}) over {report.field}: "
-            f"{report.counterexamples[:3]}"
-        )
-    return report
-
-
-def two_torsion_count_check(c: CurveModel) -> dict:
-    """Characteristic-2 sanity: the rational two-torsion count matches the
-    Galois-stable pair structure of the cubic form extending h, and the
-    geometric count 2^(distinct roots - 1) lies in {1, 2, 4}.
-
-    Distinct roots are counted over the closure: rational roots once each,
-    any surviving irreducible factor contributes its degree (for deg <= 3 it
-    is automatically squarefree), plus the infinite root when deg h < 3."""
-    F = c.field
-    rational, quads = roots_and_quadratic_factors(c.h) if c.h.degree >= 1 else ([], [])
-    rest_degree = c.h.degree - sum(mult for _r, mult in rational)
-    n_closure = len(rational) + rest_degree + (1 if c.h[3] == F.zero else 0)
-    geometric = 1 << (n_closure - 1)
-    n_rat = len(rational) + (1 if c.h[3] == F.zero else 0)
-    pred = n_rat * (n_rat - 1) // 2 + len(quads)
-    classes = two_torsion_classes(c)
-    return {
-        "ok": geometric in (1, 2, 4) and len(classes) == pred,
-        "geometric_order": geometric,
-        "rational_classes": len(classes),
-        "predicted": pred,
-    }

@@ -1,8 +1,17 @@
 """Shared test helpers: independently transcribed classical quartic tables
-(the h = 0 specialization) and small conveniences."""
+(the h = 0 specialization), the independent oracles that tests compare the
+library against, and small conveniences."""
 
-from g2kummer.kummer import kummer_coords
-from g2kummer.jacobian import to_point_pair
+from g2kummer.algebra import (
+    Poly,
+    biquadratic_rows,
+    quadratic_monomials,
+    quadratic_value,
+    roots_and_quadratic_factors,
+)
+from g2kummer.curve import CurvePoint
+from g2kummer.jacobian import MumfordDivisor, add, to_point_pair
+from g2kummer.kummer import kummer_coords, two_torsion_classes
 
 
 def classical_k1(F, f):
@@ -56,3 +65,91 @@ def classical_k0(F, f):
 
 def kappa_of(c, wm, D):
     return kummer_coords(c, to_point_pair(wm, D)).normalized()
+
+
+def eval_biquadratic(F, coeffs, x, y):
+    """One BIQUADRATIC44 form at the raw quadruples x and y."""
+    (row,) = biquadratic_rows(F, [coeffs], x)
+    return quadratic_value(F, row, quadratic_monomials(F, y))
+
+
+def involution(c, P):
+    """The hyperelliptic involution (x, y) -> (x, -y - h(x))."""
+    F = c.field
+    if P.kind == "affine":
+        return CurvePoint("affine", x=P.x, y=F.sub(F.neg(P.y), c.h(P.x)))
+    return CurvePoint("infinity", branch=F.sub(F.neg(P.branch), c.h[3]))
+
+
+def is_identity(iso):
+    """Whether a ModelIsomorphism is the identity up to its projective scale."""
+    F = iso.field
+    n = iso.normalized()
+    return n.mobius == (F.one, F.zero, F.zero, F.one) and n.yscale == F.one and n.yshift.is_zero()
+
+
+def scalar_mul(wm, D, n):
+    """n*D by double-and-add on the Cantor oracle; n must be nonnegative."""
+    if n < 0:
+        raise ValueError("nonnegative scalars only")
+    acc = wm.zero()
+    base = D
+    while n:
+        if n & 1:
+            acc = add(wm, acc, base)
+        n >>= 1
+        if n:
+            base = add(wm, base, base)
+    return acc
+
+
+def enumerate_divisors(wm):
+    """All reduced divisors over a tiny finite field (exhaustive)."""
+    F = wm.field
+    q = F.order()
+    if q is None or q > 64:
+        raise ValueError("exhaustive enumeration is for tiny fields")
+    f, h = wm.model.f, wm.model.h
+    out = [wm.zero()]
+    elems = list(range(q))
+    # degree 1
+    for a0 in elems:
+        for b0 in elems:
+            a = Poly(F, [a0, F.one])
+            b = Poly.const(F, b0)
+            if ((b * b + b * h - f) % a).is_zero():
+                out.append(MumfordDivisor(a, b))
+    # degree 2
+    for a0 in elems:
+        for a1 in elems:
+            a = Poly(F, [a0, a1, F.one])
+            for b0 in elems:
+                for b1 in elems:
+                    b = Poly(F, [b0, b1])
+                    if ((b * b + b * h - f) % a).is_zero():
+                        out.append(MumfordDivisor(a, b))
+    return out
+
+
+def two_torsion_count_check(c):
+    """Characteristic-2 sanity: the rational two-torsion count matches the
+    Galois-stable pair structure of the cubic form extending h, and the
+    geometric count 2^(distinct roots - 1) lies in {1, 2, 4}.
+
+    Distinct roots are counted over the closure: rational roots once each,
+    any surviving irreducible factor contributes its degree (for deg <= 3 it
+    is automatically squarefree), plus the infinite root when deg h < 3."""
+    F = c.field
+    rational, quads = roots_and_quadratic_factors(c.h) if c.h.degree >= 1 else ([], [])
+    rest_degree = c.h.degree - sum(mult for _r, mult in rational)
+    n_closure = len(rational) + rest_degree + (1 if c.h[3] == F.zero else 0)
+    geometric = 1 << (n_closure - 1)
+    n_rat = len(rational) + (1 if c.h[3] == F.zero else 0)
+    pred = n_rat * (n_rat - 1) // 2 + len(quads)
+    classes = two_torsion_classes(c)
+    return {
+        "ok": geometric in (1, 2, 4) and len(classes) == pred,
+        "geometric_order": geometric,
+        "rational_classes": len(classes),
+        "predicted": pred,
+    }

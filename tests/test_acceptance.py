@@ -17,7 +17,6 @@ from g2kummer.jacobian import (
     add,
     negate,
     random_divisor,
-    scalar_mul,
     to_point_pair,
     from_point_pair,
     working_model,
@@ -34,23 +33,19 @@ from g2kummer.kummer import (
 from g2kummer.ladder import bench, ladder, make_context, xadd, xdbl
 from g2kummer.synthesis import (
     BQF_INDEX_PAIRS,
-    apply_delta,
+    bqf_values,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
     default_sampler,
     deserialize_formula_set,
-    eval_bqf,
+    duplication,
     serialize_formula_set,
     synthesize_formula_set,
     synthesize_w_oddchar,
 )
-from g2kummer.verify import (
-    lemma_b_search,
-    lemma_delta_search,
-    two_torsion_count_check,
-)
+from g2kummer.verify import lemma_b_search, lemma_delta_search
 
-from .helpers import classical_k0, classical_k1, kappa_of
+from .helpers import classical_k0, classical_k1, kappa_of, scalar_mul, two_torsion_count_check
 
 SEED = 0xACCE97
 
@@ -109,7 +104,7 @@ def test_criterion_03_duplication(corpus, formula_cache):
         fs = formula_cache[name]
         wm = working_model(c)
         sampler = default_sampler(wm)
-        F = c.field
+        double = duplication(c.field, fs.delta)
         done = 0
         while done < 500:
             try:
@@ -118,7 +113,7 @@ def test_criterion_03_duplication(corpus, formula_cache):
                 d2 = kappa_of(c, wm, add(wm, D, D))
             except Exception:
                 continue
-            assert apply_delta(F, fs.delta, x).proportional(d2), name
+            assert double(x).proportional(d2), name
             done += 1
     _announce(3, f"delta(kappa(P)) ~ kappa(2P) on 500 fresh samples for each of "
                  f"{len(corpus)} curves ({time.time()-t0:.0f}s)")
@@ -132,6 +127,7 @@ def test_criterion_04_biquadratic(corpus, formula_cache):
         wm = working_model(c)
         sampler = default_sampler(wm)
         F = c.field
+        values = bqf_values(F, fs.bqf)
         done = 0
         while done < 500:
             try:
@@ -142,6 +138,7 @@ def test_criterion_04_biquadratic(corpus, formula_cache):
                 z = kappa_of(c, wm, add(wm, P, negate(wm, Q)))
             except Exception:
                 continue
+            vals = values(x.coords, y.coords)
             lam = None
             for (i, j) in BQF_INDEX_PAIRS:
                 a, b = i - 1, j - 1
@@ -150,7 +147,7 @@ def test_criterion_04_biquadratic(corpus, formula_cache):
                     if i == j
                     else F.add(F.mul(w.coords[a], z.coords[b]), F.mul(w.coords[b], z.coords[a]))
                 )
-                val = eval_bqf(F, fs.bqf, i, j, x.coords, y.coords)
+                val = vals[(i, j)]
                 if lam is None:
                     if t == F.zero:
                         assert val == F.zero, (name, i, j)

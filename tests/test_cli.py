@@ -97,7 +97,7 @@ def test_eval_kappa_and_pipeline(synth_file, capsys):
     # ladder n = 11 against the oracle
     assert main(["ladder", cpath, "--formulas", kfs, "--point", ktext, "-n", "11"]) == 0
     lad_text = capsys.readouterr().out.strip()
-    from g2kummer.jacobian import scalar_mul
+    from .helpers import scalar_mul
 
     expect11 = kummer_coords(c, to_point_pair(wm, scalar_mul(wm, D, 11))).normalized()
     assert kummer_point_from_text(F1009, lad_text).proportional(expect11)
@@ -270,6 +270,13 @@ def test_lemma_cli(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "seed" in out
+
+
+def test_lemma_singular_coefficients_exit_one(capsys):
+    # a typed rejection of the input exits 1, not 2
+    rc = main(["lemma", "b", "--case", "a", "--field", "binary:m=2,mod=0x7", "--coeffs", "0,0,0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: case (a) needs f5 != 0\n"
 
 
 def test_verify_cli(tmp_path, capsys):

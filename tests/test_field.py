@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kummer.errors import DivisionByZero, FieldMismatch, NoSolutionCertificate, UnsupportedField
+from g2kummer.errors import DivisionByZero, NoSolutionCertificate, UnsupportedField
 from g2kummer.field import (
     BinaryField,
-    FieldElement,
     PrimeField,
     RationalField,
-    arith,
     field_from_spec,
     gf2_poly_is_irreducible,
-    quad_solve,
-    random_element,
 )
 
 GF7 = PrimeField(7)
@@ -38,17 +34,6 @@ def test_arith_examples():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
-def test_arith_wrapper_and_mismatch():
-    a, b = GF7.el(3), GF7.el(5)
-    assert arith(a, b, "mul").value == 1
-    assert (a + b).value == 1
-    assert (a / b).value == 3 * pow(5, -1, 7) % 7
-    with pytest.raises(FieldMismatch):
-        arith(a, GF4.el(1), "add")
-    with pytest.raises(FieldMismatch):
-        a + QQ.el(1)
-
-
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         GF7.inv(0)
@@ -62,11 +47,6 @@ def test_quad_solve_examples():
     # exhaustive check over all four elements shows c = t has no solution
     assert [y for y in range(4) if GF4.sqr(y) ^ GF4.mul(1, y) == 2] == []
     assert GF4.quad_solve(1, 2) == []
-
-
-def test_quad_solve_wrapper():
-    got = quad_solve(GF7.el(0), GF7.el(2))
-    assert {e.value for e in got} == {3, 4}
 
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=lambda F: F.spec_string())
@@ -104,13 +84,14 @@ def test_rational_quad_solve():
 def test_random_element_range_and_determinism():
     F = PrimeField(3)
     rng = random.Random(11)
-    assert all(random_element(F, rng).value in (0, 1, 2) for _ in range(50))
+    assert all(F.random(rng) in (0, 1, 2) for _ in range(50))
     B = BinaryField(4, 0b10011)
-    a = random_element(B, random.Random(5)), random_element(B, random.Random(5))
-    b = random_element(B, random.Random(5)), random_element(B, random.Random(5))
-    assert a == b
+    r1, r2 = random.Random(5), random.Random(5)
+    a = [B.random(r1) for _ in range(20)]
+    assert a == [B.random(r2) for _ in range(20)]
+    assert all(0 <= v < 16 for v in a)
     with pytest.raises(UnsupportedField):
-        random_element(QQ, rng)
+        QQ.random(rng)
 
 
 def test_random_element_uniformity_chi_square():
@@ -296,5 +277,5 @@ def test_artin_schreier_matches_elimination_on_gf2_16():
 
 
 def test_field_element_str():
-    assert str(GF7.el(3) * GF7.el(5)) == "1"
-    assert str(QQ.el(1) / QQ.el(3)) == "1/3"
+    assert GF7.to_str(GF7.mul(3, 5)) == "1"
+    assert QQ.to_str(QQ.div(QQ.one, QQ.from_int(3))) == "1/3"

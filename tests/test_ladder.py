@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from g2kummer.algebra import QUADRATIC_MULS, Poly, eval_biquadratic, eval_quartic
-from g2kummer.curve import CurveModel, normal_form_curve, pair_from_points, sample_point
+from g2kummer.algebra import QUADRATIC_MULS, Poly, eval_quartic
+from g2kummer.curve import CurveModel, CurvePoint, normal_form_curve, pair_from_points, sample_point
 from g2kummer.errors import FormulaSetMissing
 from g2kummer.field import BinaryField, PrimeField
 from g2kummer.jacobian import (
@@ -12,7 +12,6 @@ from g2kummer.jacobian import (
     from_point_pair,
     negate,
     random_divisor,
-    scalar_mul,
     to_point_pair,
     working_model,
 )
@@ -27,6 +26,8 @@ from g2kummer.kummer import (
 )
 from g2kummer.ladder import bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set
+
+from .helpers import eval_biquadratic, scalar_mul
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -308,7 +309,8 @@ def pivot_case(request, ctx):
 def _infinite_class(c, wm, rng):
     """A class with kappa_1 = 0: an affine point paired with a point at
     infinity of the curve's own model, which the solve's samples never hold."""
-    return from_point_pair(wm, pair_from_points(c, sample_point(c, rng), c.infinity_points()[0]))
+    inf = CurvePoint("infinity", branch=c.branch_values()[0])
+    return from_point_pair(wm, pair_from_points(c, sample_point(c, rng), inf))
 
 
 def test_xadd_off_the_first_pivot_matches_every_pivot_and_the_oracle(pivot_case):

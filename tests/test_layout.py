@@ -1,0 +1,58 @@
+"""Layout guards on the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "g2kummer"
+
+# Definitions kept although nothing in src/ calls them, each with its reason.
+UNCALLED_BY_DESIGN = {
+    "curve.char2_normal_form": "the paper's characteristic-2 reduction (cases a/b/c), checked by tests as a claim",
+    "curve.rational_weierstrass_points": "the paper's Weierstrass points, checked by tests as a claim",
+    "ladder.xdbl_muls": "states the xdbl op-count model beside the code it describes",
+    "ladder.xadd_muls": "states the xadd op-count model beside the code it describes",
+    "corpus.write_corpus_files": "called by scripts/gen_corpus.py",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _references(tree):
+    """(name, line) of each name, attribute and imported name in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_src_definition_has_a_src_caller():
+    # __init__ only re-exports, so its imports are not callers
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    sites = {}
+    for mod, tree in trees.items():
+        for name, line in _references(tree):
+            sites.setdefault(name, []).append((mod, line))
+    uncalled = set()
+    for mod, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            name = qualname.rpartition(".")[2]
+            if all(other == mod and line in own for other, line in sites.get(name, [])):
+                uncalled.add(f"{mod}.{qualname}")
+    extra, stale = uncalled - set(UNCALLED_BY_DESIGN), set(UNCALLED_BY_DESIGN) - uncalled
+    assert not extra, f"no caller in src/: {', '.join(sorted(extra))}"
+    assert not stale, f"allowlisted but gone or now called: {', '.join(sorted(stale))}"

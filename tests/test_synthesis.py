@@ -23,15 +23,15 @@ from g2kummer.synthesis import (
     CONVENTION_TAG,
     DRAW_BOUND,
     FormulaSet,
-    apply_delta,
+    _descend,
     binary_embedding,
     binary_extension_of,
+    bqf_values,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
     default_sampler,
-    descend_coefficients,
     deserialize_formula_set,
-    eval_bqf,
+    duplication,
     fingerprint,
     oracle_draws,
     serialize_formula_set,
@@ -66,18 +66,19 @@ def bqf_1009():
 
 def test_delta_fixed_point_at_zero_class(delta_1009):
     z = zero_class_point(F1009)
-    img = apply_delta(F1009, delta_1009, z)
+    img = duplication(F1009, delta_1009)(z)
     assert img.proportional(z)
 
 
 def test_delta_fresh_oracle_samples(delta_1009):
     wm = working_model(CURVE_1009)
     rng = random.Random(102)
+    double = duplication(F1009, delta_1009)
     for _ in range(200):
         D = random_divisor(wm, rng)
         x = kummer_coords(CURVE_1009, to_point_pair(wm, D)).normalized()
         d2 = kummer_coords(CURVE_1009, to_point_pair(wm, add(wm, D, D))).normalized()
-        assert apply_delta(F1009, delta_1009, x).proportional(d2)
+        assert double(x).proportional(d2)
 
 
 def test_delta_canonicalization(delta_1009):
@@ -226,12 +227,14 @@ def test_bqf_identities_and_symmetry(bqf_1009):
     wm = working_model(CURVE_1009)
     rng = random.Random(104)
     F = F1009
+    values = bqf_values(F, bqf_1009)
     for _ in range(100):
         P, Q = random_divisor(wm, rng), random_divisor(wm, rng)
         x = kummer_coords(CURVE_1009, to_point_pair(wm, P)).normalized()
         y = kummer_coords(CURVE_1009, to_point_pair(wm, Q)).normalized()
         w = kummer_coords(CURVE_1009, to_point_pair(wm, add(wm, P, Q))).normalized()
         z = kummer_coords(CURVE_1009, to_point_pair(wm, add(wm, P, negate(wm, Q)))).normalized()
+        vals = values(x.coords, y.coords)
         lam = None
         for (i, j) in BQF_INDEX_PAIRS:
             a, b = i - 1, j - 1
@@ -240,7 +243,7 @@ def test_bqf_identities_and_symmetry(bqf_1009):
                 if i == j
                 else F.add(F.mul(w.coords[a], z.coords[b]), F.mul(w.coords[b], z.coords[a]))
             )
-            val = eval_bqf(F, bqf_1009, i, j, x.coords, y.coords)
+            val = vals[(i, j)]
             if lam is None and t != 0:
                 lam = F.div(val, t)
             if lam is not None:
@@ -257,14 +260,16 @@ def test_bqf_identity_anchor(bqf_1009):
     rng = random.Random(105)
     F = F1009
     zc = zero_class_point(F).coords
+    values = bqf_values(F, bqf_1009)
     for _ in range(100):
         D = random_divisor(wm, rng)
         x = kummer_coords(CURVE_1009, to_point_pair(wm, D)).normalized().coords
+        vals = values(x, zc)
         lam = None
         for (i, j) in BQF_INDEX_PAIRS:
             a, b = i - 1, j - 1
             t = F.mul(x[a], x[a]) if i == j else F.mul(F.from_int(2), F.mul(x[a], x[b]))
-            val = eval_bqf(F, bqf_1009, i, j, x, zc)
+            val = vals[(i, j)]
             if lam is None and t != 0:
                 lam = F.div(val, t)
             if lam is not None:
@@ -400,6 +405,10 @@ def test_lifted_gf2_delta_descends():
     assert big.m == 16
     fwd, back = binary_embedding(B1, big)
     assert fwd[0] == 0 and fwd[1] == 1
+    with pytest.raises(NotInSubfield):
+        _descend((2,), back)
+    with pytest.raises(NotInSubfield):
+        binary_embedding(BinaryField(3, 0b1011), big)
 
 
 def test_binary_embedding_homomorphism():
@@ -410,25 +419,6 @@ def test_binary_embedding_homomorphism():
         for b in range(4):
             assert fwd[B4.mul(a, b)] == big.mul(fwd[a], fwd[b])
             assert fwd[a ^ b] == fwd[a] ^ fwd[b]
-
-
-def test_descend_coefficients_roundtrip():
-    B1 = BinaryField(1, 0b10)
-    c = normal_form_curve(B1, "a", 0, 0, 1)
-    rng = random.Random(108)
-    # build a lifted formula set by hand and descend it
-    big = binary_extension_of(B1)
-    fwd, _ = binary_embedding(B1, big)
-    cl = CurveModel(big, Poly(big, [fwd[c.f[i]] for i in range(7)]), Poly(big, [fwd[c.h[i]] for i in range(4)]))
-    fs_big = synthesize_formula_set(cl, rng)
-    fs_small = descend_coefficients(fs_big, B1)
-    assert fs_small.curve == c
-    assert fs_small.fingerprint == fingerprint(c)
-    assert all(v in (0, 1) for blk in fs_small.delta for v in blk)
-    # identity descent
-    assert descend_coefficients(fs_small, B1) is fs_small
-    with pytest.raises(NotInSubfield):
-        descend_coefficients(fs_big, BinaryField(3, 0b1011))
 
 
 def test_small_prime_fields_unsupported():
@@ -611,12 +601,12 @@ def test_rational_synthesis_modular_route():
     from g2kummer.jacobian import small_rational_sampler
 
     sampler = small_rational_sampler(wm)
-    QQ = RationalField()
+    double = duplication(RationalField(), delta)
     for _ in range(20):
         D = sampler(rng)
         x = kummer_coords(c, to_point_pair(wm, D)).normalized()
         d2 = kummer_coords(c, to_point_pair(wm, add(wm, D, D))).normalized()
-        assert apply_delta(QQ, delta, x).proportional(d2)
+        assert double(x).proportional(d2)
 
 
 def test_lift_route_lifts_once(monkeypatch):
