@@ -31,7 +31,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from g2kummer.jacobian import working_model
 from g2kummer.ladder import bench, ladder, make_context
-from g2kummer.synthesis import default_sampler, deserialize_formula_set, oracle_draws
+from g2kummer.synthesis import deserialize_formula_set, oracle_draws
 
 CURVES = ("m61_h2_f5", "c2_general_f")
 BITS = 256
@@ -69,9 +69,7 @@ def machine():
 
 
 def ms_per_bit(ctx, rng) -> dict:
-    c = ctx.curve
-    wm = working_model(c)
-    ((x,),) = oracle_draws(c, wm, default_sampler(wm), rng, 1)
+    ((x,),) = oracle_draws(working_model(ctx.curve), rng, 1)
     times = []
     for _ in range(TRIALS):
         n = rng.getrandbits(BITS) | (1 << (BITS - 1))

@@ -23,7 +23,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from g2kummer.algebra import roots
 from g2kummer.jacobian import add, random_divisor, to_point_pair, working_model
 from g2kummer.kummer import kummer_coords
-from g2kummer.synthesis import PAIR_KERNEL_SAMPLES, _bqf_samples, default_sampler, deserialize_formula_set
+from g2kummer.synthesis import PAIR_KERNEL_SAMPLES, _bqf_samples, deserialize_formula_set
 
 CURVES = ("m61_h2_f5", "c2_general_f")
 REPEATS, CALLS = 7, 200
@@ -58,16 +58,18 @@ def report(c, seed):
     rng = random.Random(seed)
     D1, D2 = random_divisor(wm, rng), random_divisor(wm, rng)
     classes = itertools.cycle(transport_classes(wm, rng))
-    sampler = default_sampler(wm)
+    sample = wm.sample
     calls = []
 
     def counted(r):
         calls.append(None)
-        return sampler(r)
+        return sample(r)
 
+    wm.sample = counted
     t0 = time.perf_counter()
-    samples = _bqf_samples(c, wm, counted, random.Random(seed), PAIR_KERNEL_SAMPLES)
+    samples = _bqf_samples(wm, random.Random(seed), PAIR_KERNEL_SAMPLES)
     bqf_s = time.perf_counter() - t0
+    del wm.sample
     return {
         "add_us": median_us(lambda: add(wm, D1, D2)),
         "double_us": median_us(lambda: add(wm, D1, D1)),

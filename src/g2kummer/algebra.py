@@ -253,7 +253,7 @@ def _equal_degree_split(p: Poly, d: int) -> list[Poly]:
 
 def roots(p: Poly) -> list[tuple[object, int]]:
     """All roots of p in its base field, with their multiplicities, sorted
-    by the field's sort key.
+    by value.
 
     Over a finite field gcd(p, x^q - x) is the product of the distinct
     linear factors of p, which ``_equal_degree_split`` separates; over Q
@@ -277,7 +277,7 @@ def roots(p: Poly) -> list[tuple[object, int]]:
                 break
             mult, rest = mult + 1, quot
         out.append((F.neg(factor[0]), mult))
-    return sorted(out, key=lambda rm: F.sort_key(rm[0]))
+    return sorted(out, key=lambda rm: rm[0])
 
 
 def _rational_root_candidates(p: Poly) -> set:
@@ -314,7 +314,7 @@ def roots_and_quadratic_factors(p: Poly) -> tuple[list[tuple[object, int]], list
             rest = rest // factor
     x = Poly.x(F)
     quads = (_pow_poly_mod(x, F.order() ** 2, rest) - x).gcd(rest)
-    return rts, sorted(_equal_degree_split(quads, 2), key=lambda f: [F.sort_key(c) for c in f.coeffs])
+    return rts, sorted(_equal_degree_split(quads, 2), key=lambda f: f.coeffs)
 
 
 # ---------------------------------------------------------------------------

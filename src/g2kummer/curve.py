@@ -632,7 +632,7 @@ def char2_normal_form(c: CurveModel) -> tuple[str, CurveModel, ModelIsomorphism]
     rts = _h_projective_roots(c)
     if sum(m for _r, m in rts) != 3:
         raise RootsNotRational("the cubic form extending h does not split over the base field")
-    rts.sort(key=lambda rm: (rm[0] is INFINITY, F.sort_key(rm[0]) if rm[0] is not INFINITY else 0))
+    rts.sort(key=lambda rm: (rm[0] is INFINITY, 0 if rm[0] is INFINITY else rm[0]))
     distinct = [r for r, _m in rts]
     n = len(distinct)
     if n == 1:

@@ -205,10 +205,6 @@ class Field:
         """All raw y with y**2 + b*y = c, sorted canonically."""
         raise NotImplementedError
 
-    def sort_key(self, a):
-        """Total order on raw values used for canonical choices."""
-        raise NotImplementedError
-
     def to_str(self, a) -> str:
         raise NotImplementedError
 
@@ -316,9 +312,6 @@ class PrimeField(Field):
         y0 = (s - hb) % self.p
         y1 = (-s - hb) % self.p
         return sorted({y0, y1})
-
-    def sort_key(self, a):
-        return a
 
     def to_str(self, a):
         return str(a)
@@ -545,9 +538,6 @@ class BinaryField(Field):
         y1 = y0 ^ b
         return sorted({y0, y1})
 
-    def sort_key(self, a):
-        return a
-
     def to_str(self, a):
         return hex(a)
 
@@ -612,9 +602,6 @@ class RationalField(Field):
                 "discriminant is not an exact rational square"
             )
         return sorted({(-b + s) / 2, (-b - s) / 2})
-
-    def sort_key(self, a):
-        return a
 
     def to_str(self, a):
         return str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"

@@ -5,7 +5,8 @@ infinity and deg f = 5 (odd or zero characteristic: h = 0; characteristic 2:
 deg h <= 2), where composition-and-reduction provably computes in the full
 degree-0 class group.  A ``ModelIsomorphism`` links the user's model to the
 working model.  A ``WorkingModel`` holds both models, the link and its
-inverse; divisor classes cross in either direction as point-pair data
+inverse, and draws the random classes that every oracle check runs on
+(``WorkingModel.sample``); divisor classes cross in either direction as point-pair data
 through :func:`g2kummer.curve.transform_pair`, which is handed the model on
 the far side rather than rebuilding it.  A degree-2 class crosses as its
 Mumford data, transported in k[x]/(a) whether the two points are rational
@@ -68,9 +69,8 @@ class MumfordDivisor:
 
 class WorkingModel:
     """A user model together with its odd-degree oracle model: ``link`` maps
-    the user model onto ``model`` and ``unlink`` maps it back."""
-
-    __slots__ = ("user", "model", "link", "unlink", "user_weierstrass")
+    the user model onto ``model`` and ``unlink`` maps it back.  It is the
+    oracle's one handle: ``sample`` draws its classes."""
 
     def __init__(self, user: CurveModel, model: CurveModel, link: ModelIsomorphism):
         self.user = user
@@ -79,6 +79,17 @@ class WorkingModel:
         self.unlink = link.inverse()
         inf = CurvePoint("infinity", branch=model.branch_values()[0])
         self.user_weierstrass = transform_point(self.unlink, inf)
+        self._rational_sample = None
+
+    def sample(self, rng) -> MumfordDivisor:
+        """A random class: uniform (``random_divisor``) over a finite field,
+        of small height over Q (``small_rational_sampler``, built on first
+        use)."""
+        if self.field.order() is not None:
+            return random_divisor(self, rng)
+        if self._rational_sample is None:
+            self._rational_sample = small_rational_sampler(self)
+        return self._rational_sample(rng)
 
     @property
     def field(self) -> Field:

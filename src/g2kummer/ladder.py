@@ -10,8 +10,7 @@ which equals z_j^2 * kappa(P+Q) projectively -- no inversions -- and needs
 four of the ten forms.  One pivot is enough: B_ij(x, y) = lam * t_ij(w, z)
 with w = kappa(P+Q), so the result under any pivot is lam * z_j^2 * w.  It
 vanishes only when lam = 0, and then it vanishes under every pivot, so no
-other pivot is tried; ``check_pivots`` evaluates them all and asserts they
-agree.
+other pivot is tried.
 
 The forms are compiled once per context (``algebra.CompiledForms``) and
 evaluated from the ten quadratic monomials of their arguments.  The points
@@ -33,10 +32,11 @@ from dataclasses import dataclass, field
 
 from .algebra import QUADRATIC_MULS, CompiledForms, pair_products, quadratic_monomials
 from .curve import CurveModel
-from .errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
+from .errors import AllPivotsFailed, FormulaSetMissing, UnsupportedField, ZeroOutput
 from .field import OpCounter
-from .kummer import KummerPoint, KummerQuartic, on_surface, quartic_from_curve, zero_class_point
-from .synthesis import FormulaSet, default_sampler, fingerprint, oracle_draws
+from .jacobian import working_model
+from .kummer import KummerPoint, KummerQuartic, quartic_from_curve, zero_class_point
+from .synthesis import FormulaSet, fingerprint, oracle_draws
 
 # per pivot j: the key of B_jj, then the key of B_ij for each i != j
 _PIVOT_FORMS = [
@@ -58,8 +58,6 @@ class LadderContext:
     curve: CurveModel
     quartic: KummerQuartic
     formulas: FormulaSet
-    check_pivots: bool = False
-    check_surface: bool = False
     forms: CompiledForms = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,8 +68,8 @@ class LadderContext:
         self.forms = CompiledForms(self.curve.field, self.formulas.delta, self.formulas.bqf)
 
 
-def make_context(curve: CurveModel, formulas: FormulaSet, **flags) -> LadderContext:
-    return LadderContext(curve, quartic_from_curve(curve), formulas, **flags)
+def make_context(curve: CurveModel, formulas: FormulaSet) -> LadderContext:
+    return LadderContext(curve, quartic_from_curve(curve), formulas)
 
 
 class _Prepared(KummerPoint):
@@ -111,10 +109,7 @@ def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
     coords = ctx.forms.quartic_values(_quad(F, x))
     if all(v == F.zero for v in coords):
         raise ZeroOutput("all duplication quartics vanished on a surface point")
-    out = _Prepared(F, coords)
-    if ctx.check_surface:
-        assert on_surface(ctx.quartic, out)
-    return out
+    return _Prepared(F, coords)
 
 
 def _pseudo_sum(ctx: LadderContext, j: int, qx, qy, zc) -> list:
@@ -132,19 +127,11 @@ def xadd(ctx: LadderContext, x: KummerPoint, y: KummerPoint, z: KummerPoint) -> 
     F = ctx.curve.field
     zero = F.zero
     zc = z.coords
-    qx, qy = _quad(F, x), _quad(F, y)
-    pivots = [j for j in range(4) if zc[j] != zero]
-    results = [_pseudo_sum(ctx, j, qx, qy, zc) for j in (pivots if ctx.check_pivots else pivots[:1])]
-    if all(v == zero for v in results[0]):
+    j = next(j for j in range(4) if zc[j] != zero)
+    w = _pseudo_sum(ctx, j, _quad(F, x), _quad(F, y), zc)
+    if all(v == zero for v in w):
         raise AllPivotsFailed("pseudo-addition produced zero, which it then does under every pivot")
-    out = _Prepared(F, results[0])
-    if ctx.check_pivots:
-        for w in results[1:]:
-            assert any(v != zero for v in w), "pivot results disagree"
-            assert out.proportional(KummerPoint(F, w)), "pivot results disagree"
-    if ctx.check_surface:
-        assert on_surface(ctx.quartic, out)
-    return out
+    return _Prepared(F, w)
 
 
 def ladder(ctx: LadderContext, x: KummerPoint, n: int) -> KummerPoint:
@@ -173,16 +160,19 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     differential addition per bit regardless of the bit pattern); squarings
     are executed as generic multiplications, so the squaring count tallies
     the explicit squaring calls only.  Inversions per step must be zero.
+    Over Q the ladder never rescales and kappa(nP) has about 4.8 n^2 digits
+    (see ``verify.RATIONAL_CHAIN_MAX_SUM``), so a ``bits``-bit ladder is out
+    of reach there: UnsupportedField.
     """
     if trials < 1:
         raise ValueError(f"bench needs at least one timed trial, got {trials}")
+    if ctx.curve.field.order() is None:
+        raise UnsupportedField(f"bench times {bits}-bit ladders, out of reach over the rationals")
     from . import field as field_mod
-    from .jacobian import working_model
 
     # a surface point to run on: kappa of a sampled class, with its
     # monomials, as the ladder holds its base and the points it makes
-    wm = working_model(ctx.curve)
-    ((x,),) = oracle_draws(ctx.curve, wm, default_sampler(wm), rng, 1)
+    ((x,),) = oracle_draws(working_model(ctx.curve), rng, 1)
     x = _prepared(ctx.curve.field, x)
     ctr = OpCounter()
     field_mod.Field.counter = ctr

@@ -33,11 +33,14 @@ on the designated monomial k2^2 k4^2 is forced to zero and the first nonzero
 coefficient of the concatenated vector is scaled to one.  The biquadratic
 family is scaled so the first nonzero coefficient of B_11 is one.
 
-Field routing: large prime and binary fields are solved directly; tiny
-binary fields are lifted to an extension (degree 16 for GF(2)) where generic
-samples exist, and the coefficients are descended back; the rationals are
-solved modulo one or more 62-bit primes, then combined by CRT and rational
-reconstruction and checked exactly over Q.  All three routes run the same
+Field routing: ``synthesize_bqf`` and ``synthesize_delta`` take the
+working model of the curve they solve for, whose ``sample`` draws every
+oracle class.  Large prime and binary fields are solved directly; the
+rationals are solved modulo one or more 62-bit primes, then combined by CRT
+and rational reconstruction and checked exactly over Q.  Tiny binary fields
+have too few generic samples, so ``synthesize_formula_set``, the one place
+that lifts, runs both stages on the curve lifted to an extension (degree 16
+for GF(2)) and descends the coefficients back.  Every route runs the same
 sample-and-solve loop, which doubles its sample count on a failed kernel or
 rank check.
 """
@@ -77,15 +80,7 @@ from .errors import (
     UnsupportedField,
 )
 from .field import BinaryField, Field, PrimeField, RationalField, gf2_poly_is_irreducible, is_prime
-from .jacobian import (
-    WorkingModel,
-    add,
-    negate,
-    random_divisor,
-    small_rational_sampler,
-    to_point_pair,
-    working_model,
-)
+from .jacobian import WorkingModel, add, negate, to_point_pair, working_model
 from .kummer import (
     KummerPoint,
     TwoTorsionData,
@@ -135,23 +130,18 @@ class FormulaSet:
 
 DRAW_BOUND = 60  # attempts allowed per requested sample before giving up
 
-
-def default_sampler(wm: WorkingModel):
-    """The oracle's class sampler on a working model: uniform random classes
-    over a finite field, small-height classes over Q."""
-    if wm.field.order() is None:
-        return small_rational_sampler(wm)
-    return lambda rng: random_divisor(wm, rng)
+FRESH_CHECKS = 24  # fresh oracle samples that re-check each synthesized family
 
 
-def _kappa_of(c: CurveModel, wm: WorkingModel, D) -> KummerPoint:
-    return kummer_coords(c, to_point_pair(wm, D)).normalized()
+def _kappa_of(wm: WorkingModel, D) -> KummerPoint:
+    return kummer_coords(wm.user, to_point_pair(wm, D)).normalized()
 
 
-def oracle_draws(c, wm, sampler, rng, n, classes=None, arity=1):
-    """n tuples of normalized Kummer points of oracle classes.
+def oracle_draws(wm: WorkingModel, rng, n, classes=None, arity=1):
+    """n tuples of normalized Kummer points of oracle classes, taken on the
+    user curve of ``wm``.
 
-    Each attempt draws ``arity`` classes with ``sampler`` and takes kappa
+    Each attempt draws ``arity`` classes with ``wm.sample`` and takes kappa
     of every class ``classes(*drawn)`` returns (of the drawn classes
     themselves by default).  An attempt is redrawn when one of them has no
     supported Kummer image.  The tuples are generated lazily, so a check
@@ -163,9 +153,9 @@ def oracle_draws(c, wm, sampler, rng, n, classes=None, arity=1):
         attempts += 1
         if attempts > DRAW_BOUND * n:
             raise ExhaustedRetries(f"oracle sampling gave up after {attempts - 1} draws")
-        drawn = [sampler(rng) for _ in range(arity)]
+        drawn = [wm.sample(rng) for _ in range(arity)]
         try:
-            pts = tuple(_kappa_of(c, wm, D) for D in (classes(*drawn) if classes else drawn))
+            pts = tuple(_kappa_of(wm, D) for D in (classes(*drawn) if classes else drawn))
         except UnsupportedDivisor:
             continue
         done += 1
@@ -182,12 +172,12 @@ def sum_and_difference(wm: WorkingModel):
     return lambda P, Q: (P, Q, add(wm, P, Q), add(wm, P, negate(wm, Q)))
 
 
-def _delta_samples(c, wm, sampler, rng, n):
+def _delta_samples(wm: WorkingModel, rng, n):
     """Pairs (kappa(P), kappa(2P)), both normalized."""
-    return list(oracle_draws(c, wm, sampler, rng, n, doubling(wm)))
+    return list(oracle_draws(wm, rng, n, doubling(wm)))
 
 
-def _bqf_samples(c, wm, sampler, rng, n):
+def _bqf_samples(wm: WorkingModel, rng, n):
     """n quadruples (x, y, w, z) = kappa of (P, Q, P+Q, P-Q), normalized,
     with k1 != 0 on all four (generic affine classes).
 
@@ -198,18 +188,18 @@ def _bqf_samples(c, wm, sampler, rng, n):
     as an attempt; after DRAW_BOUND * n attempts ExhaustedRetries is raised.
     The kernel and rank checks of the solve judge whether the samples are
     generic enough; the fresh checks draw independent classes instead."""
-    zero = c.field.zero
+    zero = wm.field.zero
     pool, out = [], []
     attempts = 0
     while len(out) < n:
         attempts += 1
         if attempts > DRAW_BOUND * n:
             raise ExhaustedRetries(f"oracle sampling gave up after {attempts - 1} attempts")
-        Q = sampler(rng)
+        Q = wm.sample(rng)
         if any(Q == P for P, _x in pool):
             continue
         try:
-            y = _kappa_of(c, wm, Q).coords
+            y = _kappa_of(wm, Q).coords
         except UnsupportedDivisor:
             continue
         if y[0] == zero:
@@ -220,8 +210,8 @@ def _bqf_samples(c, wm, sampler, rng, n):
                 break
             attempts += 1
             try:
-                w = _kappa_of(c, wm, add(wm, P, Q)).coords
-                z = _kappa_of(c, wm, add(wm, P, negQ)).coords
+                w = _kappa_of(wm, add(wm, P, Q)).coords
+                z = _kappa_of(wm, add(wm, P, negQ)).coords
             except UnsupportedDivisor:
                 continue
             if w[0] != zero and z[0] != zero:
@@ -273,33 +263,19 @@ def duplication(F: Field, delta):
     return lambda k: KummerPoint(F, forms.quartic_values(quadratic_monomials(F, k.coords)))
 
 
-def _fresh_check_delta(c, wm, sampler, rng, delta, n):
-    double = duplication(c.field, delta)
-    for x, d2 in _delta_samples(c, wm, sampler, rng, n):
+def _fresh_check_delta(wm: WorkingModel, rng, delta, n):
+    double = duplication(wm.field, delta)
+    for x, d2 in _delta_samples(wm, rng, n):
         if not double(x).proportional(d2):
             raise CrossCheckFailed(f"duplication self-check failed at {x.text()}")
 
 
-def synthesize_delta(c: CurveModel, rng, wm=None, sampler=None, check: int = 24, bqf=None):
-    """The four duplication quartics of the curve, canonically normalized.
-
-    Derived from the biquadratic forms ``bqf`` (synthesized here when not
-    given) and re-checked on ``check`` fresh oracle samples.  Tiny binary
-    fields derive and check over the extension the forms come from."""
-    F = c.field
-    route = _route_field(F)
-    if route == "lift":
-        cl, fwd, back = _lift(c)
-        big = None if bqf is None else {p: tuple(fwd[a] for a in v) for p, v in bqf.items()}
-        return tuple(_descend(blk, back) for blk in synthesize_delta(cl, rng, check=check, bqf=big))
-    if wm is None:
-        wm = working_model(c)
-    if sampler is None:
-        sampler = default_sampler(wm)
-    if bqf is None:
-        bqf = synthesize_bqf(c, rng, wm=wm, sampler=sampler, check=check)
-    delta = _delta_solve(F, bqf, quartic_from_curve(c).vector)
-    _fresh_check_delta(c, wm, sampler, rng, delta, check)
+def synthesize_delta(wm: WorkingModel, rng, bqf):
+    """The four duplication quartics of the user curve of ``wm``,
+    canonically normalized: derived from its biquadratic forms ``bqf`` and
+    re-checked on FRESH_CHECKS fresh oracle samples."""
+    delta = _delta_solve(wm.field, bqf, quartic_from_curve(wm.user).vector)
+    _fresh_check_delta(wm, rng, delta, FRESH_CHECKS)
     return delta
 
 
@@ -403,10 +379,10 @@ def bqf_identity_mismatch(F: Field, values, x, y, w, z):
     return None
 
 
-def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
-    F = c.field
+def _fresh_check_bqf(wm: WorkingModel, rng, forms, n):
+    F = wm.field
     values = bqf_values(F, forms)
-    for x, y, w, z in oracle_draws(c, wm, sampler, rng, n, sum_and_difference(wm), arity=2):
+    for x, y, w, z in oracle_draws(wm, rng, n, sum_and_difference(wm), arity=2):
         bad = bqf_identity_mismatch(F, values, x.coords, y.coords, w.coords, z.coords)
         if bad is not None:
             raise CrossCheckFailed(
@@ -414,17 +390,17 @@ def _fresh_check_bqf(c, wm, sampler, rng, forms, n):
             )
 
 
-def _solve_bqf(c: CurveModel, wm, sampler, rng, check: int):
+def _solve_bqf(wm: WorkingModel, rng, check: int):
     """The sample-and-solve loop of every field route: PAIR_KERNEL_SAMPLES
     pool-paired samples, the staged solve and ``check`` fresh samples,
     doubling the sample count, up to four times PAIR_KERNEL_SAMPLES, while a
     kernel or rank check fails."""
     n = PAIR_KERNEL_SAMPLES
     while True:
-        data = _bqf_samples(c, wm, sampler, rng, n)
+        data = _bqf_samples(wm, rng, n)
         try:
-            forms = _bqf_solve(c.field, data)
-            _fresh_check_bqf(c, wm, sampler, rng, forms, check)
+            forms = _bqf_solve(wm.field, data)
+            _fresh_check_bqf(wm, rng, forms, check)
             return forms
         except KernelDimensionUnexpected:
             if n >= 4 * PAIR_KERNEL_SAMPLES:
@@ -432,29 +408,24 @@ def _solve_bqf(c: CurveModel, wm, sampler, rng, check: int):
             n *= 2
 
 
-def synthesize_bqf(c: CurveModel, rng, wm=None, sampler=None, check: int = 24):
-    """The ten biquadratic forms, scaled so B11 starts with coefficient one.
+def synthesize_bqf(wm: WorkingModel, rng):
+    """The ten biquadratic forms of the user curve of ``wm``, scaled so B11
+    starts with coefficient one and re-checked on FRESH_CHECKS fresh oracle
+    samples.
 
     The diagonal forms satisfy B_ii = w_i z_i (halved relative to the i = j
     specialization of the off-diagonal identity), which stays nonzero in
     characteristic 2.  The forms are solved for in the 55-coefficient
     symmetric basis, so the staged solve reaches full rank at about 110
-    samples.  Every route runs ``_solve_bqf``: on the curve itself, on its
-    lift to the binary extension, or modulo each reduction prime over Q."""
-    F = c.field
-    route = _route_field(F)
+    samples.  Both routes run ``_solve_bqf``: on the curve itself, or modulo
+    each reduction prime over Q.  A tiny binary field raises UnsupportedField;
+    ``synthesize_formula_set`` lifts it to an extension first."""
+    route = _route_field(wm.field)
     if route == "lift":
-        cl, _fwd, back = _lift(c)
-        wml = working_model(cl)
-        forms = _solve_bqf(cl, wml, default_sampler(wml), rng, check)
-        return {k: _descend(vec, back) for k, vec in forms.items()}
-    if wm is None:
-        wm = working_model(c)
-    if sampler is None:
-        sampler = default_sampler(wm)
+        raise UnsupportedField("a tiny binary field is solved on its lift (synthesize_formula_set)")
     if route == "modular":
-        return _modular_bqf(c, wm, sampler, rng, check)
-    return _solve_bqf(c, wm, sampler, rng, check)
+        return _modular_bqf(wm, rng)
+    return _solve_bqf(wm, rng, FRESH_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +528,7 @@ def binary_embedding(sub: BinaryField, big: BinaryField):
 
 def _lift(c: CurveModel):
     """The curve over the canonical extension of its binary field, with the
-    maps (embed, project) between the two fields."""
+    projection back onto the base field."""
     F = c.field
     big = binary_extension_of(F)
     fwd, back = binary_embedding(F, big)
@@ -566,7 +537,7 @@ def _lift(c: CurveModel):
         Poly(big, [fwd[c.f[i]] for i in range(7)]),
         Poly(big, [fwd[c.h[i]] for i in range(4)]),
     )
-    return cl, fwd, back
+    return cl, back
 
 
 def _descend(vec, back) -> tuple:
@@ -636,17 +607,16 @@ def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
     return res_a + mod_a * t
 
 
-def _modular_bqf(c: CurveModel, wm, sampler, rng, check: int):
+def _modular_bqf(wm: WorkingModel, rng):
     """The forms over Q: ``_solve_bqf`` modulo each reduction prime with no
     fresh check there, then CRT and rational reconstruction coefficient-wise,
-    until a reconstruction passes ``check`` fresh samples over Q."""
+    until a reconstruction passes FRESH_CHECKS fresh samples over Q."""
     residues = modulus = None
     for p in _reduction_primes():
-        cm = _reduce_curve_mod(c, p)
+        cm = _reduce_curve_mod(wm.user, p)
         if cm is None:
             continue
-        wmm = working_model(cm)
-        forms = _solve_bqf(cm, wmm, default_sampler(wmm), random.Random(rng.randrange(1 << 62)), 0)
+        forms = _solve_bqf(working_model(cm), random.Random(rng.randrange(1 << 62)), 0)
         vec = [a for q in BQF_INDEX_PAIRS for a in forms[q]]
         if residues is None:
             residues, modulus = vec, p
@@ -658,7 +628,7 @@ def _modular_bqf(c: CurveModel, wm, sampler, rng, check: int):
             continue
         forms = {q: tuple(recon[100 * t : 100 * (t + 1)]) for t, q in enumerate(BQF_INDEX_PAIRS)}
         try:
-            _fresh_check_bqf(c, wm, sampler, rng, forms, check)
+            _fresh_check_bqf(wm, rng, forms, FRESH_CHECKS)
         except CrossCheckFailed:
             continue
         return forms
@@ -675,18 +645,18 @@ def synthesize_formula_set(c: CurveModel, rng) -> FormulaSet:
     two-torsion translations (read off the forms in odd characteristic,
     transcribed in characteristic 2).
 
-    One working model and sampler serve every stage: the curve's own, or on
-    the lift route those of the curve lifted once to the extension."""
+    This is the one place a tiny binary field is lifted: both stages run on
+    one working model, the curve's own or that of the curve lifted once to
+    the extension, and the lifted forms and quartics are descended."""
     F = c.field
     target, back = c, None
     if _route_field(F) == "lift":
-        target, _fwd, back = _lift(c)
+        target, back = _lift(c)
     wm = working_model(target)
-    sampler = default_sampler(wm)
-    big = synthesize_bqf(target, rng, wm=wm, sampler=sampler)
+    big = synthesize_bqf(wm, rng)
     descend = tuple if back is None else (lambda vec: _descend(vec, back))
     bqf = {k: descend(vec) for k, vec in big.items()}
-    delta = tuple(map(descend, synthesize_delta(target, rng, wm=wm, sampler=sampler, bqf=big)))
+    delta = tuple(map(descend, synthesize_delta(wm, rng, big)))
     w = []
     if F.order() is not None:
         for T in two_torsion_classes(c):
@@ -825,30 +795,23 @@ def transport_forms(F: Field, bqf, M: Matrix) -> dict:
     return out
 
 
-def crosscheck_tau_delta(
-    c: CurveModel, rng, npoints: int = 200, delta=None, delta_prime=None, wm=None, sampler=None
-) -> dict:
+def crosscheck_tau_delta(wm: WorkingModel, rng, npoints: int, delta, delta_prime) -> dict:
     """Conjugation consistency of duplication with the model change.
 
-    Synthesizes duplication on the curve and on its simplified model
-    y^2 = 4f + h^2, then checks T(delta(k)) = const * delta'(T(k)) at sampled
-    surface points, with T the Kummer matrix of the model change and one
-    constant across all points and coordinates.  The points are drawn with
-    the working model ``wm`` and ``sampler`` of the curve, when given."""
+    ``delta`` is the duplication of the user curve of ``wm`` and
+    ``delta_prime`` that of its simplified model y^2 = 4f + h^2.  Checks
+    T(delta(k)) = const * delta'(T(k)) at ``npoints`` surface points drawn
+    with ``wm``, with T the Kummer matrix of the model change and one
+    constant across all points and coordinates."""
+    c = wm.user
     F = c.field
     if F.characteristic() == 2:
         raise UnsupportedField("the simplified model needs odd characteristic")
-    csimp, iso = simplified_model(c)
+    _csimp, iso = simplified_model(c)
     T = kummer_matrix(c, iso)
-    if delta is None:
-        delta = synthesize_delta(c, rng)
-    if delta_prime is None:
-        delta_prime = synthesize_delta(csimp, rng)
-    wm = wm or working_model(c)
-    sampler = sampler or default_sampler(wm)
     double, double_prime = duplication(F, delta), duplication(F, delta_prime)
     ratio = None
-    for (k,) in oracle_draws(c, wm, sampler, rng, npoints):
+    for (k,) in oracle_draws(wm, rng, npoints):
         lhs = T.apply(list(double(k).coords))
         rhs = double_prime(KummerPoint(F, T.apply(list(k.coords)))).coords
         piv = next((i for i in range(4) if rhs[i] != F.zero), None)
@@ -862,30 +825,24 @@ def crosscheck_tau_delta(
     return {"ok": True, "points": npoints, "ratio": F.to_str(ratio)}
 
 
-def crosscheck_b_conversion(
-    c: CurveModel, rng, npoints: int = 200, bqf=None, bqf_prime=None, wm=None, sampler=None
-) -> dict:
-    """The biquadratic forms of the simplified model y^2 = 4f + h^2,
-    transported back to the curve, against the curve's own forms.
+def crosscheck_b_conversion(wm: WorkingModel, rng, npoints: int, bqf, bqf_prime) -> dict:
+    """The biquadratic forms ``bqf_prime`` of the simplified model
+    y^2 = 4f + h^2, transported back to the user curve of ``wm``, against
+    that curve's own forms ``bqf``.
 
     The two families are synthesized independently, one on each model.
     ``bqf_prime`` is transported once, through the inverse of the Kummer
     matrix of the model change, and one scalar must fit all ten entries at
     every sampled argument pair, drawn as in ``crosscheck_tau_delta``."""
+    c = wm.user
     F = c.field
     if F.characteristic() == 2:
         raise UnsupportedField("the simplified model needs odd characteristic")
-    csimp, iso = simplified_model(c)
-    if bqf is None:
-        bqf = synthesize_bqf(c, rng)
-    if bqf_prime is None:
-        bqf_prime = synthesize_bqf(csimp, rng)
+    _csimp, iso = simplified_model(c)
     back = bqf_values(F, transport_forms(F, bqf_prime, kummer_matrix(c, iso).inverse()))
     own = bqf_values(F, bqf)
-    wm = wm or working_model(c)
-    sampler = sampler or default_sampler(wm)
     scalar = None
-    for checked, (kx, ky) in enumerate(oracle_draws(c, wm, sampler, rng, npoints, arity=2)):
+    for checked, (kx, ky) in enumerate(oracle_draws(wm, rng, npoints, arity=2)):
         conv = back(kx.coords, ky.coords)
         vals = own(kx.coords, ky.coords)
         for (i, j) in BQF_INDEX_PAIRS:
@@ -893,10 +850,4 @@ def crosscheck_b_conversion(
                 scalar = F.div(vals[(i, j)], conv[(i, j)])
             if vals[(i, j)] != F.mul(F.zero if scalar is None else scalar, conv[(i, j)]):
                 raise CrossCheckFailed(f"conversion failed at entry B{i}{j} after {checked} points")
-    return {
-        "ok": True,
-        "points": npoints,
-        "scalar": F.to_str(scalar),
-        "diagonal_bookkeeping": "b'_ii = w'_i z'_i (halved); fourth-column groups "
-        "use factors 1/4, 1/2; B44 groups use 1/16, 1/8, 1/4, 1/4",
-    }
+    return {"ok": True, "points": npoints, "scalar": F.to_str(scalar)}

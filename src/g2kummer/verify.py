@@ -36,7 +36,6 @@ from .synthesis import (
     _fresh_check_delta,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
-    default_sampler,
     oracle_draws,
     synthesize_delta,
     synthesize_bqf,
@@ -88,7 +87,7 @@ def lemma_delta_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     f1, f3, f5 = coeffs
     c = normal_form_curve(F, case, f1, f3, f5)  # raises SingularCurve when degenerate
     t0 = time.time()
-    delta = CompiledForms(F, synthesize_delta(c, rng))
+    delta = CompiledForms(F, synthesize_formula_set(c, rng).delta)
     counter = [
         {"x": pt}
         for pt in _surface_points(c)
@@ -113,7 +112,7 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
     f1, f3, f5 = coeffs
     c = normal_form_curve(F, case, f1, f3, f5)
     t0 = time.time()
-    forms = CompiledForms(F, biquadratics=synthesize_bqf(c, rng))
+    forms = CompiledForms(F, biquadratics=synthesize_formula_set(c, rng).bqf)
     pts = _surface_points(c)
     qys = [quadratic_monomials(F, y) for y in pts]
     counter = []
@@ -138,25 +137,26 @@ def lemma_b_search(case: str, coeffs, F: BinaryField, rng) -> LemmaReport:
 # Randomized identity suites over a corpus
 # ---------------------------------------------------------------------------
 
-def _suite_kappa_surface(c, wm, sampler, rng, n):
-    q = quartic_from_curve(c)
-    for (k,) in oracle_draws(c, wm, sampler, rng, n):
+def _suite_kappa_surface(wm, rng, n):
+    q = quartic_from_curve(wm.user)
+    for (k,) in oracle_draws(wm, rng, n):
         if not on_surface(q, k):
             return {"ok": False, "witness": k.text()}
     return {"ok": True, "n": n}
 
 
-def _suite_delta(c, wm, sampler, rng, fs, n):
-    _fresh_check_delta(c, wm, sampler, rng, fs.delta, n)
+def _suite_delta(wm, rng, fs, n):
+    _fresh_check_delta(wm, rng, fs.delta, n)
     return {"ok": True, "n": n}
 
 
-def _suite_bqf(c, wm, sampler, rng, fs, n):
-    _fresh_check_bqf(c, wm, sampler, rng, fs.bqf, n)
+def _suite_bqf(wm, rng, fs, n):
+    _fresh_check_bqf(wm, rng, fs.bqf, n)
     return {"ok": True, "n": n}
 
 
-def _suite_translation(c, wm, sampler, rng, fs, n):
+def _suite_translation(wm, rng, fs, n):
+    c = wm.user
     F = c.field
     if F.order() is None:
         return {"ok": True, "n": 0, "note": "no two-torsion enumeration over the rationals"}
@@ -175,7 +175,7 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
         DQ = from_point_pair(wm, T.divisor)
         if not add(wm, DQ, DQ).is_zero():
             return {"ok": False, "witness": f"class {T.label} is not 2-torsion"}
-        for kP, kPQ in oracle_draws(c, wm, sampler, rng, n, lambda D: (D, add(wm, D, DQ))):
+        for kP, kPQ in oracle_draws(wm, rng, n, lambda D: (D, add(wm, D, DQ))):
             Wk = KummerPoint(F, W.apply(list(kP.coords)))
             if not Wk.proportional(kPQ) or not on_surface(q, Wk):
                 return {"ok": False, "witness": f"translation failed for {T.label} at {kP.text()}"}
@@ -183,16 +183,15 @@ def _suite_translation(c, wm, sampler, rng, fs, n):
     return {"ok": True, "n": checked, "classes": [T.label for T in classes]}
 
 
-def _suite_crosschecks(c, wm, sampler, rng, fs, n):
-    if c.field.characteristic() == 2:
+def _suite_crosschecks(wm, rng, fs, n):
+    if wm.field.characteristic() == 2:
         return {"ok": True, "note": "conversion checks need odd characteristic"}
-    csimp, _iso = simplified_model(c)
+    csimp, _iso = simplified_model(wm.user)
     wm_simp = working_model(csimp)
-    sampler_simp = default_sampler(wm_simp)
-    bqf_prime = synthesize_bqf(csimp, rng, wm=wm_simp, sampler=sampler_simp)
-    delta_prime = synthesize_delta(csimp, rng, wm=wm_simp, sampler=sampler_simp, bqf=bqf_prime)
-    rep1 = crosscheck_tau_delta(c, rng, n, fs.delta, delta_prime, wm, sampler)
-    rep2 = crosscheck_b_conversion(c, rng, n, fs.bqf, bqf_prime, wm, sampler)
+    bqf_prime = synthesize_bqf(wm_simp, rng)
+    delta_prime = synthesize_delta(wm_simp, rng, bqf_prime)
+    rep1 = crosscheck_tau_delta(wm, rng, n, fs.delta, delta_prime)
+    rep2 = crosscheck_b_conversion(wm, rng, n, fs.bqf, bqf_prime)
     return {"ok": rep1["ok"] and rep2["ok"], "tau_delta": rep1, "b_conversion": rep2}
 
 
@@ -202,10 +201,10 @@ def _suite_crosschecks(c, wm, sampler, rng, fs, n):
 RATIONAL_CHAIN_MAX_SUM = 31
 
 
-def _suite_chain(c, wm, sampler, rng, fs, n):
-    F = c.field
-    ctx = make_context(c, fs)
-    ((x,),) = oracle_draws(c, wm, sampler, rng, 1)
+def _suite_chain(wm, rng, fs, n):
+    F = wm.field
+    ctx = make_context(wm.user, fs)
+    ((x,),) = oracle_draws(wm, rng, 1)
     rational = F.order() is None
     for _ in range(n):
         if rational:
@@ -256,7 +255,6 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
                 if fs is None:
                     fs = synthesize_formula_set(c, rng)
                 wm = working_model(c)
-                sampler = default_sampler(wm)
             except (NoRationalWeierstrassPoint, UnsupportedField) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
         if reason is not None:
@@ -274,12 +272,12 @@ def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
                 return {"ok": False, "witness": f"{type(exc).__name__}: {exc}"}
 
         suites = {}
-        suites["kappa_surface"] = guarded(_suite_kappa_surface, c, wm, sampler, rng, sizes["kappa_surface"])
-        suites["delta"] = guarded(_suite_delta, c, wm, sampler, rng, fs, sizes["delta"])
-        suites["bqf"] = guarded(_suite_bqf, c, wm, sampler, rng, fs, sizes["bqf"])
-        suites["translation"] = guarded(_suite_translation, c, wm, sampler, rng, fs, sizes["translation"])
-        suites["crosschecks"] = guarded(_suite_crosschecks, c, wm, sampler, rng, fs, sizes["crosschecks"])
-        suites["chain"] = guarded(_suite_chain, c, wm, sampler, rng, fs, sizes["chain"])
+        suites["kappa_surface"] = guarded(_suite_kappa_surface, wm, rng, sizes["kappa_surface"])
+        suites["delta"] = guarded(_suite_delta, wm, rng, fs, sizes["delta"])
+        suites["bqf"] = guarded(_suite_bqf, wm, rng, fs, sizes["bqf"])
+        suites["translation"] = guarded(_suite_translation, wm, rng, fs, sizes["translation"])
+        suites["crosschecks"] = guarded(_suite_crosschecks, wm, rng, fs, sizes["crosschecks"])
+        suites["chain"] = guarded(_suite_chain, wm, rng, fs, sizes["chain"])
         entry["status"] = "pass" if all(s.get("ok") for s in suites.values()) else "fail"
         entry["suites"] = suites
         if entry["status"] == "fail":

@@ -9,9 +9,11 @@ from g2kummer.algebra import (
     quadratic_value,
     roots_and_quadratic_factors,
 )
-from g2kummer.curve import CurvePoint
-from g2kummer.jacobian import MumfordDivisor, add, to_point_pair
-from g2kummer.kummer import kummer_coords, two_torsion_classes
+from g2kummer.curve import CurvePoint, simplified_model
+from g2kummer.jacobian import MumfordDivisor, add, to_point_pair, working_model
+from g2kummer.kummer import KummerPoint, kummer_coords, on_surface, two_torsion_classes, zero_class_point
+from g2kummer.ladder import _pseudo_sum, xdbl
+from g2kummer.synthesis import synthesize_bqf, synthesize_delta
 
 
 def classical_k1(F, f):
@@ -153,3 +155,43 @@ def two_torsion_count_check(c):
         "rational_classes": len(classes),
         "predicted": pred,
     }
+
+
+def xadd_every_pivot(ctx, x, y, z):
+    """kappa(P+Q) as ``ladder.xadd`` computes it, under every pivot j with
+    z_j != 0 in turn: asserts that no result vanishes and that all are
+    proportional, and returns the first."""
+    F = ctx.curve.field
+    qx, qy = quadratic_monomials(F, x.coords), quadratic_monomials(F, y.coords)
+    results = [
+        _pseudo_sum(ctx, j, qx, qy, z.coords) for j in range(4) if z.coords[j] != F.zero
+    ]
+    assert all(any(v != F.zero for v in w) for w in results), "a pivot gave zero"
+    first = KummerPoint(F, results[0])
+    assert all(first.proportional(KummerPoint(F, w)) for w in results[1:]), "pivot results disagree"
+    return first
+
+
+def checked_ladder(ctx, x, n):
+    """kappa(nP) by the chain of ``ladder.ladder``, with each addition under
+    every pivot (``xadd_every_pivot``) and each point it makes asserted to
+    lie on the Kummer surface."""
+    if n == 0:
+        return zero_class_point(ctx.curve.field)
+    r0, r1 = x, xdbl(ctx, x)
+    for bit_pos in range(n.bit_length() - 2, -1, -1):
+        if (n >> bit_pos) & 1:
+            r0, r1 = xadd_every_pivot(ctx, r0, r1, x), xdbl(ctx, r1)
+        else:
+            r0, r1 = xdbl(ctx, r0), xadd_every_pivot(ctx, r0, r1, x)
+        assert on_surface(ctx.quartic, r0) and on_surface(ctx.quartic, r1)
+    return r0
+
+
+def simplified_families(c, rng):
+    """The biquadratic forms and duplication quartics of the simplified
+    model y^2 = 4f + h^2 of c, synthesized on its own working model, for
+    the cross-checks."""
+    wm = working_model(simplified_model(c)[0])
+    bqf = synthesize_bqf(wm, rng)
+    return bqf, synthesize_delta(wm, rng, bqf)

@@ -36,7 +36,6 @@ from g2kummer.synthesis import (
     bqf_values,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
-    default_sampler,
     deserialize_formula_set,
     duplication,
     serialize_formula_set,
@@ -45,7 +44,14 @@ from g2kummer.synthesis import (
 )
 from g2kummer.verify import lemma_b_search, lemma_delta_search
 
-from .helpers import classical_k0, classical_k1, kappa_of, scalar_mul, two_torsion_count_check
+from .helpers import (
+    classical_k0,
+    classical_k1,
+    kappa_of,
+    scalar_mul,
+    simplified_families,
+    two_torsion_count_check,
+)
 
 SEED = 0xACCE97
 
@@ -61,12 +67,11 @@ def test_criterion_01_surface_membership(corpus):
     for name, c in corpus:
         wm = working_model(c)
         q = quartic_from_curve(c)
-        sampler = default_sampler(wm)
         n = 300 if c.field.order() is None else 850
         done = 0
         while done < n:
             try:
-                k = kummer_coords(c, to_point_pair(wm, sampler(rng)))
+                k = kummer_coords(c, to_point_pair(wm, wm.sample(rng)))
             except Exception:
                 continue
             assert on_surface(q, k), (name, k.text())
@@ -103,12 +108,11 @@ def test_criterion_03_duplication(corpus, formula_cache):
     for name, c in corpus:
         fs = formula_cache[name]
         wm = working_model(c)
-        sampler = default_sampler(wm)
         double = duplication(c.field, fs.delta)
         done = 0
         while done < 500:
             try:
-                D = sampler(rng)
+                D = wm.sample(rng)
                 x = kappa_of(c, wm, D)
                 d2 = kappa_of(c, wm, add(wm, D, D))
             except Exception:
@@ -125,13 +129,12 @@ def test_criterion_04_biquadratic(corpus, formula_cache):
     for name, c in corpus:
         fs = formula_cache[name]
         wm = working_model(c)
-        sampler = default_sampler(wm)
         F = c.field
         values = bqf_values(F, fs.bqf)
         done = 0
         while done < 500:
             try:
-                P, Q = sampler(rng), sampler(rng)
+                P, Q = wm.sample(rng), wm.sample(rng)
                 x = kappa_of(c, wm, P)
                 y = kappa_of(c, wm, Q)
                 w = kappa_of(c, wm, add(wm, P, Q))
@@ -167,9 +170,11 @@ def test_criterion_05_conversion_crosschecks(corpus, formula_cache):
         if c.field.characteristic() == 2:
             continue
         fs = formula_cache[name]
-        rep1 = crosscheck_tau_delta(c, rng, npoints=200, delta=fs.delta)
+        wm = working_model(c)
+        bqf_prime, delta_prime = simplified_families(c, rng)
+        rep1 = crosscheck_tau_delta(wm, rng, 200, fs.delta, delta_prime)
         assert rep1["ok"], name
-        rep2 = crosscheck_b_conversion(c, rng, npoints=200, bqf=fs.bqf)
+        rep2 = crosscheck_b_conversion(wm, rng, 200, fs.bqf, bqf_prime)
         assert rep2["ok"], name
         checked += 1
     assert checked >= 7

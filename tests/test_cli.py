@@ -306,6 +306,17 @@ def test_bench_cli(synth_file, capsys):
     assert payload["xdbl"]["mul"] > 0
 
 
+def test_bench_over_q_is_rejected(capsys):
+    # a 40-bit ladder over Q would run for hours; bench refuses the field
+    # before it samples a point
+    kfs = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "rational_small.kfs"
+    rc = main(["bench", str(CORPUS_DIR / "rational_small.curve"), "--formulas", str(kfs), "--trials", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "rationals" in captured.err
+    assert "per_step" not in captured.out
+
+
 def test_module_entry_point():
     # the child process imports the same package as this one
     src = str(Path(g2kummer.__file__).resolve().parents[1])

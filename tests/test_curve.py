@@ -30,7 +30,6 @@ from g2kummer.errors import CharacteristicTwo, RootsNotRational, SingularCurve, 
 from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import to_point_pair, working_model
 from g2kummer.kummer import KummerPoint, kummer_coords
-from g2kummer.synthesis import default_sampler
 
 from .helpers import involution, is_identity
 
@@ -266,13 +265,12 @@ def test_kummer_matrix_through_the_working_model_link():
     Kummer matrix of the link, on oracle classes of every corpus curve."""
     for name, c in default_corpus():
         wm = working_model(c)
-        sampler = default_sampler(wm)
         M = kummer_matrix(c, wm.link)
         rng = random.Random(name)
         want = 20 if c.field.order() is None else 60
         checked = 0
         for _ in range(4 * want):
-            D = sampler(rng)
+            D = wm.sample(rng)
             try:
                 k_user = kummer_coords(c, to_point_pair(wm, D))
                 k_work = kummer_coords(wm.model, pair_from_mumford(wm.model, D.a, D.b))
@@ -304,8 +302,7 @@ def test_kummer_matrix_of_random_isomorphisms(F):
     if F.order() is None:
         c = dict(default_corpus())["rational_small"]
         wm = working_model(c)
-        sampler = default_sampler(wm)
-        pairs = [to_point_pair(wm, sampler(rng)) for _ in range(6)]
+        pairs = [to_point_pair(wm, wm.sample(rng)) for _ in range(6)]
         curves = [(c, pairs)] * 8
 
         def draw():

@@ -19,7 +19,7 @@ from g2kummer.jacobian import (
     to_point_pair,
     working_model,
 )
-from g2kummer.synthesis import binary_embedding, default_sampler
+from g2kummer.synthesis import binary_embedding
 
 from .helpers import enumerate_divisors, is_identity, scalar_mul
 
@@ -183,11 +183,10 @@ def test_frequent_add_equals_cantor_on_corpus_curves(corpus):
     # the rational sampler's classes; generic pairs must take the fast path
     for name, c in corpus:
         wm = working_model(c)
-        sample = default_sampler(wm)
         rng = random.Random(name)
         tried = fast = 0
         for _ in range(12 if c.field.order() is None else 25):
-            D1, D2 = sample(rng), sample(rng)
+            D1, D2 = wm.sample(rng), wm.sample(rng)
             for X, Y in ((D1, D2), (D1, D1)):
                 tried += 1
                 D = _frequent_add(wm, X, Y)

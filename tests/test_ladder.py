@@ -27,7 +27,7 @@ from g2kummer.kummer import (
 from g2kummer.ladder import bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set
 
-from .helpers import eval_biquadratic, scalar_mul
+from .helpers import checked_ladder, eval_biquadratic, scalar_mul, xadd_every_pivot
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -38,7 +38,7 @@ CURVE = CurveModel(F1009, Poly.from_ints(F1009, [1, 3, 0, 2, 0, 1]), Poly.from_i
 @pytest.fixture(scope="module")
 def ctx():
     fs = synthesize_formula_set(CURVE, random.Random(200))
-    return make_context(CURVE, fs, check_pivots=True, check_surface=True)
+    return make_context(CURVE, fs)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,7 @@ def test_xadd_oracle_triples(ctx, wm):
         w = kap(wm, add(wm, P, Q))
         z = kap(wm, add(wm, P, negate(wm, Q)))
         assert xadd(ctx, x, y, z).proportional(w)
+        assert xadd_every_pivot(ctx, x, y, z).proportional(w)
 
 
 def test_ladder_small_scalars(ctx, wm):
@@ -152,20 +153,19 @@ def test_char2_translation_compatible_with_doubling():
 
 
 def test_surface_invariant_in_debug_mode(ctx, wm):
-    # check_surface=True in the fixture: a full ladder exercises the asserts
+    # checked_ladder asserts that every point of the chain is on the surface
     rng = random.Random(210)
     D = random_divisor(wm, rng)
     x = kap(wm, D)
     q = quartic_from_curve(CURVE)
     out = ladder(ctx, x, 12345)
     assert on_surface(q, out)
+    assert out.proportional(checked_ladder(ctx, x, 12345))
 
 
 def test_bench_deterministic_counts(ctx):
-    rng = random.Random(211)
-    fast = make_context(CURVE, ctx.formulas)
-    rep1 = bench(fast, random.Random(1), trials=1, bits=24)
-    rep2 = bench(fast, random.Random(2), trials=1, bits=24)
+    rep1 = bench(ctx, random.Random(1), trials=1, bits=24)
+    rep2 = bench(ctx, random.Random(2), trials=1, bits=24)
     assert rep1["xdbl"] == rep2["xdbl"]
     assert rep1["xadd"] == rep2["xadd"]
     assert rep1["ladder_total"] == rep2["ladder_total"]
@@ -295,15 +295,12 @@ def test_static_op_counts_match_counted_muls(name):
 
 @pytest.fixture(scope="module", params=["p1009", "c2_general_f"])
 def pivot_case(request, ctx):
-    """Odd characteristic and GF(2^16): the curve, its working model, and
-    a fast and a checking (every pivot, surface) context."""
+    """Odd characteristic and GF(2^16): the curve, its working model and a
+    ladder context."""
     if request.param == "p1009":
-        fs = ctx.formulas
-    else:
-        fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
-    c = fs.curve
-    checked = make_context(c, fs, check_pivots=True, check_surface=True)
-    return c, working_model(c), make_context(c, fs), checked
+        return CURVE, working_model(CURVE), ctx
+    fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
+    return fs.curve, working_model(fs.curve), make_context(fs.curve, fs)
 
 
 def _infinite_class(c, wm, rng):
@@ -314,7 +311,7 @@ def _infinite_class(c, wm, rng):
 
 
 def test_xadd_off_the_first_pivot_matches_every_pivot_and_the_oracle(pivot_case):
-    c, wm, fast, checked = pivot_case
+    c, wm, fast = pivot_case
     F = c.field
     rng = random.Random(216)
     seen = set()
@@ -326,13 +323,13 @@ def test_xadd_off_the_first_pivot_matches_every_pivot_and_the_oracle(pivot_case)
             assert z.coords[0] == F.zero
             seen.add(next(j for j, v in enumerate(z.coords) if v != F.zero))
             out = xadd(fast, x, y, z)
-            assert out.proportional(xadd(checked, x, y, z))
+            assert out.proportional(xadd_every_pivot(fast, x, y, z))
             assert out.proportional(_kappa(c, wm, add(wm, P, Q)))
     assert seen == {1, 3}
 
 
 def test_ladder_from_a_base_with_zero_first_coordinate(pivot_case):
-    c, wm, fast, checked = pivot_case
+    c, wm, fast = pivot_case
     rng = random.Random(217)
     for _ in range(5):
         D = _infinite_class(c, wm, rng)
@@ -341,7 +338,7 @@ def test_ladder_from_a_base_with_zero_first_coordinate(pivot_case):
         n = rng.randrange(2, 1 << 24)
         out = ladder(fast, x, n)
         assert out.proportional(_kappa(c, wm, scalar_mul(wm, D, n)))
-        assert out.proportional(ladder(checked, x, n))
+        assert out.proportional(checked_ladder(fast, x, n))
 
 
 def _reachable_ids(root):

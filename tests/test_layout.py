@@ -1,9 +1,11 @@
 """Layout guards on the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "g2kummer"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # Definitions kept although nothing in src/ calls them, each with its reason.
 UNCALLED_BY_DESIGN = {
@@ -56,3 +58,14 @@ def test_every_src_definition_has_a_src_caller():
     extra, stale = uncalled - set(UNCALLED_BY_DESIGN), set(UNCALLED_BY_DESIGN) - uncalled
     assert not extra, f"no caller in src/: {', '.join(sorted(extra))}"
     assert not stale, f"allowlisted but gone or now called: {', '.join(sorted(stale))}"
+
+
+def test_every_script_imports(monkeypatch):
+    # importing runs a script's imports and definitions but not its main, so
+    # a script that names something src/ no longer defines fails here
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    paths = sorted(SCRIPTS.glob("*.py"))
+    assert paths
+    for path in paths:
+        spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -29,7 +29,6 @@ from g2kummer.synthesis import (
     bqf_values,
     crosscheck_b_conversion,
     crosscheck_tau_delta,
-    default_sampler,
     deserialize_formula_set,
     duplication,
     fingerprint,
@@ -41,6 +40,8 @@ from g2kummer.synthesis import (
     synthesize_w_oddchar,
     transport_forms,
 )
+
+from .helpers import simplified_families
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -55,13 +56,13 @@ REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "referenc
 
 
 @pytest.fixture(scope="module")
-def delta_1009():
-    return synthesize_delta(CURVE_1009, random.Random(100))
+def delta_1009(bqf_1009):
+    return synthesize_delta(working_model(CURVE_1009), random.Random(100), bqf_1009)
 
 
 @pytest.fixture(scope="module")
 def bqf_1009():
-    return synthesize_bqf(CURVE_1009, random.Random(101))
+    return synthesize_bqf(working_model(CURVE_1009), random.Random(101))
 
 
 def test_delta_fixed_point_at_zero_class(delta_1009):
@@ -92,11 +93,9 @@ def test_delta_canonicalization(delta_1009):
 
 
 def test_bqf_insufficient_samples_raises():
-    from g2kummer.synthesis import _bqf_samples, _bqf_solve, default_sampler
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve
 
-    wm = working_model(CURVE_1009)
-    rng = random.Random(103)
-    data = _bqf_samples(CURVE_1009, wm, default_sampler(wm), rng, 20)
+    data = _bqf_samples(working_model(CURVE_1009), random.Random(103), 20)
     with pytest.raises(KernelDimensionUnexpected):
         _bqf_solve(F1009, data)
 
@@ -104,30 +103,30 @@ def test_bqf_insufficient_samples_raises():
 def test_bqf_solve_needs_only_the_symmetric_columns():
     # 120 samples are short of the 199 a 200-column pair kernel needs but
     # enough for the 110 columns of the symmetric basis
-    from g2kummer.synthesis import _bqf_samples, _bqf_solve, default_sampler
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve
 
-    wm = working_model(CURVE_1009)
-    data = _bqf_samples(CURVE_1009, wm, default_sampler(wm), random.Random(114), 300)
+    data = _bqf_samples(working_model(CURVE_1009), random.Random(114), 300)
     assert _bqf_solve(F1009, data[:120]) == _bqf_solve(F1009, data)
 
 
 @pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f"])
-def test_bqf_samples_pair_a_pool_of_classes(name):
+def test_bqf_samples_pair_a_pool_of_classes(name, monkeypatch):
     # 130 samples from about 17 pooled classes, not 260 independent draws,
     # and the forms solved from them are the reference ones
     from g2kummer.corpus import default_corpus
-    from g2kummer.synthesis import _bqf_samples, _bqf_solve, default_sampler
+    from g2kummer.synthesis import _bqf_samples, _bqf_solve
 
     c = dict(default_corpus())[name]
     wm = working_model(c)
-    sampler = default_sampler(wm)
+    sample = wm.sample
     calls = []
 
     def counted(rng):
         calls.append(None)
-        return sampler(rng)
+        return sample(rng)
 
-    data = _bqf_samples(c, wm, counted, random.Random(116), 130)
+    monkeypatch.setattr(wm, "sample", counted)
+    data = _bqf_samples(wm, random.Random(116), 130)
     assert len(data) == 130 and len(calls) <= 30
     fs = deserialize_formula_set((REFERENCE_DIR / f"{name}.kfs").read_text())
     assert _bqf_solve(c.field, data) == fs.bqf
@@ -191,7 +190,7 @@ def test_delta_derivation_matches_reference_files(name):
     assert _delta_solve(fs.curve.field, fs.bqf, quartic_from_curve(fs.curve).vector) == fs.delta
 
 
-def test_oracle_draws_gives_up_after_bound():
+def test_oracle_draws_gives_up_after_bound(monkeypatch):
     wm = working_model(CURVE_1009)
     calls = []
 
@@ -202,25 +201,23 @@ def test_oracle_draws_gives_up_after_bound():
     def unsupported(D):
         raise UnsupportedDivisor("every class is refused")
 
-    draws = oracle_draws(CURVE_1009, wm, sampler, random.Random(112), 3, unsupported)
+    monkeypatch.setattr(wm, "sample", sampler)
+    draws = oracle_draws(wm, random.Random(112), 3, unsupported)
     with pytest.raises(ExhaustedRetries):
         list(draws)
     assert len(calls) == DRAW_BOUND * 3
 
 
-def test_only_the_solve_samples_drop_k1_zero_classes():
+def test_only_the_solve_samples_drop_k1_zero_classes(monkeypatch):
     # the zero class has kappa (0:0:0:1); the fresh checks must still see it
     from g2kummer.synthesis import _bqf_samples, _delta_samples
 
     wm = working_model(CURVE_1009)
-
-    def zero(_rng):
-        return wm.zero()
-
-    pairs = _delta_samples(CURVE_1009, wm, zero, random.Random(113), 2)
+    monkeypatch.setattr(wm, "sample", lambda _rng: wm.zero())
+    pairs = _delta_samples(wm, random.Random(113), 2)
     assert [x.coords for x, _d in pairs] == [(0, 0, 0, 1)] * 2
     with pytest.raises(ExhaustedRetries):
-        _bqf_samples(CURVE_1009, wm, zero, random.Random(113), 2)
+        _bqf_samples(wm, random.Random(113), 2)
 
 
 def test_bqf_identities_and_symmetry(bqf_1009):
@@ -289,7 +286,7 @@ def test_w_oddchar_properties():
     c = CurveModel(F, f, h)
     rng = random.Random(106)
     wm = working_model(c)
-    bqf = synthesize_bqf(c, rng)
+    bqf = synthesize_bqf(wm, rng)
     classes = two_torsion_classes(c)
     assert len(classes) == 10
     for T in classes:
@@ -317,7 +314,7 @@ def _interpolated_w(c, T, rng, samples=24):
     wm = working_model(c)
     DQ = from_point_pair(wm, T.divisor)
     rows = []
-    for kx, kd in oracle_draws(c, wm, default_sampler(wm), rng, samples, lambda D: (D, add(wm, D, DQ))):
+    for kx, kd in oracle_draws(wm, rng, samples, lambda D: (D, add(wm, D, DQ))):
         x, d = kx.coords, kd.coords
         r = next(i for i in range(4) if d[i] != F.zero)
         for i in range(4):
@@ -381,7 +378,7 @@ def test_char2_w_matrix_matches_the_biquadratic_forms(formula_cache):
     B8 = BinaryField(3, 0b1011)
     tiny = CurveModel(B8, Poly.from_ints(B8, [0, 1, 0, 1, 0, 1]), Poly.from_ints(B8, [0, 1]))
     cases = [(formula_cache.curve(n), formula_cache[n].bqf) for n in ("c2_h3_split", "c2_general_f")]
-    cases.append((tiny, synthesize_bqf(tiny, random.Random(110))))  # B from the lift
+    cases.append((tiny, synthesize_formula_set(tiny, random.Random(110)).bqf))  # B from the lift
     checked = 0
     for c, bqf in cases:
         F = c.field
@@ -399,8 +396,11 @@ def test_char2_w_matrix_matches_the_biquadratic_forms(formula_cache):
 def test_lifted_gf2_delta_descends():
     B1 = BinaryField(1, 0b10)
     c = normal_form_curve(B1, "a", 0, 0, 1)
-    delta = synthesize_delta(c, random.Random(107))
+    delta = synthesize_formula_set(c, random.Random(107)).delta
     assert all(v in (0, 1) for blk in delta for v in blk)
+    # only the formula set lifts: the stage alone refuses the tiny field
+    with pytest.raises(UnsupportedField):
+        synthesize_bqf(working_model(c), random.Random(107))
     big = binary_extension_of(B1)
     assert big.m == 16
     fwd, back = binary_embedding(B1, big)
@@ -425,7 +425,9 @@ def test_small_prime_fields_unsupported():
     F5 = PrimeField(5)
     c = CurveModel(F5, Poly.from_ints(F5, [2, 1, 0, 0, 0, 1]), Poly(F5, []))
     with pytest.raises(UnsupportedField):
-        synthesize_delta(c, random.Random(0))
+        synthesize_formula_set(c, random.Random(0))
+    with pytest.raises(UnsupportedField):
+        synthesize_bqf(working_model(c), random.Random(0))
 
 
 def test_determinism_and_round_trip():
@@ -560,10 +562,12 @@ def test_formula_file_whole_file_mutations(data):
 
 def test_crosschecks_pass_odd_char(delta_1009, bqf_1009):
     rng = random.Random(109)
-    rep = crosscheck_tau_delta(CURVE_1009, rng, npoints=60, delta=delta_1009)
+    wm = working_model(CURVE_1009)
+    bqf_prime, delta_prime = simplified_families(CURVE_1009, rng)
+    rep = crosscheck_tau_delta(wm, rng, 60, delta_1009, delta_prime)
     assert rep["ok"] and rep["points"] == 60
-    rep = crosscheck_b_conversion(CURVE_1009, rng, npoints=60, bqf=bqf_1009)
-    assert rep["ok"]
+    rep = crosscheck_b_conversion(wm, rng, 60, bqf_1009, bqf_prime)
+    assert rep["ok"] and set(rep) == {"ok", "points", "scalar"}
 
 
 @pytest.mark.parametrize("name", ["c2_general_f", "c2_h3_split", "m61_h3_f6"])
@@ -575,19 +579,23 @@ def test_transport_from_the_working_model_gives_the_user_forms(name):
     c = dict(default_corpus())[name]
     F = c.field
     wm = working_model(c)
-    work = synthesize_bqf(wm.model, random.Random(120))
+    work = synthesize_bqf(working_model(wm.model), random.Random(120))
     forms = transport_forms(F, work, kummer_matrix(c, wm.link).inverse())
     inv = F.inv(next(v for v in forms[(1, 1)] if v != F.zero))
     scaled = {p: tuple(F.mul(inv, v) for v in vec) for p, vec in forms.items()}
-    assert scaled == synthesize_bqf(c, random.Random(121))
+    assert scaled == synthesize_bqf(wm, random.Random(121))
 
 
 def test_crosscheck_h0_degenerates_to_scaling():
     c = CurveModel(F1009, Poly.from_ints(F1009, [1, 1, 0, 0, 0, 1]), Poly(F1009, []))
     rng = random.Random(110)
-    rep = crosscheck_tau_delta(c, rng, npoints=30)
+    wm = working_model(c)
+    bqf = synthesize_bqf(wm, rng)
+    delta = synthesize_delta(wm, rng, bqf)
+    bqf_prime, delta_prime = simplified_families(c, rng)
+    rep = crosscheck_tau_delta(wm, rng, 30, delta, delta_prime)
     assert rep["ok"]
-    rep2 = crosscheck_b_conversion(c, rng, npoints=30)
+    rep2 = crosscheck_b_conversion(wm, rng, 30, bqf, bqf_prime)
     assert rep2["ok"]
 
 
@@ -596,14 +604,11 @@ def test_rational_synthesis_modular_route():
 
     c = dict(default_corpus())["rational_small"]
     rng = random.Random(111)
-    delta = synthesize_delta(c, rng, check=10)
     wm = working_model(c)
-    from g2kummer.jacobian import small_rational_sampler
-
-    sampler = small_rational_sampler(wm)
+    delta = synthesize_delta(wm, rng, synthesize_bqf(wm, rng))
     double = duplication(RationalField(), delta)
     for _ in range(20):
-        D = sampler(rng)
+        D = wm.sample(rng)
         x = kummer_coords(c, to_point_pair(wm, D)).normalized()
         d2 = kummer_coords(c, to_point_pair(wm, add(wm, D, D))).normalized()
         assert double(x).proportional(d2)

@@ -126,21 +126,20 @@ def test_translation_suite_checks_the_formula_sets_own_w(name, damage):
     from g2kummer.algebra import Matrix
     from g2kummer.corpus import default_corpus
     from g2kummer.jacobian import working_model
-    from g2kummer.synthesis import FormulaSet, default_sampler, synthesize_formula_set
+    from g2kummer.synthesis import FormulaSet, synthesize_formula_set
     from g2kummer.verify import _suite_translation
 
     c = dict(default_corpus())[name]
     fs = synthesize_formula_set(c, random.Random(9))
     wm = working_model(c)
-    sampler = default_sampler(wm)
-    assert _suite_translation(c, wm, sampler, random.Random(10), fs, 6)["ok"]
+    assert _suite_translation(wm, random.Random(10), fs, 6)["ok"]
     if damage == "swap_rows":
         (label, W), *rest = fs.w
         w = [(label, Matrix(W.field, [W.rows[1], W.rows[0], *W.rows[2:]])), *rest]
     else:
         w = []
     bad = FormulaSet(fs.curve, fs.fingerprint, fs.delta, fs.bqf, w, fs.convention)
-    rep = _suite_translation(c, wm, sampler, random.Random(10), bad, 6)
+    rep = _suite_translation(wm, random.Random(10), bad, 6)
     assert not rep["ok"] and rep["witness"]
 
 
@@ -200,7 +199,7 @@ def test_chain_over_q_keeps_its_scalars_under_the_stated_bound(monkeypatch):
     import g2kummer.verify as verify
     from g2kummer.corpus import default_corpus
     from g2kummer.jacobian import working_model
-    from g2kummer.synthesis import default_sampler, synthesize_formula_set
+    from g2kummer.synthesis import synthesize_formula_set
 
     c = dict(default_corpus())["rational_small"]
     rng = random.Random(3)
@@ -214,6 +213,6 @@ def test_chain_over_q_keeps_its_scalars_under_the_stated_bound(monkeypatch):
         return inner(ctx, x, n)
 
     monkeypatch.setattr(verify, "ladder", recorded)
-    rep = verify._suite_chain(c, wm, default_sampler(wm), rng, fs, 6)
+    rep = verify._suite_chain(wm, rng, fs, 6)
     assert rep == {"ok": True, "n": 6, "max_m_plus_k": verify.RATIONAL_CHAIN_MAX_SUM}
     assert scalars and max(scalars) <= verify.RATIONAL_CHAIN_MAX_SUM
