@@ -363,10 +363,11 @@ class PairDivisor:
 
     kinds:
       - "zero":       the zero class;
-      - "quadratic":  two affine points with distinct x, given by Mumford data
-                      (a monic quadratic, b of degree <= 1); covers rational
-                      and conjugate pairs uniformly;
-      - "doubled":    twice an affine point (x0, y0), not a Weierstrass point;
+      - "quadratic":  two affine points given by Mumford data (a monic
+                      quadratic, b of degree <= 1); covers rational and
+                      conjugate pairs uniformly, and twice a non-Weierstrass
+                      point, whose a has a repeated root and whose b is the
+                      tangent line;
       - "affine_inf": an affine point plus a branch at infinity.
     """
 
@@ -387,7 +388,8 @@ def secant(F: Field, x1, y1, x2, y2) -> tuple[Poly, Poly]:
 
 
 def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> PairDivisor:
-    """Assemble pair data from two explicit rational points."""
+    """Assemble pair data from two explicit rational points; twice one
+    affine point gives a = (x - x0)^2 and b the tangent line at it."""
     F = c.field
     if P1.kind == "infinity" and P2.kind == "infinity":
         if P1.branch == P2.branch:
@@ -396,19 +398,22 @@ def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> PairDivis
     if P1.kind == "infinity" or P2.kind == "infinity":
         aff, inf = (P2, P1) if P1.kind == "infinity" else (P1, P2)
         return PairDivisor("affine_inf", x0=aff.x, y0=aff.y, branch=inf.branch)
-    if P1.x == P2.x:
-        if P1.y == P2.y:
-            g = F.add(F.add(P1.y, P1.y), c.h(P1.x))
-            if g == F.zero:
-                raise UnsupportedDivisor("doubled Weierstrass point")
-            return PairDivisor("doubled", x0=P1.x, y0=P1.y)
+    if P1.x != P2.x:
+        a, b = secant(F, P1.x, P1.y, P2.x, P2.y)
+        return PairDivisor("quadratic", a=a, b=b)
+    if P1.y != P2.y:
         return PairDivisor("zero")  # P and its image under the involution
-    a, b = secant(F, P1.x, P1.y, P2.x, P2.y)
-    return PairDivisor("quadratic", a=a, b=b)
+    x0, y0 = P1.x, P1.y
+    g = F.add(F.add(y0, y0), c.h(x0))
+    if g == F.zero:
+        raise UnsupportedDivisor("doubled Weierstrass point")
+    lam = F.div(F.sub(c.f.deriv()(x0), F.mul(c.h.deriv()(x0), y0)), g)
+    a = Poly(F, [F.mul(x0, x0), F.neg(F.add(x0, x0)), F.one])
+    return PairDivisor("quadratic", a=a, b=Poly(F, [F.sub(y0, F.mul(lam, x0)), lam]))
 
 
 def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
-    """Pair data from Mumford (a, b) on a model; splits degenerate cases."""
+    """Pair data from Mumford (a, b) on a model."""
     F = c.field
     if a.degree <= 0:
         return PairDivisor("zero")
@@ -420,23 +425,6 @@ def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
             "affine_inf", x0=x0, y0=b(x0), branch=c.branch_values()[0]
         )
     am = a.monic()
-    a1, a0 = am[1], am[0]
-    # discriminant of the monic quadratic
-    if F.characteristic() == 2:
-        doubled = a1 == F.zero
-    else:
-        four = F.from_int(4)
-        doubled = F.sub(F.mul(a1, a1), F.mul(four, a0)) == F.zero
-    if doubled:
-        if F.characteristic() == 2:
-            x0 = F.sqrt(a0)
-        else:
-            x0 = F.neg(F.div(a1, F.from_int(2)))
-        y0 = b(x0)
-        g = F.add(F.add(y0, y0), c.h(x0))
-        if g == F.zero:
-            raise UnsupportedDivisor("doubled Weierstrass point")
-        return PairDivisor("doubled", x0=x0, y0=y0)
     return PairDivisor("quadratic", a=am, b=b % am)
 
 
@@ -450,20 +438,17 @@ def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor)
 
     A quadratic pair is transported in R = k[x]/(a), where the class rho of
     x stands for both roots at once (rho^2 = s1 rho - s2), so rational and
-    conjugate pairs take the same route and no root of a is computed.  For
+    conjugate pairs take the same route and no root of a is computed; a
+    repeated root, twice one point, needs no case of its own either.  For
     the Moebius matrix (al, be, ga, de) and w = ga rho + de, the images
     X = (al rho + be) / w and Y = (e b(rho) + u(rho)) / w^3 give
     a_t = x^2 - Tr(X) x + N(X) and b_t the line through (X, Y).  Only when
     N(w) = 0 does a rational root of a, -de/ga, go to infinity; the two
-    points are then transported one by one."""
+    points are then transported one by one, and a doubled point sent to
+    infinity raises UnsupportedDivisor."""
     F = target.field
     if pair.kind == "zero":
         return pair
-    if pair.kind == "doubled":
-        P = transform_point(iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
-        if P.kind == "infinity":
-            raise UnsupportedDivisor("doubled point moved to infinity")
-        return pair_from_points(target, P, P)
     if pair.kind == "affine_inf":
         Pa = transform_point(iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
         Pi = transform_point(iso, CurvePoint("infinity", branch=pair.branch))

@@ -53,10 +53,6 @@ class UnsupportedDivisor(G2KummerError):
     """Doubled Weierstrass point or doubled infinite point; callers resample."""
 
 
-class TwoTorsionK2Zero(G2KummerError):
-    """k2 = 0 prevents the k'_i normalization of two-torsion data."""
-
-
 class FormulaSetMissing(G2KummerError):
     pass
 

@@ -272,7 +272,6 @@ def add(wm: WorkingModel, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivi
 
 
 def negate(wm: WorkingModel, D: MumfordDivisor) -> MumfordDivisor:
-    F = wm.field
     if D.is_zero():
         return D
     return MumfordDivisor(D.a, (-D.b - wm.model.h) % D.a)
@@ -340,16 +339,6 @@ def from_point_pair(wm: WorkingModel, pair: PairDivisor) -> MumfordDivisor:
         if not wm.contains(D):
             raise UnsupportedDivisor("transported pair is not on the working Jacobian")
         return D
-    if wpair.kind == "doubled":
-        c = wm.model
-        x0, y0 = wpair.x0, wpair.y0
-        g = F.add(F.add(y0, y0), c.h(x0))
-        if g == F.zero:
-            raise UnsupportedDivisor("doubled Weierstrass point")
-        lam = F.div(F.sub(c.f.deriv()(x0), F.mul(c.h.deriv()(x0), y0)), g)
-        a = Poly(F, [F.mul(x0, x0), F.neg(F.add(x0, x0)), F.one])
-        b = Poly(F, [F.sub(y0, F.mul(lam, x0)), lam]) % a
-        return MumfordDivisor(a, b)
     # affine point plus working infinity: the class [P - oo]
     return MumfordDivisor(
         Poly(F, [F.neg(wpair.x0), F.one]), Poly.const(F, wpair.y0)

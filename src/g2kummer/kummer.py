@@ -5,16 +5,23 @@ The coordinate map sends the class of an affine pair {(x, y), (u, v)} to
     (1 : x+u : xu : (F0(x,u) - 2yv - h(x)v - h(u)y) / (x-u)^2),
 
 where F0 is the symmetric biquadratic 2f0 + f1(x+u) + 2f2 xu + f3(x+u)xu +
-2f4(xu)^2 + f5(x+u)(xu)^2 + 2f6(xu)^3.  The image satisfies a quartic
-K2*k4^2 + K1*k4 + K0 = 0 whose coefficient tables (in f0..f6, h0..h3) are
-transcribed below.  Everything is evaluated through base-field symmetric
-functions, so conjugate pairs never require extension arithmetic.
+2f4(xu)^2 + f5(x+u)(xu)^2 + 2f6(xu)^3.  The division is exact on the curve.
+Take the pair's Mumford data a = X^2 - s1 X + s2 (s1 = x+u, s2 = xu) and
+b = b0 + b1 X with y = b(x), v = b(u), and put R = f - bh - b^2 and
+e = s1^2 - s2.  Then, as polynomials over Z, the numerator equals
+(x-u)^2 k4 + R(x) + R(u) with
 
-Degenerate classes are covered by once-derived limits:
+    k4 = b1^2 + b1 (h1 + h2 s1 + h3 e) - (f2 + f3 s1 + f4 s1^2 + f5 s1 e + f6 e^2)
 
-- a doubled affine non-Weierstrass point (x, y) maps to (1 : 2x : x^2 : L)
-  with L = -(f2 + 2f3 x + 4f4 x^2 + 6f5 x^3 + 9f6 x^4) + (d^2 + h'dG)/G^2,
-  G = 2y + h(x), d = f'(x) - h'(x)y;
+(Cassels-Flynn, Prolegomena, ch. 3, for h = 0).  Since a divides R, the
+fourth coordinate is k4 in every characteristic, with no inversion.  Rational
+and conjugate pairs go through the same base-field data, and so does twice
+a non-Weierstrass point, whose a = (X - x)^2 and whose b is the tangent line.
+The image satisfies a quartic K2*k4^2 + K1*k4 + K0 = 0 whose coefficient
+tables (in f0..f6, h0..h3) are transcribed below.
+
+The other classes:
+
 - a pair {(x, y), infinity-branch r} maps to
   (0 : 1 : x : f5 x^2 + 2f6 x^3 - (2y + h(x))r - h3 y);
 - the zero class maps to (0 : 0 : 0 : 1).
@@ -35,11 +42,7 @@ from .algebra import (
     roots_and_quadratic_factors,
 )
 from .curve import CurveModel, PairDivisor, simplified_rhs
-from .errors import (
-    TwoTorsionK2Zero,
-    UnsupportedDivisor,
-    UnsupportedField,
-)
+from .errors import UnsupportedDivisor, UnsupportedField
 from .field import Field
 
 
@@ -211,70 +214,22 @@ def on_surface(q: KummerQuartic, k: KummerPoint) -> bool:
 # The coordinate map
 # ---------------------------------------------------------------------------
 
-def _f0_symmetric(c: CurveModel, s1, s2):
-    F = c.field
-    two = F.from_int(2)
-    f = c.f
-    s2sq = F.mul(s2, s2)
-    return _lin(
-        F,
-        _mono(F, two, f[0]),
-        _mono(F, f[1], s1),
-        _mono(F, two, f[2], s2),
-        _mono(F, f[3], s1, s2),
-        _mono(F, two, f[4], s2sq),
-        _mono(F, f[5], s1, s2sq),
-        _mono(F, two, f[6], s2, s2sq),
-    )
-
-
 def kummer_coords(c: CurveModel, pair: PairDivisor) -> KummerPoint:
     """Kummer coordinates of a divisor class given as pair data."""
     F = c.field
     if pair.kind == "zero":
         return zero_class_point(F)
     if pair.kind == "quadratic":
-        a, b = pair.a, pair.b
-        s1 = F.neg(a[1])
-        s2 = a[0]
-        b0, b1 = b[0], b[1]
-        yv = _lin(
-            F,
-            _mono(F, b1, b1, s2),
-            _mono(F, b0, b1, s1),
-            _mono(F, b0, b0),
-        )
-        # cross sums T_i = x^i v + u^i y for the pair {(x, y), (u, v)}
-        two = F.from_int(2)
-        s1sq = F.mul(s1, s1)
-        t0 = F.add(_mono(F, b1, s1), _mono(F, two, b0))
-        t1 = F.add(_mono(F, two, b1, s2), _mono(F, b0, s1))
-        t2 = F.add(_mono(F, b1, s1, s2), _mono(F, b0, F.sub(s1sq, F.mul(two, s2))))
-        t3 = F.add(
-            _mono(F, b1, s2, F.sub(s1sq, F.mul(two, s2))),
-            _mono(F, b0, s1, F.sub(s1sq, _mono(F, F.from_int(3), s2))),
-        )
-        h = c.h
-        hterm = _lin(F, _mono(F, h[0], t0), _mono(F, h[1], t1), _mono(F, h[2], t2), _mono(F, h[3], t3))
-        num = F.sub(F.sub(_f0_symmetric(c, s1, s2), F.mul(two, yv)), hterm)
-        den = F.sub(s1sq, F.mul(F.from_int(4), s2))
-        return KummerPoint(F, (F.one, s1, s2, F.div(num, den)))
-    if pair.kind == "doubled":
-        x, y = pair.x0, pair.y0
-        fp, hp = c.f.deriv(), c.h.deriv()
-        G = F.add(F.add(y, y), c.h(x))
-        if G == F.zero:
-            raise UnsupportedDivisor("doubled Weierstrass point")
-        d = F.sub(fp(x), F.mul(hp(x), y))
-        A = F.zero
-        for coef, i in ((1, 2), (2, 3), (4, 4), (6, 5), (9, 6)):
-            t = F.mul(F.from_int(coef), c.f[i])
-            for _ in range(i - 2):
-                t = F.mul(t, x)
-            A = F.add(A, t)
-        num = F.add(F.mul(d, d), _mono(F, hp(x), d, G))
-        k4 = F.add(F.neg(A), F.div(num, F.mul(G, G)))
-        return KummerPoint(F, (F.one, F.add(x, x), F.mul(x, x), k4))
+        a, b1 = pair.a, pair.b[1]
+        s1, s2 = F.neg(a[1]), a[0]
+        f, h = c.f, c.h
+        s1sq = F.sqr(s1)
+        e = F.sub(s1sq, s2)
+        hb = _lin(F, h[1], F.mul(h[2], s1), F.mul(h[3], e))
+        fe = _lin(F, f[2], F.mul(f[3], s1), F.mul(f[4], s1sq),
+                  F.mul(F.mul(f[5], s1), e), F.mul(f[6], F.sqr(e)))
+        k4 = F.sub(F.mul(b1, F.add(b1, hb)), fe)
+        return KummerPoint(F, (F.one, s1, s2, k4))
     if pair.kind == "affine_inf":
         x, y, r = pair.x0, pair.y0, pair.branch
         two = F.from_int(2)
@@ -313,20 +268,10 @@ class TwoTorsionData:
     kummer: KummerPoint
     s: Poly
     t: Poly
-    t0: object = None
-    t1: object = None
     bp: tuple = None  # (b'0, b'1, b'2, b'3)
     cc: object = None
     kp: tuple = None  # (k'1, k'2, k'3, k'4)
-    r6: object = None
     label: str = ""
-
-    def require_kp(self):
-        if self.kp is None:
-            raise TwoTorsionK2Zero(
-                "k2 = 0: the k'_i normalization of this class is undefined"
-            )
-        return self.kp
 
 
 def two_torsion_classes(c: CurveModel) -> list[TwoTorsionData]:
@@ -400,8 +345,6 @@ def _char2_affine_data(c: CurveModel, s: Poly, b: Poly, label: str) -> TwoTorsio
         kummer=k,
         s=s,
         t=t,
-        t0=t[0],
-        t1=t[1],
         bp=(bp0, bp1, bp2, bp3),
         cc=cc,
         kp=kp,
@@ -417,9 +360,8 @@ def _char2_infinity_data(c: CurveModel, x1, label: str) -> TwoTorsionData:
     r6 = F.sqrt(c.f[6])
     pair = PairDivisor("affine_inf", x0=x1, y0=y1, branch=r6)
     k = kummer_coords(c, pair)
-    k1, k2, k3, k4 = k.coords
-    assert k2 == F.one
-    kp = (k1, k2, k3, k4)
+    kp = k.coords
+    assert kp[1] == F.one
     bp0 = r6
     bp1 = F.mul(r6, kp[2])
     bp2 = F.mul(bp1, kp[2])
@@ -431,12 +373,9 @@ def _char2_infinity_data(c: CurveModel, x1, label: str) -> TwoTorsionData:
         kummer=k,
         s=s,
         t=t,
-        t0=t[0],
-        t1=t[1],
         bp=(bp0, bp1, bp2, bp3),
         cc=cc,
         kp=kp,
-        r6=r6,
         label=label,
     )
 
@@ -458,19 +397,13 @@ def _two_torsion_odd(c: CurveModel) -> list[TwoTorsionData]:
         t = g.exact_div(s)
         b = (c.h.scale(F.neg(half))) % s
         pair = PairDivisor("quadratic", a=s, b=b)
-        k = kummer_coords(c, pair)
-        kp = None
-        if k.coords[1] != F.zero:
-            inv = F.inv(k.coords[1])
-            kp = tuple(F.mul(inv, v) for v in k.coords)
         out.append(
             TwoTorsionData(
                 case_tag="affineAffine",
                 divisor=pair,
-                kummer=k,
+                kummer=kummer_coords(c, pair),
                 s=s,
                 t=t,
-                kp=kp,
                 label="s:" + ",".join(F.to_str(s[i]) for i in range(3)),
             )
         )
@@ -491,10 +424,10 @@ def w_matrix_char2(c: CurveModel, T: TwoTorsionData) -> Matrix:
     if F.characteristic() != 2:
         raise UnsupportedField("the transcribed matrix is for characteristic 2")
     f1, f3, f5 = c.f[1], c.f[3], c.f[5]
-    t0, t1 = T.t0, T.t1
+    t0, t1 = T.t[0], T.t[1]
     b0, b1, b2, b3 = T.bp
     cc = T.cc
-    k1, k2, k3, k4 = T.require_kp()
+    k1, k2, k3, k4 = T.kp
     m = lambda *a: _mono(F, *a)
     lin = lambda *t: _lin(F, *t)
     w41 = lin(m(t0, f1, b0), m(t0, f3, b2), m(t0, t0, cc), m(t1, f1, b1), m(f3, f1, k1))

@@ -30,7 +30,7 @@ from g2kummer.kummer import (
     w_matrix_char2,
     zero_class_point,
 )
-from g2kummer.ladder import bench, ladder, make_context, xadd, xdbl
+from g2kummer.ladder import bench, ladder, make_context, xadd
 from g2kummer.synthesis import (
     BQF_INDEX_PAIRS,
     bqf_values,

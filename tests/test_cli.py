@@ -189,6 +189,17 @@ def test_formula_file_without_field_line_is_usage_error(synth_file, tmp_path, ca
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
+@pytest.mark.parametrize("curve,points,kappa", [
+    ("m61_h2_f5", "0,1;0,1", "1:0:0:512409557603043102"),
+    ("c2_general_f", "0x3,0x4b00;0x3,0x4b00", "0x1:0x0:0x5:0x3a4e"),
+])
+def test_eval_kappa_of_a_doubled_point(capsys, curve, points, kappa):
+    # twice one point is Mumford data with a repeated root, read by the same
+    # k4 formula as two distinct points
+    assert main(["eval", "kappa", str(CORPUS_DIR / f"{curve}.curve"), "--points", points]) == 0
+    assert capsys.readouterr().out.strip() == kappa
+
+
 @pytest.mark.parametrize("points", ["1,149", "1,1;2,2;3,3"])
 def test_eval_kappa_needs_two_points(curve_file, capsys, points):
     _assert_usage_error(["eval", "kappa", curve_file, "--points", points], capsys)

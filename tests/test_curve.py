@@ -393,6 +393,36 @@ def test_transform_pair_of_split_pairs_matches_the_point_route(F):
     assert kinds.count("affine_inf") == 10 and kinds.count("quadratic") >= 8
 
 
+@pytest.mark.parametrize("name", ["m61_h3_f6", "c2_general_f"])
+def test_transform_pair_of_a_doubled_point_matches_the_point_route(name):
+    """Twice a point crosses the working-model link and unlink by the closed
+    form: the image is twice the transported point, with its tangent line,
+    and kappa on the far side is M kappa.  A doubled point sent to infinity
+    is rejected."""
+    c = dict(default_corpus())[name]
+    F = c.field
+    wm = working_model(c)
+    rng = random.Random(21)
+    checked = 0
+    for src, iso, dst in ((c, wm.link, wm.model), (wm.model, wm.unlink, c)):
+        M = kummer_matrix(src, iso)
+        for _ in range(20):
+            P = sample_point(src, rng)
+            Q = transform_point(iso, P)
+            if Q.kind == "infinity" or F.add(F.add(P.y, P.y), src.h(P.x)) == F.zero:
+                continue
+            pair = pair_from_points(src, P, P)
+            got = transform_pair(dst, iso, pair)
+            assert got == pair_from_points(dst, Q, Q)
+            assert _kappa_proportional(F, M, kummer_coords(src, pair), kummer_coords(dst, got))
+            checked += 1
+    assert checked >= 36
+    P = sample_point(c, rng)
+    iso = _iso_with_row(F, lambda: F.random(rng), F.one, F.neg(P.x))
+    with pytest.raises(UnsupportedDivisor):
+        transform_pair(transform(c, iso), iso, pair_from_points(c, P, P))
+
+
 # ---------------------------------------------------------------------------
 # transformations
 # ---------------------------------------------------------------------------

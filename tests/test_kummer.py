@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from g2kummer.algebra import Matrix, Poly, QUARTIC4, eval_quartic
+from g2kummer.algebra import Poly, eval_quartic
 from g2kummer.curve import (
     CurveModel,
     CurvePoint,
-    PairDivisor,
     normal_form_curve,
     pair_from_points,
     sample_point,
@@ -18,7 +17,6 @@ from g2kummer.errors import UnsupportedDivisor
 from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import (
     add,
-    divisor_from_points,
     from_point_pair,
     negate,
     random_divisor,
@@ -269,7 +267,7 @@ def test_doubled_point_formula_matches_series_expansion():
             G = F.add(F.add(P.y, P.y), h(P.x))
             if G == F.zero:
                 continue
-            pair = PairDivisor("doubled", x0=P.x, y0=P.y)
+            pair = pair_from_points(c, P, P)
             k = kummer_coords(c, pair)
             expect = series_kappa4(c, P.x, P.y)
             assert k.coords[3] == expect
@@ -305,9 +303,9 @@ def test_unsupported_divisors():
     # doubled Weierstrass point: y = 0 on f root
     from g2kummer.algebra import roots
 
-    r = roots(c.f)[0][0]
+    W = CurvePoint("affine", x=roots(c.f)[0][0], y=0)
     with pytest.raises(UnsupportedDivisor):
-        kummer_coords(c, PairDivisor("doubled", x0=r, y0=0))
+        kummer_coords(c, pair_from_points(c, W, W))
 
 
 def test_kappa_two_to_one_except_two_torsion():
@@ -422,7 +420,7 @@ def test_w_matrix_entries_and_square():
     q = quartic_from_curve(c)
     for T in two_torsion_classes(c):
         W = w_matrix_char2(c, T)
-        kp = T.require_kp()
+        kp = T.kp
         assert W.rows[0][3] == kp[0]  # entry (1,4) = k'_1
         assert W.rows[2][3] == kp[2]  # entry (3,4) = k'_3
         W2 = W.mul(W)

@@ -69,3 +69,26 @@ def test_every_script_imports(monkeypatch):
     for path in paths:
         spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__ imports only to re-export
+    root = SRC.parent.parent
+    paths = [p for d in (SRC, root / "tests", SCRIPTS) for p in sorted(d.glob("*.py")) if p.name != "__init__.py"]
+    unused = [f"{p.relative_to(root)}:{line} {name}"
+              for p in paths for line, name in _unused_imports(ast.parse(p.read_text()))]
+    assert not unused, "unused imports: " + ", ".join(unused)

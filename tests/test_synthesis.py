@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from g2kummer.algebra import BIQUADRATIC44, Matrix, Poly, QUARTIC4, biquadratic_rows, solve_kernel
 from g2kummer.corpus import default_corpus
-from g2kummer.curve import CurveModel, kummer_matrix, normal_form_curve, validate
+from g2kummer.curve import CurveModel, kummer_matrix, normal_form_curve
 from g2kummer.errors import (
     ExhaustedRetries,
     KernelDimensionUnexpected,
