@@ -16,15 +16,13 @@ The same orderings are used by formula synthesis and serialization.
 
 from __future__ import annotations
 
-import operator
 import random
 from fractions import Fraction
-from functools import cache, reduce
 from itertools import combinations_with_replacement
 from math import isqrt, lcm
 
 from .errors import DivisionByZero, LengthMismatch, UnsupportedField
-from .field import Field, _gf2x_inv, _gf2x_mod
+from .field import Field
 
 
 class Poly:
@@ -60,6 +58,9 @@ class Poly:
 
     def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+
+    def __iter__(self):
+        return iter(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -243,7 +244,7 @@ def _equal_degree_split(p: Poly, d: int) -> list[Poly]:
             t = _pow_poly_mod(a, (q**d - 1) // 2, p) - one
         else:
             t = acc = a
-            for _ in range(d * F.m - 1):  # type: ignore[attr-defined]
+            for _ in range(d * (q.bit_length() - 1) - 1):
                 acc = (acc * acc) % p
                 t = t + acc
         g = t.gcd(p)
@@ -359,13 +360,13 @@ class Matrix:
         if self.ncols != other.nrows:
             raise LengthMismatch("matrix shape mismatch")
         cols = list(zip(*other.rows))
-        return Matrix(F, [[_dot(F, row, col) for col in cols] for row in self.rows])
+        return Matrix(F, [[F.dot(row, col) for col in cols] for row in self.rows])
 
     def apply(self, vec) -> list:
         F = self.field
         if len(vec) != self.ncols:
             raise LengthMismatch("vector length mismatch")
-        return [_dot(F, row, vec) for row in self.rows]
+        return [F.dot(row, vec) for row in self.rows]
 
     def scale(self, c) -> "Matrix":
         F = self.field
@@ -393,13 +394,13 @@ def _rref(F: Field, rows: list[list], limit_cols: int | None = None) -> tuple[in
     Forward elimination clears each unit pivot's column from the rows below
     it only, so every pivot row is zero left of its pivot; back-substitution
     then clears the pivot columns from the rows above, bottom pivot first.
-    Rows are held as ``_row_ops`` stores them, reduced as pivot rows and when
-    written back.  The rows beyond the rank come out zero below
+    Rows are held as ``F.row_ops`` stores them, reduced as pivot rows and
+    when written back.  The rows beyond the rank come out zero below
     ``limit_cols``, the rest being a residual that is zero exactly when the
     augmented system is consistent.
     """
     ncols = len(rows[0]) if rows else 0
-    pack, entry, pivot_row, eliminator, unpack = _row_ops(F, ncols)
+    pack, entry, pivot_row, eliminator, unpack = F.row_ops(ncols)
     work = [pack(r) for r in rows]
     pivots = []
 
@@ -428,116 +429,6 @@ def _rref(F: Field, rows: list[list], limit_cols: int | None = None) -> tuple[in
         clear(work[k], pivots[k], True, range(k))
     rows[:] = map(unpack, work)
     return len(pivots), pivots
-
-
-def _row_ops(F: Field, ncols: int):
-    """The field-specific steps of ``_rref`` on stored rows: ``pack(row)``,
-    ``entry(stored, j)`` (as a field value), ``pivot_row(stored, j, c)``
-    (reduced, and times 1/c unless c is None), ``eliminator(prow, j, back)``
-    (the update (stored, c) -> stored - c*prow) and ``unpack``.
-
-    Over GF(p) and Q a row is a list, updated from column j on, or only at
-    the pivot row's nonzero columns in back-substitution; GF(p) keeps
-    entries unreduced (a - c*b), Q uses the counted ``Field`` operations.
-    Over GF(2^m) a row is one int, entry j in the w-bit lane at bit j*w (w
-    = 2m in whole bytes).  An update is a carry-less product of the reduced
-    c and pivot row, four bits of c at a time, so lanes stay under 2m - 1
-    bits; entries are reduced by byte tables when read, rows one bit
-    position at a time (f times a bit in every lane has no carries)."""
-    if F.kind == "binary":
-        m, mod, size = F.m, F.mod, (F.m + 3) // 4  # 2m bits in whole bytes
-        w, tables = 8 * size, _reduction_tables(m, mod)
-        lane, low, ones = (1 << w) - 1, (1 << m) - 1, ((1 << w * ncols) - 1) // ((1 << w) - 1)
-
-        def entry(row, j):
-            a = row >> w * j & lane
-            r = a & low
-            a >>= m
-            for tab in tables:
-                r ^= tab[a & 255]
-                a >>= 8
-            return r
-
-        def reduced(row):
-            for t in range(2 * m - 2, m - 1, -1):
-                high = row >> t & ones
-                if high:
-                    row ^= high * mod << t - m
-            return row
-
-        def eliminator(prow, j, back):
-            multiples = [0, prow]
-            for d in range(2, 16):
-                multiples.append(multiples[d >> 1] << 1 ^ multiples[d & 1])
-
-            def eliminate(row, c):
-                s = 0
-                while c:
-                    row, c, s = row ^ multiples[c & 15] << s, c >> 4, s + 4
-                return row
-
-            return eliminate
-
-        def pivot_row(row, j, c):
-            row = reduced(row)
-            return row if c is None else reduced(eliminator(row, j, False)(0, _gf2x_inv(c, mod)))
-
-        def pack(row):
-            return int.from_bytes(b"".join([a.to_bytes(size, "little") for a in row]), "little")
-
-        def unpack(row):
-            raw = reduced(row).to_bytes(size * ncols, "little")
-            return [int.from_bytes(raw[t : t + size], "little") for t in range(0, len(raw), size)]
-
-        return pack, entry, pivot_row, eliminator, unpack
-    zero = F.zero
-    if F.kind == "prime":
-        p = F.p
-        entry, reduced = (lambda row, j: row[j] % p), (lambda row: [a % p for a in row])
-
-        def unit(row, c):
-            inv = pow(c, -1, p)
-            return [inv * a % p for a in row]
-
-        def submul(row, c, tail):
-            return [a - c * b for a, b in zip(row, tail)]
-    else:
-        mul, sub = F.mul, F.sub
-        entry, reduced = (lambda row, j: row[j]), list
-
-        def unit(row, c):
-            inv = F.inv(c)
-            return [mul(inv, a) for a in row]
-
-        def submul(row, c, tail):
-            return [sub(a, mul(c, b)) for a, b in zip(row, tail)]
-
-    def eliminator(prow, j, back):
-        cols = [t for t in range(j + 1, ncols) if prow[t]] if back else range(j, ncols)
-        tail = [prow[t] for t in cols]
-
-        def forward(row, c):
-            row[j:] = submul(row[j:], c, tail)
-            return row
-
-        def backward(row, c):
-            row[j] = zero
-            for t, a in zip(cols, submul([row[t] for t in cols], c, tail)):
-                row[t] = a
-            return row
-
-        return backward if back else forward
-
-    def pivot_row(row, j, c):
-        return reduced(row) if c is None else [zero] * j + unit(row[j:], c)
-
-    return list, entry, pivot_row, eliminator, reduced
-
-
-@cache
-def _reduction_tables(m: int, mod: int) -> list[list[int]]:
-    """Byte tables of b * x^(m + 8k) mod f, for the bytes above bit m - 1."""
-    return [[_gf2x_mod(b << m + 8 * k, mod) for b in range(256)] for k in range((m + 6) // 8)]
 
 
 def solve_kernel(M: Matrix) -> list[list]:
@@ -626,83 +517,10 @@ _QUARTIC_FACTORS = [
 QUADRATIC_MULS = len(_QUADRATIC_VARS)
 
 
-# The products of every form evaluation and sample row.  Over GF(p) and
-# tabled GF(2^m) these kernels work on the raw integers and count their own
-# products on ``Field.counter``: GF(p) reduces once per sum, and GF(2^m) adds
-# logarithms (exp has n = 2^m - 1 entries, so for a log sum s in [0, 2n) the
-# index s - n wraps when negative).  Q and untabled GF(2^m) use the counted
-# ``Field`` operations, which ``_rref`` uses over Q only.  The tables are
-# fetched per call: a kept reference would outlive a rebuild of the cache.
-
-
-def _tables(F: Field):
-    """The (exp, log) tables of a tabled binary field, else None."""
-    return F._tables() if F.kind == "binary" else None
-
-
-def _count(F: Field, muls: int):
-    if F.counter is not None:
-        F.counter.mul += muls
-
-
-def pair_products(F: Field, values, pairs) -> list:
-    """values[a] * values[b] for each index pair (a, b)."""
-    tabs = _tables(F)
-    if tabs is None and F.kind != "prime":
-        return [F.mul(values[a], values[b]) for a, b in pairs]
-    _count(F, len(pairs))
-    if tabs is None:
-        return [values[a] * values[b] % F.p for a, b in pairs]
-    exp, log = tabs
-    n = len(exp)
-    logs = [log[v] if v else None for v in values]
-    return [0 if logs[a] is None or logs[b] is None else exp[logs[a] + logs[b] - n] for a, b in pairs]
-
-
-def _dot(F: Field, xs, ys):
-    """The sum of xs[i] * ys[i]."""
-    tabs = _tables(F)
-    if tabs is None and F.kind != "prime":
-        return reduce(F.add, map(F.mul, xs, ys), F.zero)
-    _count(F, len(xs))
-    if tabs is None:
-        return sum(map(operator.mul, xs, ys)) % F.p
-    exp, log = tabs
-    n = len(exp)
-    return reduce(operator.xor, [exp[log[x] + log[y] - n] for x, y in zip(xs, ys) if x and y], 0)
-
-
-def _dots(F: Field, rows, values) -> list:
-    """Per row of (a, c) terms, the sum of c * values[a], with each c
-    stored as ``CompiledForms`` stores it."""
-    tabs = _tables(F)
-    if tabs is None and F.kind != "prime":
-        return [_dot(F, [c for _a, c in terms], [values[a] for a, _c in terms]) for terms in rows]
-    _count(F, sum(map(len, rows)))
-    out = []
-    if tabs is None:
-        p = F.p
-        for terms in rows:
-            acc = 0
-            for a, c in terms:
-                acc += c * values[a]
-            out.append(acc % p)
-        return out
-    exp, log = tabs
-    logs = [log[v] if v else None for v in values]
-    for terms in rows:
-        acc = 0
-        for a, lc in terms:
-            if logs[a] is not None:
-                acc ^= exp[lc + logs[a]]
-        out.append(acc)
-    return out
-
-
 def quadratic_monomials(F: Field, point) -> list:
     """The ten quadratic monomials of a quadruple of raw values, in the
     order of a BIQUADRATIC44 block: one multiplication each."""
-    return pair_products(F, point, _QUADRATIC_VARS)
+    return F.pair_products(point, _QUADRATIC_VARS)
 
 
 def symmetric_square(F: Field, A) -> Matrix:
@@ -726,29 +544,26 @@ class CompiledForms:
     value is the sum over rows of q_b(y) times the row's combination of the
     q_a(x).  Only zero coefficients are skipped, never values that happen
     to vanish, so an evaluation costs a number of multiplications fixed by
-    the sparsity alone (``quartic_muls``, ``biquadratic_muls``).  Over
-    tabled GF(2^m) a coefficient c is stored as log c - n for ``_dots``."""
+    the sparsity alone (``quartic_muls``, ``biquadratic_muls``).  Each
+    coefficient is kept as ``F.stored`` gives it, for ``F.dots``."""
 
     def __init__(self, F: Field, quartics=(), biquadratics=None):
         zero = F.zero
-        tabs = _tables(F)
-        store = (lambda c: tabs[1][c] - len(tabs[0])) if tabs else (lambda c: c)
         self.field = F
         if any(len(coeffs) != QUARTIC4.size for coeffs in quartics):
             raise LengthMismatch("quartic coefficient vector must have 35 entries")
         used = sorted({k for coeffs in quartics for k, c in enumerate(coeffs) if c != zero})
         self.quartic_pairs = [_QUARTIC_FACTORS[k] for k in used]
         self.quartics = [
-            [(t, store(coeffs[k])) for t, k in enumerate(used) if coeffs[k] != zero] for coeffs in quartics
+            [(t, kept[k]) for t, k in enumerate(used) if coeffs[k] != zero]
+            for coeffs, kept in zip(quartics, map(F.stored, quartics))
         ]
         self.biquadratics = {}
         for key, coeffs in (biquadratics or {}).items():
             if len(coeffs) != BIQUADRATIC44.size:
                 raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
-            rows = [
-                (b, [(a, store(coeffs[10 * a + b])) for a in range(10) if coeffs[10 * a + b] != zero])
-                for b in range(10)
-            ]
+            kept = F.stored(coeffs)
+            rows = [(b, [(a, kept[10 * a + b]) for a in range(10) if coeffs[10 * a + b] != zero]) for b in range(10)]
             rows = [(b, terms) for b, terms in rows if terms]
             self.biquadratics[key] = ([b for b, _t in rows], [terms for _b, terms in rows])
 
@@ -756,22 +571,20 @@ class CompiledForms:
         """The quartic forms at the point whose quadratic monomials are
         ``quad``."""
         F = self.field
-        return _dots(F, self.quartics, pair_products(F, quad, self.quartic_pairs))
+        return F.dots(self.quartics, F.pair_products(quad, self.quartic_pairs))
 
     def biquadratic_rows(self, keys, qx) -> list:
         """Substitute x into the biquadratic forms named by ``keys``: per
         form, the (b, coefficient) pairs of the quadratic form in y that
         remains."""
         F = self.field
-        return [list(zip(bs, _dots(F, rows, qx))) for bs, rows in (self.biquadratics[k] for k in keys)]
+        return [list(zip(bs, F.dots(rows, qx))) for bs, rows in (self.biquadratics[k] for k in keys)]
 
     def biquadratic_values(self, keys, qx, qy) -> list:
         """The biquadratic forms named by ``keys`` at the argument pair whose
         quadratic monomials are ``qx`` and ``qy``."""
         F = self.field
-        return [
-            _dot(F, _dots(F, rows, qx), [qy[b] for b in bs]) for bs, rows in (self.biquadratics[k] for k in keys)
-        ]
+        return [F.dot(F.dots(rows, qx), [qy[b] for b in bs]) for bs, rows in (self.biquadratics[k] for k in keys)]
 
     def quartic_muls(self) -> int:
         """Multiplications of one ``quartic_values`` call."""
@@ -799,7 +612,7 @@ def quadratic_value(F: Field, row, qy) -> object:
     """Value of a quadratic form, given by its (b, coefficient) pairs from
     ``biquadratic_rows``, at the point whose quadratic monomials are
     ``qy``."""
-    return _dot(F, [c for _b, c in row], [qy[b] for b, _c in row])
+    return F.dot([c for _b, c in row], [qy[b] for b, _c in row])
 
 
 def quadratic_form_matrix(F: Field, row) -> list[list]:
@@ -826,11 +639,12 @@ SYMMETRIC_PAIRS = [(a, b) for a in range(10) for b in range(a, 10)]
 _SYMMETRIC_PRODUCTS = [(a, 10 + b) for a, b in SYMMETRIC_PAIRS] + [(b, 10 + a) for a, b in SYMMETRIC_PAIRS if a < b]
 
 
-def symmetric_biquadratic_row(F: Field, x, y) -> list:
+def symmetric_biquadratic_row(F: Field, qx, qy) -> list:
     """The 55 monomial values of a symmetric biquadratic sample row:
-    q_a(x) q_b(y) + q_b(x) q_a(y) for a < b and q_a(x) q_a(y) for a = b.
-    Nothing is halved, so the basis also serves characteristic 2."""
-    prods = pair_products(F, quadratic_monomials(F, x) + quadratic_monomials(F, y), _SYMMETRIC_PRODUCTS)
+    q_a(x) q_b(y) + q_b(x) q_a(y) for a < b and q_a(x) q_a(y) for a = b,
+    given the quadratic monomials ``qx`` and ``qy`` of x and y.  Nothing is
+    halved, so the basis also serves characteristic 2."""
+    prods = F.pair_products(qx + qy, _SYMMETRIC_PRODUCTS)
     swapped = iter(prods[len(SYMMETRIC_PAIRS) :])
     return [u if a == b else F.add(u, next(swapped)) for (a, b), u in zip(SYMMETRIC_PAIRS, prods)]
 

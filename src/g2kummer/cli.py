@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import errors
-from .curve import CurveModel, curve_from_text, validate
+from .curve import CurveModel, curve_from_text, nonsingular, validate
 from .field import field_from_spec
 from .kummer import (
     KummerPoint,
@@ -45,8 +45,10 @@ DEFAULT_SEED = 20260808
 
 
 def _load_curve(path: str) -> CurveModel:
+    """The curve of a file, which every command but ``validate`` requires to
+    be nonsingular (SingularCurve, exit 1)."""
     with open(path) as fh:
-        return curve_from_text(fh.read())
+        return nonsingular(curve_from_text(fh.read()))
 
 
 def _load_formulas(path: str, curve: CurveModel):
@@ -73,8 +75,8 @@ def _print_seed(seed: int):
 
 
 def cmd_validate(args) -> int:
-    c = _load_curve(args.curve)
-    v = validate(c)
+    with open(args.curve) as fh:
+        v = validate(curve_from_text(fh.read()))
     if v.ok:
         print("valid")
         return 0

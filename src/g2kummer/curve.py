@@ -100,16 +100,20 @@ class CurveModel:
 
 
 def curve_from_text(text: str) -> CurveModel:
-    """Parse the line-based curve file format."""
+    """Parse the line-based curve file format: one field, f and h line each."""
     from .field import field_from_spec
 
     field = None
     fco = hco = None
+    seen = set()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
+        if key in seen:
+            raise ValueError(f"repeated curve file line {key!r}")
+        seen.add(key)
         if key == "field":
             field = field_from_spec(rest.strip())
         elif key in ("f", "h") and field is None:
@@ -169,6 +173,14 @@ def validate(c: CurveModel) -> Validity:
     if not g.squarefree():
         return Validity(False, "4f + h^2 has a repeated root")
     return Validity(True)
+
+
+def nonsingular(c: CurveModel) -> CurveModel:
+    """c itself if ``validate`` accepts it, else SingularCurve with the reason."""
+    v = validate(c)
+    if not v.ok:
+        raise SingularCurve(f"invalid curve: {v.reason}")
+    return c
 
 
 def simplified_rhs(c: CurveModel) -> Poly:
@@ -611,9 +623,7 @@ def char2_normal_form(c: CurveModel) -> tuple[str, CurveModel, ModelIsomorphism]
     F = c.field
     if F.characteristic() != 2:
         raise CharacteristicTwo("normal forms are for characteristic 2")
-    v = validate(c)
-    if not v.ok:
-        raise SingularCurve(v.reason)
+    nonsingular(c)
     rts = _h_projective_roots(c)
     if sum(m for _r, m in rts) != 3:
         raise RootsNotRational("the cubic form extending h does not split over the base field")

@@ -14,8 +14,10 @@ is always drawn from an explicit ``random.Random`` passed by the caller.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from math import isqrt
 
 from .errors import (
@@ -88,6 +90,12 @@ def _gf2x_inv(a: int, mod: int) -> int:
     return g1
 
 
+@cache
+def _reduction_tables(m: int, mod: int) -> list[list[int]]:
+    """Byte tables of b * x^(m + 8k) mod f, for the bytes above bit m - 1."""
+    return [[_gf2x_mod(b << m + 8 * k, mod) for b in range(256)] for k in range((m + 6) // 8)]
+
+
 def _gf2x_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _gf2x_mod(a, b)
@@ -145,50 +153,21 @@ class OpCounter:
 
 
 class Field:
-    """Base class; subclasses implement raw-value arithmetic."""
+    """Base class of the three field kinds.  Each subclass defines ``kind``,
+    ``zero`` and ``one`` and the raw-value operations ``add``, ``sub``,
+    ``neg``, ``mul``, ``inv``, ``from_int`` (the image of an integer),
+    ``characteristic``, ``sqrt`` (one square root, or None for a
+    non-square), ``quad_solve(b, c)`` (all y with y**2 + b*y = c, sorted
+    canonically), ``to_str``, ``parse`` and ``spec_string``."""
 
     kind: str
     counter: OpCounter | None = None
 
-    # -- raw operations --------------------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
     def sqr(self, a):
         return self.mul(a, a)
 
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r, b = self.one, a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.sqr(b)
-            n >>= 1
-        return r
-
-    def from_int(self, n: int):
-        """Image of the integer n under the canonical ring map."""
-        raise NotImplementedError
-
-    def characteristic(self) -> int:
-        raise NotImplementedError
 
     def order(self) -> int | None:
         """Field size, or None for the rationals."""
@@ -197,25 +176,75 @@ class Field:
     def random(self, rng):
         raise UnsupportedField(f"no uniform sampling over {self.kind}")
 
-    def sqrt(self, a):
-        """One square root of a, or None if a is not a square."""
-        raise NotImplementedError
-
-    def quad_solve(self, b, c) -> list:
-        """All raw y with y**2 + b*y = c, sorted canonically."""
-        raise NotImplementedError
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
     def __repr__(self):
         return self.spec_string()
+
+    # -- raw-integer kernels ---------------------------------------------
+    # Every form evaluation, sample row and row reduction makes its products
+    # here.  These versions use the counted operations; GF(p) and tabled
+    # GF(2^m) override them to work on the raw integers and count their own
+    # products.  The log/exp tables are fetched per call: a kept reference
+    # would outlive a rebuild of the cache.
+
+    def _count(self, muls: int):
+        if self.counter is not None:
+            self.counter.mul += muls
+
+    def pair_products(self, values, pairs) -> list:
+        """values[a] * values[b] for each index pair (a, b)."""
+        mul = self.mul
+        return [mul(values[a], values[b]) for a, b in pairs]
+
+    def dot(self, xs, ys):
+        """The sum of xs[i] * ys[i]."""
+        return reduce(self.add, map(self.mul, xs, ys), self.zero)
+
+    def stored(self, coeffs) -> list:
+        """The coefficients as ``dots`` reads them."""
+        return list(coeffs)
+
+    def dots(self, rows, values) -> list:
+        """Per row of (a, c) terms, the sum of c * values[a], with each c as
+        ``stored`` keeps it."""
+        return [self.dot([c for _a, c in terms], [values[a] for a, _c in terms]) for terms in rows]
+
+    def row_ops(self, ncols: int):
+        """The steps of ``algebra._rref`` on stored rows: ``pack(row)``,
+        ``entry(stored, j)`` (as a field value), ``pivot_row(stored, j, c)``
+        (reduced, and times 1/c unless c is None), ``eliminator(prow, j,
+        back)`` (the update (stored, c) -> stored - c*prow) and ``unpack``.
+
+        Here a row is a list of field values, updated with the counted
+        operations from column j on, or only at the pivot row's nonzero
+        columns in back-substitution."""
+        zero, mul, sub = self.zero, self.mul, self.sub
+
+        def pivot_row(row, j, c):
+            if c is None:
+                return row
+            inv = self.inv(c)
+            return [zero] * j + [mul(inv, a) for a in row[j:]]
+
+        def eliminator(prow, j, back):
+            if back:
+                terms = [(t, prow[t]) for t in range(j + 1, ncols) if prow[t]]
+
+                def backward(row, c):
+                    row[j] = zero
+                    for t, b in terms:
+                        row[t] = sub(row[t], mul(c, b))
+                    return row
+
+                return backward
+            tail = prow[j:]
+
+            def forward(row, c):
+                row[j:] = [sub(a, mul(c, b)) for a, b in zip(row[j:], tail)]
+                return row
+
+            return forward
+
+        return list, (lambda row, j: row[j]), pivot_row, eliminator, list
 
 
 @dataclass(frozen=True, repr=False)
@@ -321,6 +350,62 @@ class PrimeField(Field):
 
     def spec_string(self):
         return f"prime:p={self.p}"
+
+    # unreduced sums of products, reduced once per sum
+    def pair_products(self, values, pairs):
+        self._count(len(pairs))
+        p = self.p
+        return [values[a] * values[b] % p for a, b in pairs]
+
+    def dot(self, xs, ys):
+        self._count(len(xs))
+        return sum(map(operator.mul, xs, ys)) % self.p
+
+    def dots(self, rows, values):
+        self._count(sum(map(len, rows)))
+        p, out = self.p, []
+        for terms in rows:
+            acc = 0
+            for a, c in terms:
+                acc += c * values[a]
+            out.append(acc % p)
+        return out
+
+    def row_ops(self, ncols):
+        """As ``Field.row_ops``, with entries kept unreduced (a - c*b): they
+        are reduced when read, in pivot rows and when written back.  A row
+        update is one call, with no field operation."""
+        p = self.p
+
+        def reduced(row):
+            return [a % p for a in row]
+
+        def pivot_row(row, j, c):
+            if c is None:
+                return reduced(row)
+            inv = pow(c, -1, p)
+            return [0] * j + [inv * a % p for a in row[j:]]
+
+        def eliminator(prow, j, back):
+            if back:
+                terms = [(t, prow[t]) for t in range(j + 1, ncols) if prow[t]]
+
+                def backward(row, c):
+                    row[j] = 0
+                    for t, b in terms:
+                        row[t] -= c * b
+                    return row
+
+                return backward
+            tail = prow[j:]
+
+            def forward(row, c):
+                row[j:] = [a - c * b for a, b in zip(row[j:], tail)]
+                return row
+
+            return forward
+
+        return list, (lambda row, j: row[j] % p), pivot_row, eliminator, reduced
 
 
 _BINARY_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
@@ -549,6 +634,104 @@ class BinaryField(Field):
 
     def spec_string(self):
         return f"binary:m={self.m},mod={hex(self.mod)}"
+
+    # With tables (m <= 20) logarithms are added: exp has n = 2^m - 1 entries,
+    # so the index s - n of a log sum s in [0, 2n) wraps when negative, and a
+    # stored coefficient c is log c - n.
+    def pair_products(self, values, pairs):
+        tabs = self._tables()
+        if tabs is None:
+            return super().pair_products(values, pairs)
+        self._count(len(pairs))
+        exp, log = tabs
+        n = len(exp)
+        logs = [log[v] if v else None for v in values]
+        return [0 if logs[a] is None or logs[b] is None else exp[logs[a] + logs[b] - n] for a, b in pairs]
+
+    def dot(self, xs, ys):
+        tabs = self._tables()
+        if tabs is None:
+            return super().dot(xs, ys)
+        self._count(len(xs))
+        exp, log = tabs
+        n = len(exp)
+        return reduce(operator.xor, [exp[log[x] + log[y] - n] for x, y in zip(xs, ys) if x and y], 0)
+
+    def stored(self, coeffs):
+        tabs = self._tables()
+        if tabs is None:
+            return super().stored(coeffs)
+        exp, log = tabs
+        return [log[c] - len(exp) for c in coeffs]
+
+    def dots(self, rows, values):
+        tabs = self._tables()
+        if tabs is None:
+            return super().dots(rows, values)
+        self._count(sum(map(len, rows)))
+        exp, log = tabs
+        logs = [log[v] if v else None for v in values]
+        out = []
+        for terms in rows:
+            acc = 0
+            for a, lc in terms:
+                if logs[a] is not None:
+                    acc ^= exp[lc + logs[a]]
+            out.append(acc)
+        return out
+
+    def row_ops(self, ncols):
+        """As ``Field.row_ops``, for every m, with no field operation.  A row
+        is one int, entry j in the w-bit lane at bit j*w (w = 2m in whole
+        bytes).  An update is a carry-less product of the reduced c and
+        pivot row, four bits of c at a time, so lanes stay under 2m - 1
+        bits; entries are reduced by byte tables when read, rows one bit
+        position at a time (f times a bit in every lane has no carries)."""
+        m, mod, size = self.m, self.mod, (self.m + 3) // 4  # 2m bits in whole bytes
+        w, tables = 8 * size, _reduction_tables(m, mod)
+        lane, low, ones = (1 << w) - 1, (1 << m) - 1, ((1 << w * ncols) - 1) // ((1 << w) - 1)
+
+        def entry(row, j):
+            a = row >> w * j & lane
+            r = a & low
+            a >>= m
+            for tab in tables:
+                r ^= tab[a & 255]
+                a >>= 8
+            return r
+
+        def reduced(row):
+            for t in range(2 * m - 2, m - 1, -1):
+                high = row >> t & ones
+                if high:
+                    row ^= high * mod << t - m
+            return row
+
+        def eliminator(prow, j, back):
+            multiples = [0, prow]
+            for d in range(2, 16):
+                multiples.append(multiples[d >> 1] << 1 ^ multiples[d & 1])
+
+            def eliminate(row, c):
+                s = 0
+                while c:
+                    row, c, s = row ^ multiples[c & 15] << s, c >> 4, s + 4
+                return row
+
+            return eliminate
+
+        def pivot_row(row, j, c):
+            row = reduced(row)
+            return row if c is None else reduced(eliminator(row, j, False)(0, _gf2x_inv(c, mod)))
+
+        def pack(row):
+            return int.from_bytes(b"".join([a.to_bytes(size, "little") for a in row]), "little")
+
+        def unpack(row):
+            raw = reduced(row).to_bytes(size * ncols, "little")
+            return [int.from_bytes(raw[t : t + size], "little") for t in range(0, len(raw), size)]
+
+        return pack, entry, pivot_row, eliminator, unpack
 
 
 @dataclass(frozen=True, repr=False)

@@ -31,6 +31,7 @@ from .curve import (
     CurvePoint,
     ModelIsomorphism,
     PairDivisor,
+    nonsingular,
     pair_from_mumford,
     pair_from_points,
     sample_point,
@@ -39,7 +40,6 @@ from .curve import (
     transform,
     transform_pair,
     transform_point,
-    validate,
 )
 from .errors import (
     ExhaustedRetries,
@@ -110,12 +110,10 @@ def working_model(c: CurveModel) -> WorkingModel:
 
     The resulting model has deg f = 5 with one (ramified) point at infinity;
     in odd or zero characteristic the model is first simplified to h = 0.
-    Raises NoRationalWeierstrassPoint when no suitable point exists.
+    Raises SingularCurve for a singular c and NoRationalWeierstrassPoint
+    when no suitable point exists.
     """
-    F = c.field
-    v = validate(c)
-    if not v.ok:
-        raise ValueError(f"invalid curve: {v.reason}")
+    F = nonsingular(c).field
     if F.characteristic() == 2:
         cur, iso = c, ModelIsomorphism.identity(F)
         if cur.h[3] != F.zero:

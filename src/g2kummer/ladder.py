@@ -19,8 +19,9 @@ each point's monomials once, as it makes the point, and the doubling and
 the addition that consume it share them; a point from elsewhere has its
 monomials computed on each use and is never annotated.  Every product, the
 seven that combine the forms' values in ``xadd`` included, is made by the
-raw-integer kernels of ``algebra``, which over GF(p) and tabled GF(2^m)
-call no ``Field`` method per product; the context holds no log/exp table.
+field's raw-integer kernels (``Field.pair_products``, ``dot``, ``dots``),
+which over GF(p) and tabled GF(2^m) make no ``Field.mul`` call per
+product; the context holds no log/exp table.
 The ladder keeps the invariant pair (kappa(mP), kappa((m+1)P)) whose
 difference is the fixed base point, consuming scalar bits from the top.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import QUADRATIC_MULS, CompiledForms, pair_products, quadratic_monomials
+from .algebra import QUADRATIC_MULS, CompiledForms, quadratic_monomials
 from .curve import CurveModel
 from .errors import AllPivotsFailed, FormulaSetMissing, UnsupportedField, ZeroOutput
 from .field import OpCounter
@@ -116,7 +117,7 @@ def _pseudo_sum(ctx: LadderContext, j: int, qx, qy, zc) -> list:
     """The coordinates w~ of kappa(P+Q) under pivot j."""
     F = ctx.curve.field
     bjj, *bij = ctx.forms.biquadratic_values(_PIVOT_FORMS[j], qx, qy)
-    wj, *prods = pair_products(F, [zc[j], bjj, *bij, *(zc[i] for i in range(4) if i != j)], _COMBINE_PAIRS)
+    wj, *prods = F.pair_products([zc[j], bjj, *bij, *(zc[i] for i in range(4) if i != j)], _COMBINE_PAIRS)
     w = [F.sub(prods[t], prods[t + 1]) for t in range(0, 6, 2)]
     w.insert(j, wj)
     return w

@@ -62,7 +62,6 @@ from .algebra import (
     QUARTIC4,
     biquadratic_rows,
     expand_symmetric,
-    pair_products,
     quadratic_form_matrix,
     quadratic_monomials,
     solve_kernel,
@@ -70,7 +69,7 @@ from .algebra import (
     symmetric_square,
     _rref,
 )
-from .curve import CurveModel, kummer_matrix, simplified_model, validate
+from .curve import CurveModel, curve_from_text, kummer_matrix, simplified_model, validate
 from .errors import (
     CrossCheckFailed,
     ExhaustedRetries,
@@ -309,11 +308,13 @@ def _bqf_solve(F: Field, samples):
     has 110 columns and stage two reduces to rank 55."""
     zero = F.zero
     nsym = len(SYMMETRIC_PAIRS)
-    monos = [symmetric_biquadratic_row(F, x, y) for (x, y, _w, _z) in samples]
+    # the samples pair a few pool points, so each point's monomials are made once
+    quads = {pt: quadratic_monomials(F, pt) for pt in dict.fromkeys(pt for s in samples for pt in s[:2])}
+    monos = [symmetric_biquadratic_row(F, quads[x], quads[y]) for (x, y, _w, _z) in samples]
     targets = [_bqf_targets(F, w, z) for (_x, _y, w, z) in samples]
     # stage 1: B11(x,y) * t12 - B12(x,y) * t11 = 0
     stage_one = [(k, nsym) for k in range(nsym)] + [(k, nsym + 1) for k in range(nsym)]
-    rows = [pair_products(F, mono + [tg[(1, 2)], F.neg(tg[(1, 1)])], stage_one) for mono, tg in zip(monos, targets)]
+    rows = [F.pair_products(mono + [tg[(1, 2)], F.neg(tg[(1, 1)])], stage_one) for mono, tg in zip(monos, targets)]
     kernel = solve_kernel(Matrix(F, rows))
     if len(kernel) != 1:
         raise KernelDimensionUnexpected(
@@ -329,10 +330,10 @@ def _bqf_solve(F: Field, samples):
     c12 = [F.mul(inv, a) for a in c12]
     # stage 2: per sample, lam = B11(x,y)/t11; solve M c_ij = lam * t_ij
     rest = [(i, j) for (i, j) in BQF_INDEX_PAIRS if (i, j) not in ((1, 1), (1, 2))]
-    b11 = bqf_values(F, {(1, 1): c11})
+    b11 = CompiledForms(F, biquadratics={(1, 1): c11})
     aug = []
     for (x, y, _w, _z), mono, tg in zip(samples, monos, targets):
-        lam = F.div(b11(x, y)[(1, 1)], tg[(1, 1)])
+        lam = F.div(b11.biquadratic_values([(1, 1)], quads[x], quads[y])[0], tg[(1, 1)])
         aug.append(mono + [F.mul(lam, tg[p]) for p in rest])
     rank, pivots = _rref(F, aug, nsym)
     if rank != nsym:
@@ -674,14 +675,8 @@ def synthesize_formula_set(c: CurveModel, rng) -> FormulaSet:
 def serialize_formula_set(fs: FormulaSet) -> str:
     F = fs.curve.field
     ts = F.to_str
-    lines = [
-        "KFS1",
-        f"field {F.spec_string()}",
-        "f " + ",".join(ts(fs.curve.f[i]) for i in range(7)),
-        "h " + ",".join(ts(fs.curve.h[i]) for i in range(4)),
-        f"convention {fs.convention}",
-        f"fingerprint {fs.fingerprint}",
-    ]
+    lines = ["KFS1", fs.curve.curve_file_text().rstrip("\n")]
+    lines += [f"convention {fs.convention}", f"fingerprint {fs.fingerprint}"]
     for i, blk in enumerate(fs.delta, start=1):
         lines.append(f"delta{i} quartic4 " + ",".join(ts(a) for a in blk))
     for (i, j) in BQF_INDEX_PAIRS:
@@ -697,54 +692,46 @@ _BQF_KEYS = {f"B{i}{j}": (i, j) for (i, j) in BQF_INDEX_PAIRS}
 
 
 def deserialize_formula_set(text: str) -> FormulaSet:
-    from .field import field_from_spec
-
+    """Parse a KFS1 file; its field, f and h lines are read as a curve file."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "KFS1":
         raise ValueError("not a KFS1 formula file")
-    F = None
-    fco = hco = None
-    convention = None
-    fp = None
+    header = ("field", "f", "h")
+    curve = curve_from_text("\n".join(ln for ln in lines if ln.partition(" ")[0] in header))
+    F = curve.field
+    convention = fp = None
     delta = [None] * 4
     bqf = {}
     w = []
+    seen = set()
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
-        if key == "field":
-            F = field_from_spec(rest.strip())
-        elif F is None and key not in ("convention", "fingerprint"):
-            raise ValueError(f"KFS1 line {key!r} comes before the field line")
-        elif key == "f":
-            fco = [F.parse(t) for t in rest.split(",")]
-        elif key == "h":
-            hco = [F.parse(t) for t in rest.split(",")]
-        elif key == "convention":
+        name = " ".join(ln.split(" ", 2)[:2]) if key == "W" else key  # a W line per class label
+        if name in seen:
+            raise ValueError(f"repeated KFS1 line {name}")
+        seen.add(name)
+        if key in header:
+            continue
+        if key == "convention":
             convention = rest.strip()
         elif key == "fingerprint":
             fp = rest.strip()
         elif key in _DELTA_KEYS:
-            idx = _DELTA_KEYS[key]
-            if delta[idx] is not None:
-                raise ValueError(f"repeated KFS1 line {key}")
             basis, _, csv = rest.partition(" ")
             if basis != "quartic4":
                 raise ValueError("duplication coordinates use the quartic4 basis")
             vec = tuple(F.parse(t) for t in csv.split(","))
             if len(vec) != 35:
                 raise ValueError("quartic4 vectors have 35 coefficients")
-            delta[idx] = vec
+            delta[_DELTA_KEYS[key]] = vec
         elif key in _BQF_KEYS:
-            pair = _BQF_KEYS[key]
-            if pair in bqf:
-                raise ValueError(f"repeated KFS1 line {key}")
             basis, _, csv = rest.partition(" ")
             if basis != "biquadratic44":
                 raise ValueError("biquadratic forms use the biquadratic44 basis")
             vec = tuple(F.parse(t) for t in csv.split(","))
             if len(vec) != 100:
                 raise ValueError("biquadratic44 vectors have 100 coefficients")
-            bqf[pair] = vec
+            bqf[_BQF_KEYS[key]] = vec
         elif key == "W":
             label, _, csv = rest.partition(" ")
             vals = [F.parse(t) for t in csv.split(",")]
@@ -755,11 +742,7 @@ def deserialize_formula_set(text: str) -> FormulaSet:
             raise ValueError(f"unrecognized KFS1 line {ln!r}")
     if convention != CONVENTION_TAG:
         raise ValueError(f"unknown diagonal convention {convention!r}")
-    if fco is None or hco is None:
-        raise ValueError("KFS1 file needs field, f and h lines")
-    curve = CurveModel(F, Poly(F, fco), Poly(F, hco))
-    expect = fingerprint(curve)
-    if fp != expect:
+    if fp != fingerprint(curve):
         raise ValueError("stale formula file: fingerprint mismatch")
     if any(d is None for d in delta) or len(bqf) != 10:
         raise ValueError("incomplete formula file")

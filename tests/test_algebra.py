@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,13 @@ def test_poly_ops_examples():
     assert q == x and r.is_zero()
     assert (x + one).coeffs == (1, 1)
     assert (x * x).coeffs == (0, 0, 1)
+
+
+def test_poly_iterates_over_its_coefficients():
+    # islice, so that an iterator that never stops fails instead of hanging
+    assert list(islice(P(F1009, 1, 2), 5)) == [1, 2]
+    assert list(islice(Poly(F1009, [3, 0, 0]), 5)) == [3]
+    assert list(islice(Poly(F1009, []), 5)) == []
 
 
 def test_gcd_squarefree_sextic():
@@ -489,7 +497,7 @@ def test_symmetric_basis_row_matches_expanded_form(F):
         y = tuple(F.random(rng) for _ in range(4))
         full = expand_symmetric(F, s)
         dot = F.zero
-        for c, m in zip(s, symmetric_biquadratic_row(F, x, y)):
+        for c, m in zip(s, symmetric_biquadratic_row(F, algebra.quadratic_monomials(F, x), algebra.quadratic_monomials(F, y))):
             dot = F.add(dot, F.mul(c, m))
         assert eval_biquadratic(F, full, x, y) == dot == eval_biquadratic(F, full, y, x)
 

@@ -49,6 +49,28 @@ def test_validate_singular_exit_code(tmp_path, capsys):
     assert "invalid" in out and "repeated root" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "{c}", "--out", "{d}/c.kfs"],
+    ["eval", "kappa", "{c}", "--points", "1,1;0,0"],
+    ["twotorsion", "{c}"],
+    ["translate", "{c}", "--class", "T1", "--point", "0:0:0:1"],
+    ["dbl", "{c}", "--formulas", "{d}/none.kfs", "--point", "0:0:0:1"],
+    ["ladder", "{c}", "--formulas", "{d}/none.kfs", "--point", "0:0:0:1", "-n", "3"],
+    ["bench", "{c}", "--formulas", "{d}/none.kfs"],
+], ids=lambda argv: argv[0])
+def test_every_command_but_validate_rejects_a_singular_curve(argv, tmp_path, capsys):
+    # y^2 = x^5 is singular at (0, 0); eval used to print 1:1:0:0 for it,
+    # and the gate comes before any formula file is read
+    p = tmp_path / "x5.curve"
+    p.write_text("field prime:p=1009\nf 0,0,0,0,0,1,0\nh 0,0,0,0\n")
+    assert main([a.format(c=p, d=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: invalid curve: ") and "repeated root" in captured.err
+    assert main(["validate", str(p)]) == 1
+    assert "invalid" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 

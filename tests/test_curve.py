@@ -100,7 +100,7 @@ def _discriminant_deg6(g):
     # disc = (-1)^(d(d-1)/2) Res(g, g') / lc(g)
     F = g.field
     d = g.degree
-    sign = F.pow(F.neg(F.one), d * (d - 1) // 2)
+    sign = F.neg(F.one) if d * (d - 1) // 2 % 2 else F.one
     return F.mul(sign, F.mul(_resultant(g, g.deriv()), F.inv(g.coeffs[-1])))
 
 
@@ -529,6 +529,15 @@ def test_curve_file_round_trip():
     B = B16
     cb = CurveModel(B, Poly(B, [0, 3, 0, 7, 0, 11]), Poly(B, [1]))
     assert curve_from_text(cb.curve_file_text()) == cb
+
+
+@pytest.mark.parametrize("key", ["field", "f", "h"])
+def test_curve_file_with_a_repeated_line_rejected(key):
+    # the last line used to win, so a file with two h lines read as valid
+    lines = ["field prime:p=1009", "f 1,3,0,2,0,1,0", "h 1,1,0,0"]
+    curve_from_text("\n".join(lines))
+    with pytest.raises(ValueError, match="repeated"):
+        curve_from_text("\n".join(lines + [ln for ln in lines if ln.startswith(key + " ")]))
 
 
 _CURVE_LINES = st.lists(

@@ -92,3 +92,13 @@ def test_no_unused_imports():
     unused = [f"{p.relative_to(root)}:{line} {name}"
               for p in paths for line, name in _unused_imports(ast.parse(p.read_text()))]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_algebra_leaves_the_field_kinds_to_field():
+    # the raw value formats and their kernels are the field classes' own
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    kinds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "field"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not kinds, f"algebra.py reads .kind at lines {kinds}"
+    assert not private, f"algebra.py imports private field names {private}"

@@ -509,6 +509,18 @@ REFERENCE_TEXTS = {
 }
 
 
+@pytest.mark.parametrize("key", ["field", "f", "h", "convention", "fingerprint", "W"])
+def test_formula_file_repeated_line_rejected(key):
+    # the last line used to win; a W line repeats when its class label does
+    lines = REFERENCE_TEXTS["c2_general_f"].splitlines(True)
+    repeat = next(ln for ln in lines if ln.startswith(key + " "))
+    if key == "W":
+        other = next(ln for ln in lines if ln.startswith("W ") and ln != repeat)
+        repeat = " ".join(repeat.split(" ")[:2] + other.split(" ")[2:])
+    with pytest.raises(ValueError, match="repeated"):
+        deserialize_formula_set("".join(lines + [repeat]))
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_TEXTS))
 def test_reference_files_round_trip(name):
     text = REFERENCE_TEXTS[name]
