@@ -13,7 +13,7 @@ from .curve import (
     CurveModel,
     CurvePoint,
     ModelIsomorphism,
-    PairDivisor,
+    MumfordDivisor,
     char2_normal_form,
     curve_from_text,
     kummer_matrix,
@@ -27,7 +27,6 @@ from .curve import (
     validate,
 )
 from .jacobian import (
-    MumfordDivisor,
     WorkingModel,
     add,
     from_point_pair,

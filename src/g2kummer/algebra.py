@@ -111,12 +111,6 @@ class Poly:
         F = self.field
         return Poly(F, [F.mul(c, a) for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def divrem(self, other: "Poly") -> tuple["Poly", "Poly"]:
         F = self.field
         if other.is_zero():
@@ -435,13 +429,6 @@ def solve_kernel(M: Matrix) -> list[list]:
     """Basis of the right kernel of M, each vector scaled so its first
     nonzero coordinate is one."""
     F = M.field
-    if M.nrows == 0:
-        basis = []
-        for j in range(M.ncols):
-            v = [F.zero] * M.ncols
-            v[j] = F.one
-            basis.append(v)
-        return basis
     rows = [list(r) for r in M.rows]
     rank, pivots = _rref(F, rows)
     pivot_set = set(pivots)
@@ -498,8 +485,6 @@ _DEG2 = _graded_lex_exponents(4, 2)
 BIQUADRATIC44 = MonomialBasis(
     "biquadratic44", [(ex, ey) for ex in _DEG2 for ey in _DEG2]
 )
-
-BASES = {"quartic4": QUARTIC4, "biquadratic44": BIQUADRATIC44}
 
 
 # each quadratic monomial as the pair of variables it multiplies

@@ -83,15 +83,6 @@ class CurveModel:
         """Roots of Y^2 + h3*Y = f6, sorted by the canonical key."""
         return self.field.quad_solve(self.h[3], self.f[6])
 
-    def is_ramified_at_infinity(self) -> bool:
-        """True when the infinite fibre is one point (a Weierstrass point)."""
-        F = self.field
-        if F.characteristic() == 2:
-            return self.h[3] == F.zero
-        # odd or zero characteristic: double root of Y^2 + h3 Y - f6
-        disc = F.add(F.mul(self.h[3], self.h[3]), F.mul(F.from_int(4), self.f[6]))
-        return disc == F.zero
-
     def curve_file_text(self) -> str:
         F = self.field
         fline = ",".join(F.to_str(self.f[i]) for i in range(7))
@@ -213,19 +204,16 @@ def rational_weierstrass_points(c: CurveModel) -> list[CurvePoint]:
     """All rational fixed points of the hyperelliptic involution
     (x, y) -> (x, -y - h(x)), infinity included."""
     F = c.field
-    out = []
     if F.characteristic() == 2:
-        for r, _m in roots(c.h):
-            out.append(CurvePoint("affine", x=r, y=F.sqrt(c.f(r))))
-        if c.h[3] == F.zero:
-            out.append(CurvePoint("infinity", branch=F.sqrt(c.f[6])))
-        return out
-    g = simplified_rhs(c)
-    half = F.inv(F.from_int(2))
-    for r, _m in roots(g):
-        out.append(CurvePoint("affine", x=r, y=F.neg(F.mul(half, c.h(r)))))
-    if g.degree == 5:
-        out.append(CurvePoint("infinity", branch=F.neg(F.mul(half, c.h[3]))))
+        out = [CurvePoint("affine", x=r, y=F.sqrt(c.f(r))) for r, _m in roots(c.h)]
+        ramified = c.h[3] == F.zero
+    else:
+        g = simplified_rhs(c)
+        half = F.inv(F.from_int(2))
+        out = [CurvePoint("affine", x=r, y=F.neg(F.mul(half, c.h(r)))) for r, _m in roots(g)]
+        ramified = g.degree == 5
+    if ramified:  # the one branch at infinity
+        out.append(CurvePoint("infinity", branch=c.branch_values()[0]))
     return out
 
 
@@ -366,29 +354,34 @@ def transform_point(iso: ModelIsomorphism, P: CurvePoint) -> CurvePoint:
 
 
 # ---------------------------------------------------------------------------
-# Divisor pair data (the input format of the Kummer coordinate map)
+# Divisor classes as Mumford data (the input of the Kummer coordinate map)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PairDivisor:
-    """A divisor class on a model, presented as an unordered point pair.
+class MumfordDivisor:
+    """A divisor class on a model as reduced Mumford data (a, b): a monic,
+    deg b < deg a, a | b^2 + b h - f.  By degree:
 
-    kinds:
-      - "zero":       the zero class;
-      - "quadratic":  two affine points given by Mumford data (a monic
-                      quadratic, b of degree <= 1); covers rational and
-                      conjugate pairs uniformly, and twice a non-Weierstrass
-                      point, whose a has a repeated root and whose b is the
-                      tangent line;
-      - "affine_inf": an affine point plus a branch at infinity.
+      - 0 (a = 1, b = 0): the zero class;
+      - 1 (a = x - x0, b = y0): the affine point (x0, y0) plus a point at
+        infinity, on a user model the one with y/x^3 -> ``branch``; on the
+        working model, whose infinity is its one ramified point (branch 0,
+        as h3 = f6 = 0), ``branch`` is None;
+      - 2: two affine points, rational or conjugate, or twice one
+        non-Weierstrass point, whose a has a repeated root and whose b is
+        the tangent line.
     """
 
-    kind: str
-    a: Poly = None
-    b: Poly = None
-    x0: object = None
-    y0: object = None
+    a: Poly
+    b: Poly
     branch: object = None
+
+    @property
+    def degree(self) -> int:
+        return self.a.degree
+
+    def is_zero(self) -> bool:
+        return self.a.degree == 0
 
 
 def secant(F: Field, x1, y1, x2, y2) -> tuple[Poly, Poly]:
@@ -399,56 +392,41 @@ def secant(F: Field, x1, y1, x2, y2) -> tuple[Poly, Poly]:
     return a, Poly(F, [F.sub(y1, F.mul(b1, x1)), b1])
 
 
-def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> PairDivisor:
-    """Assemble pair data from two explicit rational points; twice one
-    affine point gives a = (x - x0)^2 and b the tangent line at it."""
+def pair_from_points(c: CurveModel, P1: CurvePoint, P2: CurvePoint) -> MumfordDivisor:
+    """The class of two explicit rational points; twice one affine point
+    gives a = (x - x0)^2 and b the tangent line at it."""
     F = c.field
-    if P1.kind == "infinity" and P2.kind == "infinity":
+    if P1.kind == "infinity":
+        P1, P2 = P2, P1
+    if P2.kind == "infinity":
+        if P1.kind == "affine":
+            return MumfordDivisor(Poly(F, [F.neg(P1.x), F.one]), Poly.const(F, P1.y), P2.branch)
         if P1.branch == P2.branch:
             raise UnsupportedDivisor("doubled infinite point")
-        return PairDivisor("zero")  # the two branches are swapped by the involution
-    if P1.kind == "infinity" or P2.kind == "infinity":
-        aff, inf = (P2, P1) if P1.kind == "infinity" else (P1, P2)
-        return PairDivisor("affine_inf", x0=aff.x, y0=aff.y, branch=inf.branch)
-    if P1.x != P2.x:
-        a, b = secant(F, P1.x, P1.y, P2.x, P2.y)
-        return PairDivisor("quadratic", a=a, b=b)
-    if P1.y != P2.y:
-        return PairDivisor("zero")  # P and its image under the involution
-    x0, y0 = P1.x, P1.y
-    g = F.add(F.add(y0, y0), c.h(x0))
-    if g == F.zero:
-        raise UnsupportedDivisor("doubled Weierstrass point")
-    lam = F.div(F.sub(c.f.deriv()(x0), F.mul(c.h.deriv()(x0), y0)), g)
-    a = Poly(F, [F.mul(x0, x0), F.neg(F.add(x0, x0)), F.one])
-    return PairDivisor("quadratic", a=a, b=Poly(F, [F.sub(y0, F.mul(lam, x0)), lam]))
-
-
-def pair_from_mumford(c: CurveModel, a: Poly, b: Poly) -> PairDivisor:
-    """Pair data from Mumford (a, b) on a model."""
-    F = c.field
-    if a.degree <= 0:
-        return PairDivisor("zero")
-    if a.degree == 1:
-        x0 = F.neg(a[0])
-        if not c.is_ramified_at_infinity():
-            raise UnsupportedDivisor("degree-1 divisor on a split model")
-        return PairDivisor(
-            "affine_inf", x0=x0, y0=b(x0), branch=c.branch_values()[0]
-        )
-    am = a.monic()
-    return PairDivisor("quadratic", a=am, b=b % am)
+    elif P1.x != P2.x:
+        return MumfordDivisor(*secant(F, P1.x, P1.y, P2.x, P2.y))
+    elif P1.y == P2.y:
+        x0, y0 = P1.x, P1.y
+        g = F.add(F.add(y0, y0), c.h(x0))
+        if g == F.zero:
+            raise UnsupportedDivisor("doubled Weierstrass point")
+        lam = F.div(F.sub(c.f.deriv()(x0), F.mul(c.h.deriv()(x0), y0)), g)
+        a = Poly(F, [F.mul(x0, x0), F.neg(F.add(x0, x0)), F.one])
+        return MumfordDivisor(a, Poly(F, [F.sub(y0, F.mul(lam, x0)), lam]))
+    # the two branches at infinity, or P and its image, are swapped by the involution
+    return MumfordDivisor(Poly.const(F, F.one), Poly(F, []))
 
 
 # ---------------------------------------------------------------------------
 # Divisor transport through an isomorphism
 # ---------------------------------------------------------------------------
 
-def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor) -> PairDivisor:
-    """Transport pair data through ``iso`` onto ``target``, the model that
+def transform_pair(target: CurveModel, iso: ModelIsomorphism, D: MumfordDivisor) -> MumfordDivisor:
+    """Transport a class through ``iso`` onto ``target``, the model that
     ``iso`` maps onto.
 
-    A quadratic pair is transported in R = k[x]/(a), where the class rho of
+    A degree-1 class goes point by point, its infinite point included.  A
+    degree-2 class is transported in R = k[x]/(a), where the class rho of
     x stands for both roots at once (rho^2 = s1 rho - s2), so rational and
     conjugate pairs take the same route and no root of a is computed; a
     repeated root, twice one point, needs no case of its own either.  For
@@ -459,15 +437,16 @@ def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor)
     points are then transported one by one, and a doubled point sent to
     infinity raises UnsupportedDivisor."""
     F = target.field
-    if pair.kind == "zero":
-        return pair
-    if pair.kind == "affine_inf":
-        Pa = transform_point(iso, CurvePoint("affine", x=pair.x0, y=pair.y0))
-        Pi = transform_point(iso, CurvePoint("infinity", branch=pair.branch))
+    if D.degree == 0:
+        return D
+    if D.degree == 1:
+        x0 = F.neg(D.a[0])
+        Pa = transform_point(iso, CurvePoint("affine", x=x0, y=D.b[0]))
+        Pi = transform_point(iso, CurvePoint("infinity", branch=F.zero if D.branch is None else D.branch))
         return pair_from_points(target, Pa, Pi)
-    # quadratic Mumford data; elements of R are pairs (c0, c1) = c0 + c1 rho
+    # degree 2; elements of R are pairs (c0, c1) = c0 + c1 rho
     add, mul = F.add, F.mul
-    a, b = pair.a, pair.b
+    a, b = D.a, D.b
     s1, s2 = F.neg(a[1]), a[0]
     al, be, ga, de = iso.mobius
     e, u = iso.yscale, iso.yshift
@@ -497,7 +476,7 @@ def transform_pair(target: CurveModel, iso: ModelIsomorphism, pair: PairDivisor)
     p = F.div(Y[1], X[1])
     trace = add(add(X[0], X[0]), mul(X[1], s1))
     at = Poly(F, [norm(X), F.neg(trace), F.one])
-    return PairDivisor("quadratic", a=at, b=Poly(F, [F.sub(Y[0], mul(p, X[0])), p]))
+    return MumfordDivisor(at, Poly(F, [F.sub(Y[0], mul(p, X[0])), p]))
 
 
 # ---------------------------------------------------------------------------

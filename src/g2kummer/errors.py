@@ -41,10 +41,6 @@ class NoRationalWeierstrassPoint(G2KummerError):
     pass
 
 
-class NonGenericDivisor(G2KummerError):
-    """A divisor configuration the group-law code does not handle; resample."""
-
-
 class ExhaustedRetries(G2KummerError):
     pass
 

@@ -6,11 +6,13 @@ deg h <= 2), where composition-and-reduction provably computes in the full
 degree-0 class group.  A ``ModelIsomorphism`` links the user's model to the
 working model.  A ``WorkingModel`` holds both models, the link and its
 inverse, and draws the random classes that every oracle check runs on
-(``WorkingModel.sample``); divisor classes cross in either direction as point-pair data
+(``WorkingModel.sample``).  A class has one type on both models,
+:class:`g2kummer.curve.MumfordDivisor`, and crosses in either direction
 through :func:`g2kummer.curve.transform_pair`, which is handed the model on
-the far side rather than rebuilding it.  A degree-2 class crosses as its
-Mumford data, transported in k[x]/(a) whether the two points are rational
-or conjugate, so no root of a is taken on the way.
+the far side rather than rebuilding it.  A degree-2 class is transported in
+k[x]/(a) whether its two points are rational or conjugate, so no root of a
+is taken on the way; a degree-1 class goes point by point, the working
+model's infinity to the user's Weierstrass point and back.
 
 ``add`` first tries the frequent case on raw coefficients (Lange, AAECC
 2005): two degree-2 classes with Res(a1, a2) != 0, or the doubling of a
@@ -23,48 +25,26 @@ tests check the frequent case against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Poly, roots
 from .curve import (
     CurveModel,
     CurvePoint,
     ModelIsomorphism,
-    PairDivisor,
+    MumfordDivisor,
     nonsingular,
-    pair_from_mumford,
     pair_from_points,
     sample_point,
-    secant,
     simplified_model,
     transform,
     transform_pair,
-    transform_point,
 )
 from .errors import (
     ExhaustedRetries,
     NoSolutionCertificate,
-    NonGenericDivisor,
     NoRationalWeierstrassPoint,
     UnsupportedDivisor,
 )
 from .field import Field
-
-
-@dataclass(frozen=True)
-class MumfordDivisor:
-    """Reduced divisor (a, b): a monic, deg a <= 2, deg b < deg a,
-    a | b^2 + b h - f on the working model."""
-
-    a: Poly
-    b: Poly
-
-    @property
-    def degree(self) -> int:
-        return self.a.degree
-
-    def is_zero(self) -> bool:
-        return self.a.degree == 0
 
 
 class WorkingModel:
@@ -77,8 +57,6 @@ class WorkingModel:
         self.model = model
         self.link = link
         self.unlink = link.inverse()
-        inf = CurvePoint("infinity", branch=model.branch_values()[0])
-        self.user_weierstrass = transform_point(self.unlink, inf)
         self._rational_sample = None
 
     def sample(self, rng) -> MumfordDivisor:
@@ -275,20 +253,12 @@ def negate(wm: WorkingModel, D: MumfordDivisor) -> MumfordDivisor:
     return MumfordDivisor(D.a, (-D.b - wm.model.h) % D.a)
 
 
-def divisor_from_points(wm: WorkingModel, P1: CurvePoint, P2: CurvePoint) -> MumfordDivisor:
-    """Mumford divisor of two affine working-model points with distinct x."""
-    if P1.x == P2.x:
-        raise NonGenericDivisor("points share their x-coordinate")
-    return MumfordDivisor(*secant(wm.field, P1.x, P1.y, P2.x, P2.y))
-
-
 def _point_pair_divisor(wm: WorkingModel, rng) -> MumfordDivisor:
     for _ in range(10_000):
         P1 = sample_point(wm.model, rng)
         P2 = sample_point(wm.model, rng)
-        if P1.x == P2.x:
-            continue
-        return divisor_from_points(wm, P1, P2)
+        if P1.x != P2.x:
+            return pair_from_points(wm.model, P1, P2)
     raise ExhaustedRetries("could not sample a generic divisor")
 
 
@@ -310,37 +280,21 @@ def random_divisor(wm: WorkingModel, rng) -> MumfordDivisor:
 # Transport between the user model and the working model
 # ---------------------------------------------------------------------------
 
-def to_point_pair(wm: WorkingModel, D: MumfordDivisor) -> PairDivisor:
-    """The class of D as an unordered point pair on the USER model.
-
-    Working-model infinity maps to the user's distinguished Weierstrass
-    point; conjugate pairs stay as base-field Mumford data."""
-    F = wm.field
-    if D.is_zero():
-        return PairDivisor("zero")
-    if D.degree == 1:
-        x0 = F.neg(D.a[0])
-        P = transform_point(wm.unlink, CurvePoint("affine", x=x0, y=D.b(x0)))
-        return pair_from_points(wm.user, P, wm.user_weierstrass)
-    pair = pair_from_mumford(wm.model, D.a, D.b)
-    return transform_pair(wm.user, wm.unlink, pair)
+def to_point_pair(wm: WorkingModel, D: MumfordDivisor) -> MumfordDivisor:
+    """The class D on the USER model, its Mumford data carried through
+    ``wm.unlink``: working-model infinity becomes the user's Weierstrass
+    point, and a conjugate pair stays base-field data."""
+    return transform_pair(wm.user, wm.unlink, D)
 
 
-def from_point_pair(wm: WorkingModel, pair: PairDivisor) -> MumfordDivisor:
-    """Mumford divisor on the working model from user-model pair data."""
-    F = wm.field
-    wpair = transform_pair(wm.model, wm.link, pair)
-    if wpair.kind == "zero":
-        return wm.zero()
-    if wpair.kind == "quadratic":
-        D = MumfordDivisor(wpair.a, wpair.b)
-        if not wm.contains(D):
-            raise UnsupportedDivisor("transported pair is not on the working Jacobian")
-        return D
-    # affine point plus working infinity: the class [P - oo]
-    return MumfordDivisor(
-        Poly(F, [F.neg(wpair.x0), F.one]), Poly.const(F, wpair.y0)
-    )
+def from_point_pair(wm: WorkingModel, D: MumfordDivisor) -> MumfordDivisor:
+    """The class of user-model Mumford data D on the working model, where
+    the one point at infinity needs no branch."""
+    wD = transform_pair(wm.model, wm.link, D)
+    wD = MumfordDivisor(wD.a, wD.b)
+    if not wm.contains(wD):
+        raise UnsupportedDivisor("transported pair is not on the working Jacobian")
+    return wD
 
 
 _RATIONAL_XBOUND = 24  # the rational sampler's points have x = n/d, |n| at most this,
@@ -383,7 +337,7 @@ def small_rational_sampler(wm: WorkingModel):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i].x != pts[j].x:
-                base.append(divisor_from_points(wm, pts[i], pts[j]))
+                base.append(pair_from_points(wm.model, pts[i], pts[j]))
                 break
         if len(base) >= _RATIONAL_MAX_BASE:
             break

@@ -22,8 +22,9 @@ tables (in f0..f6, h0..h3) are transcribed below.
 
 The other classes:
 
-- a pair {(x, y), infinity-branch r} maps to
-  (0 : 1 : x : f5 x^2 + 2f6 x^3 - (2y + h(x))r - h3 y);
+- a degree-1 class {(x, y), infinity-branch r} maps to
+  (0 : 1 : x : f5 x^2 + 2f6 x^3 - (2y + h(x))r - h3 y), with r = 0 on the
+  working model;
 - the zero class maps to (0 : 0 : 0 : 1).
 
 Doubled Weierstrass and doubled infinite points are unsupported (callers
@@ -41,8 +42,8 @@ from .algebra import (
     eval_quartic,
     roots_and_quadratic_factors,
 )
-from .curve import CurveModel, PairDivisor, simplified_rhs
-from .errors import UnsupportedDivisor, UnsupportedField
+from .curve import CurveModel, MumfordDivisor, simplified_rhs
+from .errors import UnsupportedField
 from .field import Field
 
 
@@ -214,24 +215,14 @@ def on_surface(q: KummerQuartic, k: KummerPoint) -> bool:
 # The coordinate map
 # ---------------------------------------------------------------------------
 
-def kummer_coords(c: CurveModel, pair: PairDivisor) -> KummerPoint:
-    """Kummer coordinates of a divisor class given as pair data."""
+def kummer_coords(c: CurveModel, D: MumfordDivisor) -> KummerPoint:
+    """Kummer coordinates of a divisor class given by its Mumford data."""
     F = c.field
-    if pair.kind == "zero":
+    if D.degree == 0:
         return zero_class_point(F)
-    if pair.kind == "quadratic":
-        a, b1 = pair.a, pair.b[1]
-        s1, s2 = F.neg(a[1]), a[0]
-        f, h = c.f, c.h
-        s1sq = F.sqr(s1)
-        e = F.sub(s1sq, s2)
-        hb = _lin(F, h[1], F.mul(h[2], s1), F.mul(h[3], e))
-        fe = _lin(F, f[2], F.mul(f[3], s1), F.mul(f[4], s1sq),
-                  F.mul(F.mul(f[5], s1), e), F.mul(f[6], F.sqr(e)))
-        k4 = F.sub(F.mul(b1, F.add(b1, hb)), fe)
-        return KummerPoint(F, (F.one, s1, s2, k4))
-    if pair.kind == "affine_inf":
-        x, y, r = pair.x0, pair.y0, pair.branch
+    if D.degree == 1:
+        x, y = F.neg(D.a[0]), D.b[0]
+        r = F.zero if D.branch is None else D.branch
         two = F.from_int(2)
         k4 = _lin(
             F,
@@ -241,7 +232,16 @@ def kummer_coords(c: CurveModel, pair: PairDivisor) -> KummerPoint:
             F.neg(_mono(F, c.h[3], y)),
         )
         return KummerPoint(F, (F.zero, F.one, x, k4))
-    raise UnsupportedDivisor(f"unsupported pair kind {pair.kind!r}")
+    a, b1 = D.a, D.b[1]
+    s1, s2 = F.neg(a[1]), a[0]
+    f, h = c.f, c.h
+    s1sq = F.sqr(s1)
+    e = F.sub(s1sq, s2)
+    hb = _lin(F, h[1], F.mul(h[2], s1), F.mul(h[3], e))
+    fe = _lin(F, f[2], F.mul(f[3], s1), F.mul(f[4], s1sq),
+              F.mul(F.mul(f[5], s1), e), F.mul(f[6], F.sqr(e)))
+    k4 = F.sub(F.mul(b1, F.add(b1, hb)), fe)
+    return KummerPoint(F, (F.one, s1, s2, k4))
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +258,15 @@ class TwoTorsionData:
     t, b'...c, k' feed the printed translation matrix.  k2 != 0 always holds
     here: distinct x1, x2 give k2 = x1 + x2 != 0, and the infinity case has
     k2 = 1.  In odd characteristic the class comes from a monic quadratic
-    factor s of 4f + h^2 and only ``divisor``, ``kummer``, ``s``, ``t`` are
+    factor ``divisor.a`` of 4f + h^2 and only ``divisor`` and ``kummer`` are
     populated; the translation matrix is then read off the biquadratic forms
     at ``kummer`` (``synthesis.synthesize_w_oddchar``), not transcribed.
     """
 
     case_tag: str  # "affineAffine" | "affineInfinity"
-    divisor: PairDivisor
+    divisor: MumfordDivisor
     kummer: KummerPoint
-    s: Poly
-    t: Poly
+    t: Poly = None
     bp: tuple = None  # (b'0, b'1, b'2, b'3)
     cc: object = None
     kp: tuple = None  # (k'1, k'2, k'3, k'4)
@@ -314,7 +313,7 @@ def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
 def _char2_affine_data(c: CurveModel, s: Poly, b: Poly, label: str) -> TwoTorsionData:
     F = c.field
     t = c.h.exact_div(s)
-    pair = PairDivisor("quadratic", a=s, b=b)
+    pair = MumfordDivisor(s, b)
     k = kummer_coords(c, pair)
     k1, k2, k3, k4 = k.coords
     assert k2 != F.zero, "k2 = x1 + x2 cannot vanish for distinct roots in char 2"
@@ -343,7 +342,6 @@ def _char2_affine_data(c: CurveModel, s: Poly, b: Poly, label: str) -> TwoTorsio
         case_tag="affineAffine",
         divisor=pair,
         kummer=k,
-        s=s,
         t=t,
         bp=(bp0, bp1, bp2, bp3),
         cc=cc,
@@ -358,7 +356,7 @@ def _char2_infinity_data(c: CurveModel, x1, label: str) -> TwoTorsionData:
     t = c.h.exact_div(s)
     y1 = F.sqrt(c.f(x1))
     r6 = F.sqrt(c.f[6])
-    pair = PairDivisor("affine_inf", x0=x1, y0=y1, branch=r6)
+    pair = MumfordDivisor(s, Poly.const(F, y1), r6)
     k = kummer_coords(c, pair)
     kp = k.coords
     assert kp[1] == F.one
@@ -371,7 +369,6 @@ def _char2_infinity_data(c: CurveModel, x1, label: str) -> TwoTorsionData:
         case_tag="affineInfinity",
         divisor=pair,
         kummer=k,
-        s=s,
         t=t,
         bp=(bp0, bp1, bp2, bp3),
         cc=cc,
@@ -394,16 +391,12 @@ def _two_torsion_odd(c: CurveModel) -> list[TwoTorsionData]:
             quads.append(Poly(F, [F.mul(x1, x2), F.neg(F.add(x1, x2)), F.one]))
     quads.extend(irreducible)
     for s in quads:
-        t = g.exact_div(s)
-        b = (c.h.scale(F.neg(half))) % s
-        pair = PairDivisor("quadratic", a=s, b=b)
+        pair = MumfordDivisor(s, c.h.scale(F.neg(half)) % s)
         out.append(
             TwoTorsionData(
                 case_tag="affineAffine",
                 divisor=pair,
                 kummer=kummer_coords(c, pair),
-                s=s,
-                t=t,
                 label="s:" + ",".join(F.to_str(s[i]) for i in range(3)),
             )
         )

@@ -234,26 +234,22 @@ DEFAULT_SUITE_SIZES = {
 }
 
 
-def proposition_suites(corpus, rng, sizes=None, formula_sets=None) -> dict:
+def proposition_suites(corpus, rng, sizes=None) -> dict:
     """Run the full identity suites over a corpus of (name, CurveModel).
 
     Returns a machine-readable report; deterministic given the rng seed.
     Invalid curves, and valid ones the oracle or synthesis cannot serve (no
     rational Weierstrass point, or a prime field below 257), are reported as
-    skipped.  ``formula_sets`` may carry pre-synthesized FormulaSets keyed by
-    curve name."""
+    skipped."""
     sizes = dict(DEFAULT_SUITE_SIZES, **(sizes or {}))
-    formula_sets = formula_sets or {}
     report = {"curves": [], "ok": True}
     for name, c in corpus:
         entry = {"name": name, "field": c.field.spec_string()}
         v = validate(c)
         reason = None if v.ok else v.reason
         if v.ok:
-            fs = formula_sets.get(name)
             try:
-                if fs is None:
-                    fs = synthesize_formula_set(c, rng)
+                fs = synthesize_formula_set(c, rng)
                 wm = working_model(c)
             except (NoRationalWeierstrassPoint, UnsupportedField) as exc:
                 reason = f"{type(exc).__name__}: {exc}"

@@ -237,6 +237,7 @@ def _rank(M):
 
 def test_kernel_examples():
     assert solve_kernel(Matrix.identity(F1009, 4)) == []
+    assert solve_kernel(Matrix(F1009, [])) == []
     Z = Matrix(F1009, [[0] * 5 for _ in range(3)])
     basis = solve_kernel(Z)
     assert len(basis) == 5

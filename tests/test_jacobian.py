@@ -3,7 +3,7 @@ import random
 import pytest
 
 from g2kummer.algebra import Poly
-from g2kummer.curve import CurveModel, CurvePoint, pair_from_points, sample_point, transform, validate
+from g2kummer.curve import CurveModel, CurvePoint, pair_from_points, sample_point, transform, transform_point, validate
 from g2kummer.errors import NoRationalWeierstrassPoint
 from g2kummer.field import BinaryField, PrimeField
 from g2kummer.jacobian import (
@@ -220,25 +220,28 @@ def test_to_point_pair_inverse_of_construction(name, corpus):
         P = sample_point(wm.model, rng)
         D = MumfordDivisor(Poly(F, [F.neg(P.x), F.one]), Poly.const(F, P.y))
         classes += [D, add(wm, D, D)]
-    kinds = set()
+    degrees = set()
     for D in classes:
         pair = to_point_pair(wm, D)
-        kinds.add(pair.kind)
-        if pair.kind == "quadratic" and F.sub(F.sqr(pair.a[1]), F.mul(F.from_int(4), pair.a[0])) == F.zero:
-            kinds.add("repeated root")
+        degrees.add(pair.degree)
+        assert pair.degree != 1 or pair.branch is not None
+        if pair.degree == 2 and F.sub(F.sqr(pair.a[1]), F.mul(F.from_int(4), pair.a[0])) == F.zero:
+            degrees.add("repeated root")
         assert from_point_pair(wm, pair) == D
-    assert {"quadratic", "repeated root"} <= kinds
+    assert {2, "repeated root"} <= degrees
     # [P - oo] reaches the user model as P plus its Weierstrass point
-    assert "affine_inf" in kinds or wm.user_weierstrass.kind == "affine"
-    assert to_point_pair(wm, wm.zero()).kind == "zero"
+    W = transform_point(wm.unlink, CurvePoint("infinity", branch=wm.model.branch_values()[0]))
+    assert 1 in degrees or W.kind == "affine"
+    assert to_point_pair(wm, wm.zero()).degree == 0
 
 
 def test_point_pair_round_trip_degree6():
     c = DEG6_1009
     assert validate(c).ok
     wm = working_model(c)
-    assert wm.model.is_ramified_at_infinity() and wm.model.f.degree == 5
-    assert wm.user_weierstrass == CurvePoint("affine", x=1, y=0)
+    assert len(wm.model.branch_values()) == 1 and wm.model.f.degree == 5
+    W = transform_point(wm.unlink, CurvePoint("infinity", branch=wm.model.branch_values()[0]))
+    assert W == CurvePoint("affine", x=1, y=0)
     rng = random.Random(12)
     checked = 0
     for _ in range(40):
@@ -261,7 +264,7 @@ def test_point_pair_symmetric_functions_rational():
     for _ in range(2000):
         D = random_divisor(wm, rng)
         pair = to_point_pair(wm, D)
-        if pair.kind != "quadratic":
+        if pair.degree != 2:
             continue
         a = pair.a
         disc = (a[1] * a[1] - 4 * a[0]) % 1009

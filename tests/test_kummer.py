@@ -401,7 +401,7 @@ def test_two_torsion_odd_example():
     target = None
     inv2 = F.inv(F.from_int(2))
     for T in classes:
-        if T.s == Poly.from_ints(F, [-1, 0, 1]):
+        if T.divisor.a == Poly.from_ints(F, [-1, 0, 1]):
             target = T
     assert target is not None
     b = target.divisor.b

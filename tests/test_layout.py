@@ -30,15 +30,16 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of each name, attribute and imported name in a module."""
+    """(name, line, whether an attribute) of each name, attribute and
+    imported name in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
 
 
 def test_every_src_definition_has_a_src_caller():
@@ -46,14 +47,17 @@ def test_every_src_definition_has_a_src_caller():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     sites = {}
     for mod, tree in trees.items():
-        for name, line in _references(tree):
-            sites.setdefault(name, []).append((mod, line))
+        for name, line, attribute in _references(tree):
+            sites.setdefault((name, attribute), []).append((mod, line))
     uncalled = set()
     for mod, tree in trees.items():
         for qualname, node in _definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
-            name = qualname.rpartition(".")[2]
-            if all(other == mod and line in own for other, line in sites.get(name, [])):
+            cls, _, name = qualname.rpartition(".")
+            # a method is reached only as ``.name``; a bare name of the same
+            # spelling is a builtin, a local or another module's function
+            callers = sites.get((name, True), []) + ([] if cls else sites.get((name, False), []))
+            if all(other == mod and line in own for other, line in callers):
                 uncalled.add(f"{mod}.{qualname}")
     extra, stale = uncalled - set(UNCALLED_BY_DESIGN), set(UNCALLED_BY_DESIGN) - uncalled
     assert not extra, f"no caller in src/: {', '.join(sorted(extra))}"

@@ -93,12 +93,13 @@ def test_proposition_suites_mini_corpus():
     assert json.dumps(rep1, default=str) == json.dumps(rep2, default=str)
 
 
-def test_proposition_suites_detects_corruption():
+def test_proposition_suites_detects_corruption(monkeypatch):
     corpus = [
         ("good", CurveModel(F1009, Poly.from_ints(F1009, [1, 3, 0, 2, 0, 1]),
                             Poly.from_ints(F1009, [1, 1]))),
     ]
     sizes = {k: 6 for k in ("kappa_surface", "delta", "bqf", "translation", "crosschecks", "chain")}
+    import g2kummer.verify as verify
     from g2kummer.synthesis import FormulaSet, synthesize_formula_set
 
     fs = synthesize_formula_set(corpus[0][1], random.Random(7))
@@ -107,7 +108,8 @@ def test_proposition_suites_detects_corruption():
         for b, blk in enumerate(fs.delta)
     )
     bad = FormulaSet(fs.curve, fs.fingerprint, bad_delta, fs.bqf, fs.w, fs.convention)
-    rep = proposition_suites(corpus, random.Random(8), sizes=sizes, formula_sets={"good": bad})
+    monkeypatch.setattr(verify, "synthesize_formula_set", lambda c, rng: bad)
+    rep = proposition_suites(corpus, random.Random(8), sizes=sizes)
     assert not rep["ok"]
     (entry,) = rep["curves"]
     assert entry["status"] == "fail"
