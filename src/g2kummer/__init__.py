@@ -43,7 +43,6 @@ from .kummer import (
     on_surface,
     quartic_from_curve,
     two_torsion_classes,
-    w_matrix_char2,
     zero_class_point,
 )
 from .synthesis import (
@@ -56,6 +55,7 @@ from .synthesis import (
     synthesize_bqf,
     synthesize_delta,
     synthesize_formula_set,
+    synthesize_w_char2,
     synthesize_w_oddchar,
     transport_forms,
 )

@@ -23,16 +23,17 @@ from .kummer import (
     on_surface,
     quartic_from_curve,
     two_torsion_classes,
-    w_matrix_char2,
 )
 from .ladder import bench as run_bench
 from .ladder import ladder as run_ladder
 from .ladder import make_context, xdbl
 from .synthesis import (
+    _delta_solve,
     deserialize_formula_set,
     fingerprint,
     serialize_formula_set,
     synthesize_formula_set,
+    translation_matrices,
 )
 from .verify import (
     lemma_b_search,
@@ -52,12 +53,19 @@ def _load_curve(path: str) -> CurveModel:
 
 
 def _load_formulas(path: str, curve: CurveModel):
+    """The formula set of a file, which must match the curve
+    (FormulaSetMissing) and whose delta and W lines must be those its B
+    lines give (CrossCheckFailed); both exit 1."""
     with open(path) as fh:
         fs = deserialize_formula_set(fh.read())
     if fs.fingerprint != fingerprint(curve):
         raise errors.FormulaSetMissing(
             "formula file does not match the curve (stale cache rejected)"
         )
+    if fs.delta != _delta_solve(curve.field, fs.bqf, quartic_from_curve(curve).vector):
+        raise errors.CrossCheckFailed("formula file: the delta lines are not the duplication its B lines give")
+    if dict(fs.w) != dict(translation_matrices(curve, fs.bqf)):
+        raise errors.CrossCheckFailed("formula file: the W lines are not the translations its B lines give")
     return fs
 
 
@@ -128,26 +136,12 @@ def cmd_dbl(args) -> int:
 def cmd_translate(args) -> int:
     c = _load_curve(args.curve)
     k = _load_surface_point(c, args.point)
-    classes = two_torsion_classes(c)
-    target = None
-    for T in classes:
-        if T.label == args.cls:
-            target = T
-            break
-    if target is None:
-        raise ValueError(f"no two-torsion class labelled {args.cls!r}; available: "
-                         + ", ".join(T.label for T in classes))
-    if c.field.characteristic() == 2:
-        W = w_matrix_char2(c, target)
-    else:
-        if args.formulas is None:
-            raise ValueError("odd-characteristic translation reads its matrix from --formulas")
-        W = dict(_load_formulas(args.formulas, c).w).get(args.cls)
-        if W is None:
-            raise errors.FormulaSetMissing(
-                f"formula file holds no translation matrix for class {args.cls!r}"
-            )
-    print(KummerPoint(c.field, W.apply(list(k.coords))).normalized().text())
+    if args.formulas is None:
+        raise ValueError("translate reads its matrix from --formulas")
+    ws = dict(_load_formulas(args.formulas, c).w)
+    if args.cls not in ws:
+        raise ValueError(f"no two-torsion class labelled {args.cls!r}; available: " + ", ".join(ws))
+    print(KummerPoint(c.field, ws[args.cls].apply(list(k.coords))).normalized().text())
     return 0
 
 

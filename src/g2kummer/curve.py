@@ -628,15 +628,8 @@ def char2_normal_form(c: CurveModel) -> tuple[str, CurveModel, ModelIsomorphism]
         mob = _mobius_triple_to_zero_infinity_one(F, r0, rinf, r1)
     iso1 = ModelIsomorphism(F, mob, F.one, Poly(F, []))
     c1 = transform(c, iso1)
-    # rescale y so that h is exactly 1, x, or x^2 + x
-    target_h = {
-        "a": Poly.const(F, F.one),
-        "b": Poly.x(F),
-        "c": Poly(F, [F.zero, F.one, F.one]),
-    }[case]
-    lead = c1.h[c1.h.degree] if not c1.h.is_zero() else F.zero
-    if c1.h.is_zero() or c1.h.scale(F.inv(lead)) != target_h:
-        raise SingularCurve("h did not reach its normal shape; curve degenerate")
+    # rescale y so that h is monic: exactly 1, x, or x^2 + x
+    lead = c1.h[c1.h.degree]
     iso2 = ModelIsomorphism(
         F, (F.one, F.zero, F.zero, F.one), F.inv(lead), Poly(F, [])
     )
@@ -669,19 +662,8 @@ def char2_normal_form(c: CurveModel) -> tuple[str, CurveModel, ModelIsomorphism]
             raise RootsNotRational("x^2 coefficient reduction has no rational preimage")
     iso3 = ModelIsomorphism(F, (F.one, F.zero, F.zero, F.one), F.one, Poly(F, [u0, u1, u2, u3]))
     c3 = transform(c2, iso3)
-    for i in (0, 2, 4, 6):
-        assert c3.f[i] == F.zero, "even coefficient survived the reduction"
-    assert c3.h == target_h
-    f1, f3, f5 = c3.f[1], c3.f[3], c3.f[5]
-    if case == "a":
-        ok = f5 != F.zero
-    elif case == "b":
-        ok = f1 != F.zero and f5 != F.zero
-    else:
-        beta = normal_form_beta(F, f1, f3, f5)
-        ok = f1 != F.zero and f5 != F.zero and beta != F.zero
-    if not ok:
-        raise SingularCurve(f"case ({case}) nonsingularity condition failed")
+    if c3 != normal_form_curve(F, case, c3.f[1], c3.f[3], c3.f[5]):
+        raise SingularCurve(f"the reduction did not reach a case ({case}) normal form")
     iso = iso1.compose(iso2).compose(iso3)
     return case, c3, iso
 

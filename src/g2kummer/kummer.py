@@ -29,6 +29,11 @@ The other classes:
 
 Doubled Weierstrass and doubled infinite points are unsupported (callers
 resample; the gap has measure zero).
+
+The rational two-torsion classes are listed here with their Kummer points.
+Their translation matrices are not: in every characteristic they are read
+off the biquadratic forms (``synthesis``), and ``squares_to_scalar`` is the
+check each one passes.
 """
 
 from __future__ import annotations
@@ -250,31 +255,26 @@ def kummer_coords(c: CurveModel, D: MumfordDivisor) -> KummerPoint:
 
 @dataclass
 class TwoTorsionData:
-    """A rational two-torsion class with the derived translation data.
+    """A rational two-torsion class: its Mumford data, its Kummer point and
+    the label that names it in formula files.
 
     In characteristic 2 the class comes from two distinct Weierstrass points
-    {Q1, Q2} with h(x) = (x - x1)(x - x2) t(x) (Q2 may be the infinite
-    point, in which case h = (x - x1) t(x) and h3 = 0); the quantities
-    t, b'...c, k' feed the printed translation matrix.  k2 != 0 always holds
-    here: distinct x1, x2 give k2 = x1 + x2 != 0, and the infinity case has
-    k2 = 1.  In odd characteristic the class comes from a monic quadratic
-    factor ``divisor.a`` of 4f + h^2 and only ``divisor`` and ``kummer`` are
-    populated; the translation matrix is then read off the biquadratic forms
-    at ``kummer`` (``synthesis.synthesize_w_oddchar``), not transcribed.
+    {Q1, Q2}: the roots of a monic quadratic factor of h ("affineAffine"),
+    or a root of h and the infinite point when h3 = 0 ("affineInfinity").
+    In odd characteristic it comes from a monic quadratic factor
+    ``divisor.a`` of 4f + h^2.  The translation matrix is read off the
+    biquadratic forms at ``kummer`` in every characteristic
+    (``synthesis.synthesize_w_char2`` and ``synthesis.synthesize_w_oddchar``).
     """
 
     case_tag: str  # "affineAffine" | "affineInfinity"
     divisor: MumfordDivisor
     kummer: KummerPoint
-    t: Poly = None
-    bp: tuple = None  # (b'0, b'1, b'2, b'3)
-    cc: object = None
-    kp: tuple = None  # (k'1, k'2, k'3, k'4)
-    label: str = ""
+    label: str
 
 
 def two_torsion_classes(c: CurveModel) -> list[TwoTorsionData]:
-    """All rational two-torsion classes with their derived data."""
+    """All rational two-torsion classes, each with its Kummer point."""
     F = c.field
     if F.order() is None:
         raise UnsupportedField("two-torsion enumeration needs a finite field")
@@ -302,79 +302,14 @@ def _two_torsion_char2(c: CurveModel) -> list[TwoTorsionData]:
         c1, c0 = frem[1], frem[0]
         b1 = F.div(F.sqrt(F.mul(c1, s1)), s1)
         b0 = F.div(F.sqrt(F.add(_mono(F, c1, s2, s1), _mono(F, c0, s1, s1))), s1)
-        out.append(_char2_affine_data(c, q, Poly(F, [b0, b1]), label=label))
+        pair = MumfordDivisor(q, Poly(F, [b0, b1]))
+        out.append(TwoTorsionData("affineAffine", pair, kummer_coords(c, pair), label))
     # affine-infinity classes (the infinite point is Weierstrass iff h3 = 0)
     if h[3] == F.zero and not h.is_zero():
         for r in hroots:
-            out.append(_char2_infinity_data(c, r, label=f"ai:{F.to_str(r)}"))
+            pair = MumfordDivisor(Poly(F, [r, F.one]), Poly.const(F, F.sqrt(f(r))), F.sqrt(f[6]))
+            out.append(TwoTorsionData("affineInfinity", pair, kummer_coords(c, pair), f"ai:{F.to_str(r)}"))
     return out
-
-
-def _char2_affine_data(c: CurveModel, s: Poly, b: Poly, label: str) -> TwoTorsionData:
-    F = c.field
-    t = c.h.exact_div(s)
-    pair = MumfordDivisor(s, b)
-    k = kummer_coords(c, pair)
-    k1, k2, k3, k4 = k.coords
-    assert k2 != F.zero, "k2 = x1 + x2 cannot vanish for distinct roots in char 2"
-    inv = F.inv(k2)
-    kp = tuple(F.mul(inv, v) for v in (k1, k2, k3, k4))
-    s1 = F.neg(s[1])  # x1 + x2 (equals s[1] in char 2)
-    invs1 = F.inv(s1)
-    bp0 = F.mul(b[1], invs1)
-    bp1 = F.mul(b[0], invs1)
-    # b'2, b'3 from the normalization recurrences
-    ratio2 = F.div(kp[1], kp[0])  # k'2/k'1 = x1 + x2
-    ratio3 = F.div(kp[2], kp[0])  # k'3/k'1 = x1 x2
-    bp2 = F.add(F.mul(bp1, ratio2), F.mul(bp0, ratio3))
-    bp3 = F.add(F.mul(bp2, ratio2), F.mul(bp1, ratio3))
-    # c = y1 y2 / (x1 + x2); y1 y2 = sqrt(f(x1) f(x2)) with f mod s = c1 x + c0
-    frem = c.f % s
-    c1v, c0v = frem[1], frem[0]
-    prod = _lin(
-        F,
-        _mono(F, c1v, c1v, s[0]),
-        _mono(F, c0v, c1v, F.neg(s[1])),
-        _mono(F, c0v, c0v),
-    )
-    cc = F.mul(F.sqrt(prod), invs1)
-    return TwoTorsionData(
-        case_tag="affineAffine",
-        divisor=pair,
-        kummer=k,
-        t=t,
-        bp=(bp0, bp1, bp2, bp3),
-        cc=cc,
-        kp=kp,
-        label=label,
-    )
-
-
-def _char2_infinity_data(c: CurveModel, x1, label: str) -> TwoTorsionData:
-    F = c.field
-    s = Poly(F, [x1, F.one])  # x - x1
-    t = c.h.exact_div(s)
-    y1 = F.sqrt(c.f(x1))
-    r6 = F.sqrt(c.f[6])
-    pair = MumfordDivisor(s, Poly.const(F, y1), r6)
-    k = kummer_coords(c, pair)
-    kp = k.coords
-    assert kp[1] == F.one
-    bp0 = r6
-    bp1 = F.mul(r6, kp[2])
-    bp2 = F.mul(bp1, kp[2])
-    bp3 = F.add(F.mul(bp2, kp[2]), y1)
-    cc = F.mul(y1, r6)
-    return TwoTorsionData(
-        case_tag="affineInfinity",
-        divisor=pair,
-        kummer=k,
-        t=t,
-        bp=(bp0, bp1, bp2, bp3),
-        cc=cc,
-        kp=kp,
-        label=label,
-    )
 
 
 def _two_torsion_odd(c: CurveModel) -> list[TwoTorsionData]:
@@ -392,49 +327,14 @@ def _two_torsion_odd(c: CurveModel) -> list[TwoTorsionData]:
     quads.extend(irreducible)
     for s in quads:
         pair = MumfordDivisor(s, c.h.scale(F.neg(half)) % s)
-        out.append(
-            TwoTorsionData(
-                case_tag="affineAffine",
-                divisor=pair,
-                kummer=kummer_coords(c, pair),
-                label="s:" + ",".join(F.to_str(s[i]) for i in range(3)),
-            )
-        )
+        label = "s:" + ",".join(F.to_str(s[i]) for i in range(3))
+        out.append(TwoTorsionData("affineAffine", pair, kummer_coords(c, pair), label))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Translation by a two-torsion class
 # ---------------------------------------------------------------------------
-
-def w_matrix_char2(c: CurveModel, T: TwoTorsionData) -> Matrix:
-    """The unified translation matrix (characteristic 2), transcribed.
-
-    The entries reference only the odd coefficients f1, f3, f5 of f; the even
-    ones enter through the b' and c data.  Oracle-checked for general f and
-    every admissible h, both class shapes."""
-    F = c.field
-    if F.characteristic() != 2:
-        raise UnsupportedField("the transcribed matrix is for characteristic 2")
-    f1, f3, f5 = c.f[1], c.f[3], c.f[5]
-    t0, t1 = T.t[0], T.t[1]
-    b0, b1, b2, b3 = T.bp
-    cc = T.cc
-    k1, k2, k3, k4 = T.kp
-    m = lambda *a: _mono(F, *a)
-    lin = lambda *t: _lin(F, *t)
-    w41 = lin(m(t0, f1, b0), m(t0, f3, b2), m(t0, t0, cc), m(t1, f1, b1), m(f3, f1, k1))
-    w42 = lin(m(t0, f5, b3), m(t0, t1, cc), m(t1, f1, b0), m(f1, f5, k2))
-    w43 = lin(m(t0, f5, b2), m(t1, f3, b1), m(t1, f5, b3), m(t1, t1, cc), m(f3, f5, k3))
-    rows = [
-        [lin(m(t1, b2), k4), lin(m(t1, b1), m(f5, k3)), lin(m(t1, b0), m(f5, k2)), k1],
-        [lin(m(t0, b2), m(t1, b3), m(f3, k3)), lin(m(t0, b1), m(t1, b2), k4),
-         lin(m(t0, b0), m(t1, b1), m(f3, k1)), k2],
-        [lin(m(t0, b3), m(f1, k2)), lin(m(t0, b2), m(f1, k1)), lin(m(t0, b1), k4), k3],
-        [w41, w42, w43, k4],
-    ]
-    return Matrix(F, rows)
-
 
 def squares_to_scalar(W: Matrix) -> bool:
     """Whether W^2 is a nonzero multiple of the identity, as it is for the

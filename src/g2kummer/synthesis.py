@@ -21,11 +21,12 @@ order 2, where P+Q = P-Q, the forms at K(Q) factor as
 
     B_ij(x, K(Q))          =  mu * (Wx)_i (Wx)_j (2 - delta_ij),
 
-which gives the odd-characteristic translation matrix W with K(P+Q) ~
-W K(P) (characteristic 2 keeps the paper's transcribed matrix).  The forms
-and the duplication quartics are re-checked on fresh oracle samples before
-they are returned; each W is checked to square to a scalar here and against
-oracle translations in ``verify``.
+which gives the translation matrix W with K(P+Q) ~ W K(P) in every
+characteristic: in odd characteristic from the rows of B_rr and B_ir, in
+characteristic 2, where the off-diagonal forms vanish, from the square
+terms of B_ii alone.  The forms and the duplication quartics are re-checked
+on fresh oracle samples before they are returned; each W is checked to
+square to a scalar here and against oracle translations in ``verify``.
 
 Normalizations: adding multiples of the defining quartic to a duplication
 coordinate changes nothing on the surface, so each coordinate's coefficient
@@ -87,7 +88,6 @@ from .kummer import (
     quartic_from_curve,
     squares_to_scalar,
     two_torsion_classes,
-    w_matrix_char2,
 )
 
 CONVENTION_TAG = "B_ii=w_i*z_i"
@@ -430,8 +430,18 @@ def synthesize_bqf(wm: WorkingModel, rng):
 
 
 # ---------------------------------------------------------------------------
-# Odd-characteristic translation matrices
+# Translation matrices, read off the biquadratic forms
 # ---------------------------------------------------------------------------
+
+def translation_matrices(c: CurveModel, bqf) -> list:
+    """(label, W) for each rational two-torsion class of ``c``, read off its
+    biquadratic forms ``bqf``; none over the rationals."""
+    F = c.field
+    if F.order() is None:
+        return []
+    derive = synthesize_w_char2 if F.characteristic() == 2 else synthesize_w_oddchar
+    return [(T.label, derive(c, T, bqf)) for T in two_torsion_classes(c)]
+
 
 def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, bqf) -> Matrix:
     """Translation matrix for a two-torsion class, read off the biquadratic
@@ -447,7 +457,7 @@ def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, bqf) -> Matrix:
     asserted to square to a scalar; ``verify`` checks it on oracle samples."""
     F = c.field
     if F.characteristic() == 2:
-        raise UnsupportedField("characteristic 2 uses the transcribed matrix")
+        raise UnsupportedField("characteristic 2 reads W with synthesize_w_char2")
     zero = F.zero
     rows = biquadratic_rows(F, [bqf[p] for p in BQF_INDEX_PAIRS], T.kummer.coords)
     S = {p: quadratic_form_matrix(F, row) for p, row in zip(BQF_INDEX_PAIRS, rows)}
@@ -466,6 +476,48 @@ def synthesize_w_oddchar(c: CurveModel, T: TwoTorsionData, bqf) -> Matrix:
         W.append([F.sub(a, F.mul(coef, b)) for a, b in zip(sir, srr)])
     lead = next(a for row in W for a in row if a != zero)
     W = Matrix(F, W).scale(F.inv(lead))
+    if not squares_to_scalar(W):
+        raise KernelDimensionUnexpected("derived translation is not an involution")
+    return W
+
+
+# the quadratic monomial y_k^2 of each coordinate k, as a column of a
+# ``biquadratic_rows`` row
+_SQUARES = {b: ey.index(2) for b, (_ex, ey) in enumerate(BIQUADRATIC44.exponents[:10]) if 2 in ey}
+
+
+def synthesize_w_char2(c: CurveModel, T: TwoTorsionData, bqf) -> Matrix:
+    """Translation matrix for a two-torsion class in characteristic 2, read
+    off the biquadratic forms ``bqf`` with no sampling.
+
+    With 2 = 0 the factorization B_ij(x, t) = mu (Wx)_i (Wx)_j (2 - delta_ij)
+    at t = kappa(T) leaves B_ij(., t) = 0 for i != j and B_ii(., t) =
+    mu (Wx)_i^2 = sum_k mu w_ik^2 x_k^2, so row i of W, times sqrt(mu), is
+    the square roots of the square coefficients of B_ii(., t).  W is scaled
+    so that entry (2, 4) is one: its last column is then kappa(T)/k2, with
+    k2 != 0 for every class in characteristic 2.  W is asserted to square to
+    a scalar; ``verify`` checks it on oracle samples."""
+    F = c.field
+    if F.characteristic() != 2:
+        raise UnsupportedField("odd characteristic reads W with synthesize_w_oddchar")
+    zero = F.zero
+    rows = biquadratic_rows(F, [bqf[p] for p in BQF_INDEX_PAIRS], T.kummer.coords)
+    W = []
+    for (i, j), row in zip(BQF_INDEX_PAIRS, rows):
+        squares = [zero] * 4
+        for b, v in row:
+            if v == zero:
+                continue
+            if i != j or b not in _SQUARES:
+                raise KernelDimensionUnexpected(
+                    f"B{i}{j}(., kappa(T)) is not a sum of squares at class {T.label}"
+                )
+            squares[_SQUARES[b]] = F.sqrt(v)
+        if i == j:
+            W.append(squares)
+    if W[1][3] == zero:
+        raise KernelDimensionUnexpected(f"B22(., kappa(T)) has no k4^2 term at class {T.label}")
+    W = Matrix(F, W).scale(F.inv(W[1][3]))
     if not squares_to_scalar(W):
         raise KernelDimensionUnexpected("derived translation is not an involution")
     return W
@@ -642,9 +694,8 @@ def _modular_bqf(wm: WorkingModel, rng):
 
 def synthesize_formula_set(c: CurveModel, rng) -> FormulaSet:
     """Synthesize the full formula family of a curve: the biquadratic forms,
-    the duplication quartics derived from them, and over finite fields the
-    two-torsion translations (read off the forms in odd characteristic,
-    transcribed in characteristic 2).
+    and the duplication quartics and, over finite fields, the two-torsion
+    translations derived from them.
 
     This is the one place a tiny binary field is lifted: both stages run on
     one working model, the curve's own or that of the curve lifted once to
@@ -658,14 +709,7 @@ def synthesize_formula_set(c: CurveModel, rng) -> FormulaSet:
     descend = tuple if back is None else (lambda vec: _descend(vec, back))
     bqf = {k: descend(vec) for k, vec in big.items()}
     delta = tuple(map(descend, synthesize_delta(wm, rng, big)))
-    w = []
-    if F.order() is not None:
-        for T in two_torsion_classes(c):
-            if F.characteristic() == 2:
-                w.append((T.label, w_matrix_char2(c, T)))
-            else:
-                w.append((T.label, synthesize_w_oddchar(c, T, bqf)))
-    return FormulaSet(c, fingerprint(c), delta, bqf, w)
+    return FormulaSet(c, fingerprint(c), delta, bqf, translation_matrices(c, bqf))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Shared test helpers: independently transcribed classical quartic tables
-(the h = 0 specialization), the independent oracles that tests compare the
-library against, and small conveniences."""
+(the h = 0 specialization) and the paper's printed characteristic-2
+translation matrix, the independent oracles that tests compare the library
+against, and small conveniences."""
 
 from g2kummer.algebra import (
+    Matrix,
     Poly,
     biquadratic_rows,
     quadratic_monomials,
@@ -63,6 +65,68 @@ def classical_k0(F, f):
         (0, 1, 3): n(m(c4, f[3], f[6])),
         (0, 0, 4): s(n(m(c4, f[4], f[6])), m(f[5], f[5])),
     }
+
+
+def printed_translation(c, T):
+    """The paper's printed translation matrix of a characteristic-2
+    two-torsion class T, and k' = kappa(T)/k2, its last column.
+
+    T is {Q1, Q2} with h(x) = (x - x1)(x - x2) t(x), or h(x) = (x - x1) t(x)
+    when Q2 is the infinite point (h3 = 0); the entries reference only the
+    odd coefficients f1, f3, f5 of f, the even ones entering through b'
+    and c."""
+    F = c.field
+    assert F.characteristic() == 2
+
+    def m(*vals):
+        acc = F.one
+        for v in vals:
+            acc = F.mul(acc, v)
+        return acc
+
+    def s(*terms):
+        acc = F.zero
+        for t in terms:
+            acc = F.add(acc, t)
+        return acc
+
+    a, b = T.divisor.a, T.divisor.b
+    t = c.h.exact_div(a)
+    t0, t1 = t[0], t[1]
+    k = T.kummer.coords
+    if T.case_tag == "affineAffine":
+        # a = x^2 + s1 x + s2 with s1 = x1 + x2, s2 = x1 x2, and b the line
+        # through (x1, y1), (x2, y2); c = y1 y2 / s1 with f mod a = c1 x + c0
+        s1, s2 = a[1], a[0]
+        kp = tuple(F.div(v, k[1]) for v in k)
+        b0 = F.div(b[1], s1)
+        b1 = F.div(b[0], s1)
+        b2 = s(m(b1, s1), m(b0, s2))
+        b3 = s(m(b2, s1), m(b1, s2))
+        frem = c.f % a
+        c1, c0 = frem[1], frem[0]
+        cc = F.div(F.sqrt(s(m(c1, c1, s2), m(c0, c1, s1), m(c0, c0))), s1)
+    else:
+        # a = x + x1, y1 = b, and r6 = sqrt(f6) the branch at infinity
+        x1, y1, r6 = a[0], b[0], T.divisor.branch
+        kp = k
+        b0, b1 = r6, m(r6, x1)
+        b2 = m(b1, x1)
+        b3 = s(m(b2, x1), y1)
+        cc = m(y1, r6)
+    f1, f3, f5 = c.f[1], c.f[3], c.f[5]
+    k1, k2, k3, k4 = kp
+    w41 = s(m(t0, f1, b0), m(t0, f3, b2), m(t0, t0, cc), m(t1, f1, b1), m(f3, f1, k1))
+    w42 = s(m(t0, f5, b3), m(t0, t1, cc), m(t1, f1, b0), m(f1, f5, k2))
+    w43 = s(m(t0, f5, b2), m(t1, f3, b1), m(t1, f5, b3), m(t1, t1, cc), m(f3, f5, k3))
+    rows = [
+        [s(m(t1, b2), k4), s(m(t1, b1), m(f5, k3)), s(m(t1, b0), m(f5, k2)), k1],
+        [s(m(t0, b2), m(t1, b3), m(f3, k3)), s(m(t0, b1), m(t1, b2), k4),
+         s(m(t0, b0), m(t1, b1), m(f3, k1)), k2],
+        [s(m(t0, b3), m(f1, k2)), s(m(t0, b2), m(f1, k1)), s(m(t0, b1), k4), k3],
+        [w41, w42, w43, k4],
+    ]
+    return Matrix(F, rows), kp
 
 
 def kappa_of(c, wm, D):

@@ -27,7 +27,6 @@ from g2kummer.kummer import (
     on_surface,
     quartic_from_curve,
     two_torsion_classes,
-    w_matrix_char2,
     zero_class_point,
 )
 from g2kummer.ladder import bench, ladder, make_context, xadd
@@ -40,7 +39,6 @@ from g2kummer.synthesis import (
     duplication,
     serialize_formula_set,
     synthesize_formula_set,
-    synthesize_w_oddchar,
 )
 from g2kummer.verify import lemma_b_search, lemma_delta_search
 
@@ -194,13 +192,9 @@ def test_criterion_06_translation(corpus, formula_cache):
         wm = working_model(c)
         q = quartic_from_curve(c)
         fs = formula_cache[name]
+        ws = dict(fs.w)
         for T in two_torsion_classes(c):
-            if F.characteristic() == 2:
-                W = w_matrix_char2(c, T)
-            else:
-                W = next((m for label, m in fs.w if label == T.label), None)
-                if W is None:
-                    W = synthesize_w_oddchar(c, T, fs.bqf)
+            W = ws[T.label]
             W2 = W.mul(W)
             lam = W2.rows[0][0]
             assert lam != F.zero and all(

@@ -8,10 +8,15 @@ from pathlib import Path
 import pytest
 
 import g2kummer
-from g2kummer.algebra import Poly
+from g2kummer.algebra import Matrix, Poly
 from g2kummer.cli import main
-from g2kummer.curve import CurveModel
-from g2kummer.field import PrimeField
+from g2kummer.curve import CurveModel, normal_form_curve
+from g2kummer.field import BinaryField, PrimeField
+from g2kummer.jacobian import random_divisor, to_point_pair, working_model
+from g2kummer.kummer import KummerPoint, kummer_coords, two_torsion_classes
+from g2kummer.synthesis import deserialize_formula_set, serialize_formula_set, synthesize_formula_set
+
+from .helpers import printed_translation
 
 F1009 = PrimeField(1009)
 CURVE_TEXT = "field prime:p=1009\nf 1,3,0,2,0,1,0\nh 1,1,0,0\n"
@@ -185,6 +190,7 @@ def _assert_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    return captured.err
 
 
 def test_field_spec_without_its_key_is_usage_error(tmp_path, capsys):
@@ -209,6 +215,7 @@ def test_formula_file_without_field_line_is_usage_error(synth_file, tmp_path, ca
 
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 @pytest.mark.parametrize("curve,points,kappa", [
@@ -227,9 +234,12 @@ def test_eval_kappa_needs_two_points(curve_file, capsys, points):
     _assert_usage_error(["eval", "kappa", curve_file, "--points", points], capsys)
 
 
-def test_translate_unknown_class_is_usage_error(capsys):
-    _assert_usage_error(["translate", str(CORPUS_DIR / "p1009_2tors.curve"), "--class", "s:9,9,9",
-                         "--point", "0:0:0:1"], capsys)
+def test_translate_unknown_class_is_usage_error(formula_cache, tmp_path, capsys):
+    kfs = tmp_path / "p.kfs"
+    kfs.write_text(serialize_formula_set(formula_cache["p1009_2tors"]))
+    err = _assert_usage_error(["translate", str(CORPUS_DIR / "p1009_2tors.curve"), "--formulas", str(kfs),
+                               "--class", "s:9,9,9", "--point", "0:0:0:1"], capsys)
+    assert "no two-torsion class labelled 's:9,9,9'" in err
 
 
 def test_lemma_needs_three_coefficients(capsys):
@@ -237,9 +247,81 @@ def test_lemma_needs_three_coefficients(capsys):
                          "--coeffs", "0,1"], capsys)
 
 
-def test_translate_odd_char_without_formulas_is_usage_error(capsys):
-    _assert_usage_error(["translate", str(CORPUS_DIR / "p1009_2tors.curve"), "--class", "s:2,1006,1",
-                         "--point", "0:0:0:1"], capsys)
+@pytest.mark.parametrize("curve,label", [("p1009_2tors", "s:2,1006,1"), ("c2_general_f", "aa:0x0,0x1")],
+                         ids=["p1009_2tors", "c2_general_f"])
+def test_translate_without_formulas_is_usage_error(capsys, curve, label):
+    # W is read from the formula file in every characteristic
+    err = _assert_usage_error(["translate", str(CORPUS_DIR / f"{curve}.curve"), "--class", label,
+                               "--point", "0:0:0:1"], capsys)
+    assert "--formulas" in err
+
+
+def test_translate_char2_is_the_printed_matrix(formula_cache, capsys):
+    # the W lines of a characteristic-2 formula file, derived from its forms,
+    # move a surface point as the paper's printed matrix does
+    c = formula_cache.curve("c2_general_f")
+    wm = working_model(c)
+    k = kummer_coords(c, to_point_pair(wm, random_divisor(wm, random.Random(31)))).normalized()
+    classes = two_torsion_classes(c)
+    assert len(classes) == 3
+    for T in classes:
+        assert main(["translate", str(CORPUS_DIR / "c2_general_f.curve"), "--formulas",
+                     str(REFERENCE_DIR / "c2_general_f.kfs"), "--class", T.label, "--point", k.text()]) == 0
+        W = printed_translation(c, T)[0]
+        assert capsys.readouterr().out == KummerPoint(c.field, W.apply(list(k.coords))).normalized().text() + "\n"
+
+
+B8 = BinaryField(3, 0b1011)
+
+
+@pytest.fixture(scope="module")
+def checked_files(tmp_path_factory, formula_cache):
+    """(curve file, KFS1 text) of a reference file, an odd-characteristic
+    corpus file and a file synthesized on the lift of a GF(8) curve."""
+    d = tmp_path_factory.mktemp("checked")
+    gf8 = normal_form_curve(B8, "c", 1, 0, 2)
+    gf8_path = d / "gf8.curve"
+    gf8_path.write_text(gf8.curve_file_text())
+    return {
+        "c2_general_f": (CORPUS_DIR / "c2_general_f.curve", (REFERENCE_DIR / "c2_general_f.kfs").read_text()),
+        "p1009_2tors": (CORPUS_DIR / "p1009_2tors.curve", serialize_formula_set(formula_cache["p1009_2tors"])),
+        "gf8_normal_form": (gf8_path, serialize_formula_set(synthesize_formula_set(gf8, random.Random(32)))),
+    }
+
+
+def _one_coefficient_changed(text, line):
+    """``text`` with the first coefficient of its ``line`` (a delta line, or
+    "W" for the first W line) plus one."""
+    fs = deserialize_formula_set(text)
+    F = fs.curve.field
+    bump = lambda vec: [F.add(vec[0], F.one)] + list(vec[1:])
+    if line == "W":
+        label, W = fs.w[0]
+        fs.w[0] = (label, Matrix(F, [bump(W.rows[0])] + W.rows[1:]))
+    else:
+        i = int(line[len("delta"):]) - 1
+        fs.delta = fs.delta[:i] + (tuple(bump(fs.delta[i])),) + fs.delta[i + 1:]
+    return serialize_formula_set(fs)
+
+
+@pytest.mark.parametrize("line", [None, "delta1", "delta2", "delta3", "delta4", "W"])
+@pytest.mark.parametrize("name", ["c2_general_f", "p1009_2tors", "gf8_normal_form"])
+def test_loaded_formulas_are_checked_against_their_forms(checked_files, tmp_path, capsys, name, line):
+    cpath, text = checked_files[name]
+    if line is not None:
+        changed = _one_coefficient_changed(text, line)
+        assert sum(a != b for a, b in zip(text.splitlines(), changed.splitlines())) == 1
+        text = changed
+    kfs = tmp_path / "f.kfs"
+    kfs.write_text(text)
+    rc = main(["dbl", str(cpath), "--formulas", str(kfs), "--point", "0:0:0:1"])
+    captured = capsys.readouterr()
+    if line is None:
+        assert rc == 0 and captured.err == ""
+        return
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: formula file: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

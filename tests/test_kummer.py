@@ -29,11 +29,11 @@ from g2kummer.kummer import (
     on_surface,
     quartic_from_curve,
     two_torsion_classes,
-    w_matrix_char2,
     zero_class_point,
 )
+from g2kummer.synthesis import synthesize_formula_set, synthesize_w_char2
 
-from .helpers import enumerate_divisors
+from .helpers import enumerate_divisors, printed_translation
 
 F7 = PrimeField(7)
 F1009 = PrimeField(1009)
@@ -418,9 +418,10 @@ def test_w_matrix_entries_and_square():
     rng = random.Random(8)
     wm = working_model(c)
     q = quartic_from_curve(c)
+    bqf = synthesize_formula_set(c, random.Random(9)).bqf
     for T in two_torsion_classes(c):
-        W = w_matrix_char2(c, T)
-        kp = T.kp
+        W = synthesize_w_char2(c, T, bqf)
+        _printed, kp = printed_translation(c, T)
         assert W.rows[0][3] == kp[0]  # entry (1,4) = k'_1
         assert W.rows[2][3] == kp[2]  # entry (3,4) = k'_3
         W2 = W.mul(W)
@@ -447,8 +448,9 @@ def test_char2_w_exhaustive_tiny_field():
     q = quartic_from_curve(c)
     classes = two_torsion_classes(c)
     assert classes
+    bqf = synthesize_formula_set(c, random.Random(10)).bqf
     for T in classes:
-        W = w_matrix_char2(c, T)
+        W = synthesize_w_char2(c, T, bqf)
         count = 0
         for a in range(8):
             for b in range(8):

@@ -21,11 +21,10 @@ from g2kummer.kummer import (
     on_surface,
     quartic_from_curve,
     two_torsion_classes,
-    w_matrix_char2,
     zero_class_point,
 )
 from g2kummer.ladder import bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
-from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set
+from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set, synthesize_w_char2
 
 from .helpers import checked_ladder, eval_biquadratic, scalar_mul, xadd_every_pivot
 
@@ -144,7 +143,7 @@ def test_char2_translation_compatible_with_doubling():
     classes = two_torsion_classes(c)
     assert classes
     for T in classes:
-        W = w_matrix_char2(c, T)
+        W = synthesize_w_char2(c, T, fs.bqf)
         for _ in range(30):
             D = random_divisor(wmc, rng)
             x = kummer_coords(c, to_point_pair(wmc, D)).normalized()

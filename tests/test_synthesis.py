@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -5,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kummer.algebra import BIQUADRATIC44, Matrix, Poly, QUARTIC4, biquadratic_rows, solve_kernel
+from g2kummer.algebra import BIQUADRATIC44, Matrix, Poly, QUARTIC4, solve_kernel
 from g2kummer.corpus import default_corpus
 from g2kummer.curve import CurveModel, kummer_matrix, normal_form_curve
 from g2kummer.errors import (
     ExhaustedRetries,
     KernelDimensionUnexpected,
     NotInSubfield,
+    SingularCurve,
     UnsupportedDivisor,
     UnsupportedField,
 )
 from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import add, from_point_pair, negate, random_divisor, to_point_pair, working_model
-from g2kummer.kummer import KummerPoint, kummer_coords, two_torsion_classes, w_matrix_char2, zero_class_point
+from g2kummer.kummer import KummerPoint, kummer_coords, two_torsion_classes, zero_class_point
 from g2kummer.synthesis import (
     BQF_INDEX_PAIRS,
     CONVENTION_TAG,
@@ -37,11 +39,12 @@ from g2kummer.synthesis import (
     synthesize_bqf,
     synthesize_delta,
     synthesize_formula_set,
+    synthesize_w_char2,
     synthesize_w_oddchar,
     transport_forms,
 )
 
-from .helpers import simplified_families
+from .helpers import printed_translation, simplified_families
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -352,45 +355,60 @@ def test_w_oddchar_rejects_forms_without_a_pivot_and_characteristic_2(formula_ca
         synthesize_w_oddchar(c2, two_torsion_classes(c2)[0], {})
 
 
-# BIQUADRATIC44 column of y_k^2 in a form's block of quadratic monomials of y
-_SQUARES = [next(b for b in range(10) if BIQUADRATIC44.exponents[b][1][k] == 2) for k in range(4)]
-
-
-def _w_from_bqf_char2(c, T, bqf):
-    """In characteristic 2, B_ij(., kappa(T)) = mu (Wy)_i (Wy)_j (2 - delta_ij)
-    vanishes for i != j, and B_ii(., kappa(T)) = sum_k mu w_ik^2 y_k^2, so row i
-    of W, times sqrt(mu), is the square roots of the square coefficients."""
+def _frobenius(c, bqf):
+    """The curve and forms with every coefficient squared: the image of c
+    and of its biquadratic forms under the Frobenius automorphism, which
+    keeps every identity the forms satisfy."""
     F = c.field
-    forms = [bqf[p] for p in BQF_INDEX_PAIRS]
-    rows = dict(zip(BQF_INDEX_PAIRS, biquadratic_rows(F, forms, T.kummer.coords)))
-    W = []
-    for (i, j), row in rows.items():
-        coef = dict(row)
-        if i != j:
-            assert all(v == F.zero for v in coef.values()), (T.label, i, j)
-            continue
-        assert all(v == F.zero for b, v in coef.items() if b not in _SQUARES), (T.label, i)
-        W.append([F.sqrt(coef.get(b, F.zero)) for b in _SQUARES])
-    return Matrix(F, W)
+    sq = lambda p: Poly(F, [F.sqr(p[i]) for i in range(p.degree + 1)])
+    return CurveModel(F, sq(c.f), sq(c.h)), {k: tuple(map(F.sqr, v)) for k, v in bqf.items()}
 
 
 def test_char2_w_matrix_matches_the_biquadratic_forms(formula_cache):
+    # the W read off the forms is the printed matrix on every class of the
+    # characteristic-2 corpus, of a GF(8) curve and of every normal-form
+    # curve over GF(2) and GF(4) with rational two-torsion (cases b and c;
+    # case a has none), the last three with B from the lift; over GF(4) each
+    # formula set also serves the curve's Frobenius conjugate
+    cases = [(formula_cache.curve(n), formula_cache[n].bqf) for n in formula_cache.names()
+             if formula_cache.curve(n).field.characteristic() == 2]
     B8 = BinaryField(3, 0b1011)
     tiny = CurveModel(B8, Poly.from_ints(B8, [0, 1, 0, 1, 0, 1]), Poly.from_ints(B8, [0, 1]))
-    cases = [(formula_cache.curve(n), formula_cache[n].bqf) for n in ("c2_h3_split", "c2_general_f")]
-    cases.append((tiny, synthesize_formula_set(tiny, random.Random(110)).bqf))  # B from the lift
+    cases.append((tiny, synthesize_formula_set(tiny, random.Random(110)).bqf))
+    for F in (BinaryField(1, 0b11), BinaryField(2, 0b111)):
+        seen = set()
+        for case in "bc":
+            for f1, f3, f5 in itertools.product(range(F.order()), repeat=3):
+                try:
+                    c = normal_form_curve(F, case, f1, f3, f5)
+                except SingularCurve:
+                    continue
+                if c in seen:
+                    continue
+                bqf = synthesize_formula_set(c, random.Random(110)).bqf
+                for cc, forms in ((c, bqf), _frobenius(c, bqf)):
+                    if cc not in seen:
+                        seen.add(cc)
+                        cases.append((cc, forms))
     checked = 0
     for c, bqf in cases:
-        F = c.field
-        classes = two_torsion_classes(c)
-        assert classes
-        for T in classes:
-            derived, printed = _w_from_bqf_char2(c, T, bqf), w_matrix_char2(c, T)
-            i, j = next((i, j) for i in range(4) for j in range(4) if printed.rows[i][j] != F.zero)
-            scale = F.div(derived.rows[i][j], printed.rows[i][j])
-            assert scale != F.zero and derived == printed.scale(scale), T.label
+        for T in two_torsion_classes(c):
+            assert synthesize_w_char2(c, T, bqf) == printed_translation(c, T)[0], T.label
             checked += 1
-    assert checked == 7
+    assert checked == 10 + 1 + 2 + 90
+
+
+def test_w_char2_rejects_forms_that_do_not_factor(formula_cache):
+    c, bqf = formula_cache.curve("c2_h3_split"), formula_cache["c2_h3_split"].bqf
+    T = two_torsion_classes(c)[0]
+    zero_forms = {p: (0,) * BIQUADRATIC44.size for p in BQF_INDEX_PAIRS}
+    with pytest.raises(KernelDimensionUnexpected):
+        synthesize_w_char2(c, T, zero_forms)
+    # B11(., kappa(T)) is a nonzero sum of squares, so as B12 it does not vanish
+    with pytest.raises(KernelDimensionUnexpected):
+        synthesize_w_char2(c, T, {**bqf, (1, 2): bqf[(1, 1)]})
+    with pytest.raises(UnsupportedField):
+        synthesize_w_char2(formula_cache.curve("p1009_2tors"), T, bqf)
 
 
 def test_lifted_gf2_delta_descends():
