@@ -8,8 +8,9 @@ Two fixed monomial bases are defined:
   with k1 > k2 > k3 > k4;
 - ``BIQUADRATIC44``: the 100 products of a degree-2 monomial in x1..x4 and a
   degree-2 monomial in y1..y4, x-block-major, each block graded-lex.
-  Forms symmetric in x and y are solved for over ``SYMMETRIC_PAIRS``, the
-  55 pairs a <= b of quadratic monomials, and expanded back.
+  Biquadratic forms must be symmetric in x and y; they are solved for and
+  evaluated over ``SYMMETRIC_PAIRS``, the 55 pairs a <= b of quadratic
+  monomials, and expanded back.
 
 The same orderings are used by formula synthesis and serialization.
 """
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt, lcm
 
-from .errors import DivisionByZero, LengthMismatch, UnsupportedField
+from .errors import AsymmetricForm, DivisionByZero, LengthMismatch, UnsupportedField
 from .field import Field
 
 
@@ -525,12 +526,17 @@ class CompiledForms:
 
     A quartic form sums over the quartic monomials it uses, each computed
     once per point as one product of two quadratic monomials.  A
-    biquadratic form keeps one sparse row per quadratic monomial of y: its
-    value is the sum over rows of q_b(y) times the row's combination of the
-    q_a(x).  Only zero coefficients are skipped, never values that happen
-    to vanish, so an evaluation costs a number of multiplications fixed by
-    the sparsity alone (``quartic_muls``, ``biquadratic_muls``).  Each
-    coefficient is kept as ``F.stored`` gives it, for ``F.dots``."""
+    biquadratic form must be symmetric in its two arguments (AsymmetricForm
+    otherwise) and is kept over SYMMETRIC_PAIRS: its value at (x, y) is the
+    sum of c_ab s_ab, where s_ab is ``F.symmetric_products`` of the
+    quadratic monomials of x and y.  For each list of forms evaluated
+    together, the s_ab over the union of their supports are computed once;
+    that union is worked out on the list's first evaluation and kept.  For
+    ``biquadratic_rows`` a form also keeps one sparse row per quadratic
+    monomial of y.  Only zero coefficients are skipped, never values that
+    happen to vanish, so an evaluation costs a number of multiplications
+    fixed by the sparsity alone (``quartic_muls``, ``biquadratic_muls``).
+    Each coefficient is kept as ``F.stored`` gives it, for ``F.dots``."""
 
     def __init__(self, F: Field, quartics=(), biquadratics=None):
         zero = F.zero
@@ -543,14 +549,17 @@ class CompiledForms:
             [(t, kept[k]) for t, k in enumerate(used) if coeffs[k] != zero]
             for coeffs, kept in zip(quartics, map(F.stored, quartics))
         ]
-        self.biquadratics = {}
+        self.biquadratics, self.symmetric, self._unions = {}, {}, {}
         for key, coeffs in (biquadratics or {}).items():
             if len(coeffs) != BIQUADRATIC44.size:
                 raise LengthMismatch("biquadratic coefficient vector must have 100 entries")
+            if any(coeffs[10 * a + b] != coeffs[10 * b + a] for a, b in SYMMETRIC_PAIRS):
+                raise AsymmetricForm(f"biquadratic form {key!r} is not symmetric in its two arguments")
             kept = F.stored(coeffs)
             rows = [(b, [(a, kept[10 * a + b]) for a in range(10) if coeffs[10 * a + b] != zero]) for b in range(10)]
             rows = [(b, terms) for b, terms in rows if terms]
             self.biquadratics[key] = ([b for b, _t in rows], [terms for _b, terms in rows])
+            self.symmetric[key] = [(k, kept[10 * a + b]) for k, (a, b) in enumerate(SYMMETRIC_PAIRS) if coeffs[10 * a + b] != zero]
 
     def quartic_values(self, quad) -> list:
         """The quartic forms at the point whose quadratic monomials are
@@ -565,19 +574,37 @@ class CompiledForms:
         F = self.field
         return [list(zip(bs, F.dots(rows, qx))) for bs, rows in (self.biquadratics[k] for k in keys)]
 
+    def _union(self, keys) -> tuple:
+        """The pairs of the union of the supports of the forms ``keys``, and
+        each form as (position in that union, coefficient) terms."""
+        keys = tuple(keys)
+        union = self._unions.get(keys)
+        if union is None:
+            support = sorted({k for key in keys for k, _c in self.symmetric[key]})
+            at = {k: t for t, k in enumerate(support)}
+            union = self._unions[keys] = (
+                [SYMMETRIC_PAIRS[k] for k in support],
+                [[(at[k], c) for k, c in self.symmetric[key]] for key in keys],
+            )
+        return union
+
     def biquadratic_values(self, keys, qx, qy) -> list:
         """The biquadratic forms named by ``keys`` at the argument pair whose
         quadratic monomials are ``qx`` and ``qy``."""
         F = self.field
-        return [F.dot(F.dots(rows, qx), [qy[b] for b in bs]) for bs, rows in (self.biquadratics[k] for k in keys)]
+        pairs, forms = self._union(keys)
+        return F.dots(forms, F.symmetric_products(qx, qy, pairs))
 
     def quartic_muls(self) -> int:
         """Multiplications of one ``quartic_values`` call."""
         return len(self.quartic_pairs) + sum(map(len, self.quartics))
 
     def biquadratic_muls(self, keys) -> int:
-        """Multiplications of one ``biquadratic_values`` call on ``keys``."""
-        return sum(len(bs) + sum(map(len, rows)) for bs, rows in (self.biquadratics[k] for k in keys))
+        """Multiplications of one ``biquadratic_values`` call on ``keys``:
+        one per diagonal pair of the union and two per other pair, then one
+        per coefficient."""
+        pairs, forms = self._union(keys)
+        return sum(1 if a == b else 2 for a, b in pairs) + sum(map(len, forms))
 
 
 def quartic_values(F: Field, forms, point) -> list:
@@ -618,20 +645,6 @@ def quadratic_form_matrix(F: Field, row) -> list[list]:
 
 # one coefficient per unordered pair of quadratic monomials
 SYMMETRIC_PAIRS = [(a, b) for a in range(10) for b in range(a, 10)]
-
-
-# q_a(x) q_b(y) for each pair, then q_b(x) q_a(y) for a < b, over qx + qy
-_SYMMETRIC_PRODUCTS = [(a, 10 + b) for a, b in SYMMETRIC_PAIRS] + [(b, 10 + a) for a, b in SYMMETRIC_PAIRS if a < b]
-
-
-def symmetric_biquadratic_row(F: Field, qx, qy) -> list:
-    """The 55 monomial values of a symmetric biquadratic sample row:
-    q_a(x) q_b(y) + q_b(x) q_a(y) for a < b and q_a(x) q_a(y) for a = b,
-    given the quadratic monomials ``qx`` and ``qy`` of x and y.  Nothing is
-    halved, so the basis also serves characteristic 2."""
-    prods = F.pair_products(qx + qy, _SYMMETRIC_PRODUCTS)
-    swapped = iter(prods[len(SYMMETRIC_PAIRS) :])
-    return [u if a == b else F.add(u, next(swapped)) for (a, b), u in zip(SYMMETRIC_PAIRS, prods)]
 
 
 def expand_symmetric(F: Field, coeffs) -> list:

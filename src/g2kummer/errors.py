@@ -21,6 +21,10 @@ class LengthMismatch(G2KummerError, ValueError):
     pass
 
 
+class AsymmetricForm(G2KummerError, ValueError):
+    """A biquadratic form is not symmetric in its two arguments."""
+
+
 class CharacteristicTwo(G2KummerError):
     """The operation requires odd or zero characteristic."""
 

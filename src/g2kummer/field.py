@@ -195,6 +195,12 @@ class Field:
         mul = self.mul
         return [mul(values[a], values[b]) for a, b in pairs]
 
+    def symmetric_products(self, qx, qy, pairs) -> list:
+        """qx[a] * qy[a] for each pair (a, a) and qx[a] * qy[b] + qx[b] *
+        qy[a] for each pair (a, b) with a != b: one product, or two."""
+        mul, add = self.mul, self.add
+        return [mul(qx[a], qy[a]) if a == b else add(mul(qx[a], qy[b]), mul(qx[b], qy[a])) for a, b in pairs]
+
     def dot(self, xs, ys):
         """The sum of xs[i] * ys[i]."""
         return reduce(self.add, map(self.mul, xs, ys), self.zero)
@@ -357,6 +363,12 @@ class PrimeField(Field):
         p = self.p
         return [values[a] * values[b] % p for a, b in pairs]
 
+    def symmetric_products(self, qx, qy, pairs):
+        if self.counter is not None:
+            self.counter.mul += sum(1 if a == b else 2 for a, b in pairs)
+        p = self.p
+        return [qx[a] * qy[a] % p if a == b else (qx[a] * qy[b] + qx[b] * qy[a]) % p for a, b in pairs]
+
     def dot(self, xs, ys):
         self._count(len(xs))
         return sum(map(operator.mul, xs, ys)) % self.p
@@ -477,14 +489,10 @@ class BinaryField(Field):
             self.counter.mul += 1
         if a == 0 or b == 0:
             return 0
-        tabs = self._tables()
+        tabs = _BINARY_TABLES.get((self.m, self.mod)) or self._tables()
         if tabs is not None:
             exp, log = tabs
-            n = (1 << self.m) - 1
-            s = log[a] + log[b]
-            if s >= n:
-                s -= n
-            return exp[s]
+            return exp[log[a] + log[b] - len(exp)]
         return _gf2x_mulmod(a, b, self.mod, self.m)
 
     def sqr(self, a):
@@ -492,14 +500,10 @@ class BinaryField(Field):
             self.counter.sqr += 1
         if a == 0:
             return 0
-        tabs = self._tables()
+        tabs = _BINARY_TABLES.get((self.m, self.mod)) or self._tables()
         if tabs is not None:
             exp, log = tabs
-            n = (1 << self.m) - 1
-            s = log[a] * 2
-            if s >= n:
-                s -= n
-            return exp[s]
+            return exp[2 * log[a] - len(exp)]
         return _gf2x_mulmod(a, a, self.mod, self.m)
 
     def inv(self, a):
@@ -507,12 +511,10 @@ class BinaryField(Field):
             raise DivisionByZero("inverse of 0")
         if self.counter is not None:
             self.counter.inv += 1
-        tabs = self._tables()
+        tabs = _BINARY_TABLES.get((self.m, self.mod)) or self._tables()
         if tabs is not None:
             exp, log = tabs
-            n = (1 << self.m) - 1
-            k = log[a]
-            return exp[0] if k == 0 else exp[n - k]
+            return exp[-log[a]]
         return _gf2x_inv(a, self.mod)
 
     def from_int(self, n: int):
@@ -647,6 +649,24 @@ class BinaryField(Field):
         n = len(exp)
         logs = [log[v] if v else None for v in values]
         return [0 if logs[a] is None or logs[b] is None else exp[logs[a] + logs[b] - n] for a, b in pairs]
+
+    def symmetric_products(self, qx, qy, pairs):
+        tabs = self._tables()
+        if tabs is None:
+            return super().symmetric_products(qx, qy, pairs)
+        if self.counter is not None:
+            self.counter.mul += sum(1 if a == b else 2 for a, b in pairs)
+        exp, log = tabs
+        n = len(exp)
+        lx = [log[v] - n if v else None for v in qx]
+        ly = [log[v] if v else None for v in qy]
+        out = []
+        for a, b in pairs:
+            s = 0 if lx[a] is None or ly[b] is None else exp[lx[a] + ly[b]]
+            if a != b and lx[b] is not None and ly[a] is not None:
+                s ^= exp[lx[b] + ly[a]]
+            out.append(s)
+        return out
 
     def dot(self, xs, ys):
         tabs = self._tables()

@@ -66,7 +66,6 @@ from .algebra import (
     quadratic_form_matrix,
     quadratic_monomials,
     solve_kernel,
-    symmetric_biquadratic_row,
     symmetric_square,
     _rref,
 )
@@ -310,7 +309,7 @@ def _bqf_solve(F: Field, samples):
     nsym = len(SYMMETRIC_PAIRS)
     # the samples pair a few pool points, so each point's monomials are made once
     quads = {pt: quadratic_monomials(F, pt) for pt in dict.fromkeys(pt for s in samples for pt in s[:2])}
-    monos = [symmetric_biquadratic_row(F, quads[x], quads[y]) for (x, y, _w, _z) in samples]
+    monos = [F.symmetric_products(quads[x], quads[y], SYMMETRIC_PAIRS) for (x, y, _w, _z) in samples]
     targets = [_bqf_targets(F, w, z) for (_x, _y, w, z) in samples]
     # stage 1: B11(x,y) * t12 - B12(x,y) * t11 = 0
     stage_one = [(k, nsym) for k in range(nsym)] + [(k, nsym + 1) for k in range(nsym)]
@@ -775,6 +774,8 @@ def deserialize_formula_set(text: str) -> FormulaSet:
             vec = tuple(F.parse(t) for t in csv.split(","))
             if len(vec) != 100:
                 raise ValueError("biquadratic44 vectors have 100 coefficients")
+            if any(vec[10 * a + b] != vec[10 * b + a] for a, b in SYMMETRIC_PAIRS):
+                raise ValueError(f"{key} is not symmetric in its two arguments")
             bqf[_BQF_KEYS[key]] = vec
         elif key == "W":
             label, _, csv = rest.partition(" ")

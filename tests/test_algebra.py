@@ -12,14 +12,14 @@ from g2kummer.algebra import (
     Matrix,
     Poly,
     QUARTIC4,
+    SYMMETRIC_PAIRS,
     eval_quartic,
     expand_symmetric,
     roots,
     roots_and_quadratic_factors,
     solve_kernel,
-    symmetric_biquadratic_row,
 )
-from g2kummer.errors import DivisionByZero, LengthMismatch, UnsupportedField
+from g2kummer.errors import AsymmetricForm, DivisionByZero, LengthMismatch, UnsupportedField
 from g2kummer.field import BinaryField, PrimeField, RationalField
 
 from .helpers import eval_biquadratic
@@ -474,7 +474,7 @@ def test_eval_form_vs_naive_oracle():
             t = t * pow(pt[idx], e[idx], 1009) % 1009
         naive = (naive + t) % 1009
     assert eval_quartic(F1009, cvec, pt) == naive
-    cb = [F1009.random(rng) for _ in range(100)]
+    cb = expand_symmetric(F1009, [F1009.random(rng) for _ in range(55)])
     ptx = tuple(F1009.random(rng) for _ in range(4))
     pty = tuple(F1009.random(rng) for _ in range(4))
     naive = 0
@@ -498,7 +498,7 @@ def test_symmetric_basis_row_matches_expanded_form(F):
         y = tuple(F.random(rng) for _ in range(4))
         full = expand_symmetric(F, s)
         dot = F.zero
-        for c, m in zip(s, symmetric_biquadratic_row(F, algebra.quadratic_monomials(F, x), algebra.quadratic_monomials(F, y))):
+        for c, m in zip(s, F.symmetric_products(algebra.quadratic_monomials(F, x), algebra.quadratic_monomials(F, y), SYMMETRIC_PAIRS)):
             dot = F.add(dot, F.mul(c, m))
         assert eval_biquadratic(F, full, x, y) == dot == eval_biquadratic(F, full, y, x)
 
@@ -533,18 +533,40 @@ def _random_value(F, rng):
 
 # GF(p) and tabled GF(2^m) take the raw-integer products; GF(2^23) has no
 # log/exp tables and Q has no raw integers, so those two take Field's
-@pytest.mark.parametrize(
-    "F",
-    [
-        F1009,
-        PrimeField(2**61 - 1),
-        B8,
-        BinaryField(16, 0x1002B),
-        BinaryField(23, (1 << 23) | 0b100001),
-        RationalField(),
-    ],
-    ids=lambda F: F.spec_string(),
-)
+KERNEL_FIELDS = [
+    F1009,
+    PrimeField(2**61 - 1),
+    B8,
+    BinaryField(16, 0x1002B),
+    BinaryField(23, (1 << 23) | 0b100001),
+    RationalField(),
+]
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=lambda F: F.spec_string())
+def test_symmetric_products_match_pair_products(F):
+    from g2kummer import field as field_mod
+    from g2kummer.field import OpCounter
+
+    rng = random.Random(80)
+    pairs = [pair for pair in SYMMETRIC_PAIRS if rng.random() < 0.6]
+    assert {a == b for a, b in pairs} == {True, False}
+    for _ in range(10):
+        qx = [_random_value(F, rng) if rng.random() < 0.8 else F.zero for _ in range(10)]
+        qy = [_random_value(F, rng) if rng.random() < 0.8 else F.zero for _ in range(10)]
+        straight = F.pair_products(qx + qy, [(a, 10 + b) for a, b in pairs])
+        swapped = F.pair_products(qx + qy, [(b, 10 + a) for a, b in pairs])
+        expected = [u if a == b else F.add(u, v) for (a, b), u, v in zip(pairs, straight, swapped)]
+        ctr = OpCounter()
+        field_mod.Field.counter = ctr
+        try:
+            assert F.symmetric_products(qx, qy, pairs) == expected
+        finally:
+            field_mod.Field.counter = None
+        assert ctr.mul == sum(1 if a == b else 2 for a, b in pairs) and ctr.inv == 0
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=lambda F: F.spec_string())
 def test_compiled_forms_match_a_dense_evaluation(F):
     from g2kummer import field as field_mod
     from g2kummer.field import OpCounter
@@ -555,9 +577,13 @@ def test_compiled_forms_match_a_dense_evaluation(F):
         return [_random_value(F, rng) if rng.random() < 0.5 else F.zero for _ in range(n)]
 
     quartics = [sparse(35) for _ in range(4)]
-    biquadratics = {key: sparse(100) for key in range(5)}
+    biquadratics = {key: expand_symmetric(F, sparse(55)) for key in range(5)}
     biquadratics[5] = [F.zero] * 100
     forms = algebra.CompiledForms(F, quartics, biquadratics)
+    asymmetric = list(biquadratics[0])
+    asymmetric[10 * 2 + 7] = F.add(asymmetric[10 * 7 + 2], F.one)
+    with pytest.raises(AsymmetricForm):
+        algebra.CompiledForms(F, biquadratics={0: asymmetric})
     keys = [3, 0, 5, 2]
     zero, one = F.zero, F.one
     points = [tuple(_random_value(F, rng) for _ in range(4)) for _ in range(6)]

@@ -14,7 +14,7 @@ from g2kummer.curve import CurveModel, normal_form_curve
 from g2kummer.field import BinaryField, PrimeField
 from g2kummer.jacobian import random_divisor, to_point_pair, working_model
 from g2kummer.kummer import KummerPoint, kummer_coords, two_torsion_classes
-from g2kummer.synthesis import deserialize_formula_set, serialize_formula_set, synthesize_formula_set
+from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, serialize_formula_set, synthesize_formula_set
 
 from .helpers import printed_translation
 
@@ -291,11 +291,18 @@ def checked_files(tmp_path_factory, formula_cache):
 
 def _one_coefficient_changed(text, line):
     """``text`` with the first coefficient of its ``line`` (a delta line, or
-    "W" for the first W line) plus one."""
+    "W" for the first W line) plus one; on a B line, the first nonzero
+    coefficient off the diagonal, without its mirror image."""
     fs = deserialize_formula_set(text)
     F = fs.curve.field
     bump = lambda vec: [F.add(vec[0], F.one)] + list(vec[1:])
-    if line == "W":
+    if line.startswith("B"):
+        key = (int(line[1]), int(line[2]))
+        vec = list(fs.bqf[key])
+        k = next(k for k, c in enumerate(vec) if c != F.zero and k // 10 != k % 10)
+        vec[k] = F.add(vec[k], F.one)
+        fs.bqf[key] = tuple(vec)
+    elif line == "W":
         label, W = fs.w[0]
         fs.w[0] = (label, Matrix(F, [bump(W.rows[0])] + W.rows[1:]))
     else:
@@ -322,6 +329,22 @@ def test_loaded_formulas_are_checked_against_their_forms(checked_files, tmp_path
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error: formula file: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("line", [f"B{i}{j}" for i, j in BQF_INDEX_PAIRS])
+@pytest.mark.parametrize("name", ["c2_general_f", "p1009_2tors", "gf8_normal_form"])
+def test_asymmetric_b_lines_are_rejected(checked_files, tmp_path, capsys, name, line):
+    # the forms are evaluated over the symmetric pairs, so a B line that is
+    # not symmetric in its two arguments is refused as input (exit 2)
+    cpath, text = checked_files[name]
+    changed = _one_coefficient_changed(text, line)
+    assert sum(a != b for a, b in zip(text.splitlines(), changed.splitlines())) == 1
+    kfs = tmp_path / "f.kfs"
+    kfs.write_text(changed)
+    rc = main(["dbl", str(cpath), "--formulas", str(kfs), "--point", "0:0:0:1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {line} is not symmetric in its two arguments\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

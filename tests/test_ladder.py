@@ -23,7 +23,7 @@ from g2kummer.kummer import (
     two_torsion_classes,
     zero_class_point,
 )
-from g2kummer.ladder import bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
+from g2kummer.ladder import _pseudo_sum, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set, synthesize_w_char2
 
 from .helpers import checked_ladder, eval_biquadratic, scalar_mul, xadd_every_pivot
@@ -265,7 +265,7 @@ def _kappa(c, wm, D):
 
 # one ladder step, xdbl plus xadd under the first pivot, on the reference
 # formula sets
-STEP_MULS = {"m61_h2_f5": 353, "c2_general_f": 290}
+STEP_MULS = {"m61_h2_f5": 327, "c2_general_f": 257}
 
 
 @pytest.mark.parametrize("name", sorted(STEP_MULS))
@@ -282,6 +282,12 @@ def test_static_op_counts_match_counted_muls(name):
     assert _muls(lambda: xadd(fast, x2, x3, x)) == xadd_muls(fast, 0)
     # the zero class as difference puts the pivot on the last coordinate
     assert _muls(lambda: xadd(fast, x2, x2, zero_class_point(c.field))) == xadd_muls(fast, 3)
+    # every pivot, through the per-pivot step that xadd_every_pivot runs,
+    # plus the result's monomials: x as difference has no zero coordinate
+    assert all(v != c.field.zero for v in x.coords)
+    qx, qy = x2.quad, x3.quad
+    for j in range(4):
+        assert _muls(lambda: _pseudo_sum(fast, j, qx, qy, x.coords)) + QUADRATIC_MULS == xadd_muls(fast, j)
     # a point from outside has its monomials computed on every use
     assert _muls(lambda: xdbl(fast, x)) == xdbl_muls(fast) + QUADRATIC_MULS
     n = (1 << 40) | 0b1101
