@@ -7,9 +7,11 @@ synthesized.  Prints one JSON object:
 - ``counts``: per curve, the exact field operations of one ``xdbl``, one
   ``xadd`` and one ladder step (``ladder.bench``), which depend on the
   formula set alone;
+- ``first_ladder_ms``: per curve, milliseconds of the first 256-bit
+  ladder on a fresh context, which compiles the steps it runs;
 - ``ms_per_bit``: per curve, the median, min and max over TRIALS ladders
   with random 256-bit scalars (top bit set) of milliseconds per bit, that
-  is per ladder step (255 of them);
+  is per ladder step (255 of them), after the first;
 - ``machine``: ``cpu_model``, ``nproc``, Python version; ``git_rev`` and
   ``src_loc`` (lines of src/g2kummer/*.py) of the measured sources.
 
@@ -68,6 +70,16 @@ def machine():
     }
 
 
+def ladder_ms(ctx, rng) -> float:
+    """Milliseconds of one ladder with a random BITS-bit scalar (top bit
+    set) from a sampled base."""
+    ((x,),) = oracle_draws(working_model(ctx.curve), rng, 1)
+    n = rng.getrandbits(BITS) | (1 << (BITS - 1))
+    t0 = time.perf_counter()
+    ladder(ctx, x, n)
+    return (time.perf_counter() - t0) * 1000
+
+
 def ms_per_bit(ctx, rng) -> dict:
     ((x,),) = oracle_draws(working_model(ctx.curve), rng, 1)
     times = []
@@ -81,15 +93,16 @@ def ms_per_bit(ctx, rng) -> dict:
 
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 20260808
-    counts, timings = {}, {}
+    counts, first, timings = {}, {}, {}
     for name in CURVES:
         with open(os.path.join(ROOT, "perfbench", "reference", f"{name}.kfs")) as fh:
             fs = deserialize_formula_set(fh.read())
         ctx = make_context(fs.curve, fs)
+        first[name] = ladder_ms(ctx, random.Random(seed))
         report = bench(ctx, random.Random(seed), trials=1)
         counts[name] = {key: report[key] for key in ("xdbl", "xadd", "per_step")}
         timings[name] = ms_per_bit(ctx, random.Random(seed))
-    out = {"seed": seed, "bits": BITS, "trials": TRIALS, "counts": counts, "ms_per_bit": timings}
+    out = {"seed": seed, "bits": BITS, "trials": TRIALS, "counts": counts, "first_ladder_ms": first, "ms_per_bit": timings}
     print(json.dumps({**out, "machine": machine()}, indent=2))
 
 

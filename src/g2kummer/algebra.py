@@ -509,6 +509,12 @@ def quadratic_monomials(F: Field, point) -> list:
     return F.pair_products(point, _QUADRATIC_VARS)
 
 
+def quadratic_program(point, out) -> list:
+    """The program (``Field.straight_line``) assigning the ten quadratic
+    monomials of the values named ``point`` to the names ``out``."""
+    return [(o, [(1, point[u], point[v])]) for o, (u, v) in zip(out, _QUADRATIC_VARS)]
+
+
 def symmetric_square(F: Field, A) -> Matrix:
     """The 10x10 R with q(A X) = R q(X), for A the rows of a 4x4 matrix."""
     add, mul = F.add, F.mul
@@ -594,6 +600,29 @@ class CompiledForms:
         F = self.field
         pairs, forms = self._union(keys)
         return F.dots(forms, F.symmetric_products(qx, qy, pairs))
+
+    def quartic_program(self, quad, out) -> list:
+        """The program (``Field.straight_line``) assigning the quartic forms
+        at the point whose quadratic monomials are named ``quad`` to the
+        names ``out``, with the quartic monomials named m0, m1, ...: the
+        products and sums of ``quartic_values``, one statement each."""
+        m = [f"m{t}" for t in range(len(self.quartic_pairs))]
+        return [(m[t], [(1, quad[a], quad[b])]) for t, (a, b) in enumerate(self.quartic_pairs)] + [
+            (o, [(1, c, m[t]) for t, c in terms]) for o, terms in zip(out, self.quartics)
+        ]
+
+    def biquadratic_program(self, keys, qx, qy, out) -> list:
+        """The program (``Field.straight_line``) assigning the biquadratic
+        forms named by ``keys`` at the argument pair whose quadratic
+        monomials are named ``qx`` and ``qy`` to the names ``out``, with the
+        symmetric products named s0, s1, ...: the products and sums of
+        ``biquadratic_values``, one statement each."""
+        pairs, forms = self._union(keys)
+        s = [f"s{t}" for t in range(len(pairs))]
+        return [
+            (s[t], [(1, qx[a], qy[a])] if a == b else [(1, qx[a], qy[b]), (1, qx[b], qy[a])])
+            for t, (a, b) in enumerate(pairs)
+        ] + [(o, [(1, c, s[t]) for t, c in terms]) for o, terms in zip(out, forms)]
 
     def quartic_muls(self) -> int:
         """Multiplications of one ``quartic_values`` call."""

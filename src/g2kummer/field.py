@@ -252,6 +252,31 @@ class Field:
 
         return list, (lambda row, j: row[j]), pivot_row, eliminator, list
 
+    # -- straight-line code ----------------------------------------------
+    # A program is a list of (target, terms): the target is assigned the sum
+    # of its terms (sign, a, b), each sign * a * b with sign +1 or -1, b a
+    # value name and a a value name or a coefficient as ``stored`` keeps it;
+    # a target with no terms is zero.  A target that the terms read only as
+    # the factor of a coefficient is an intermediate, which a field may keep
+    # unreduced: the reader of the statements reads only the other targets.
+    # Value names are identifiers that do not begin with an underscore, which
+    # the emitted code keeps for its own.
+
+    def straight_line(self, program, namespace) -> list:
+        """Python statements assigning each target of ``program`` in turn,
+        with the objects they read bound in ``namespace``: one counted
+        ``mul`` per term, as the generic kernels make them."""
+        namespace.update(_mul=self.mul, _add=self.add, _sub=self.sub, _zero=self.zero)
+        lines = []
+        for target, terms in program:
+            lines.append(f"{target} = _zero")
+            for sign, a, b in terms:
+                if not isinstance(a, str):
+                    name = f"_c{len(namespace)}"
+                    namespace[name], a = a, name
+                lines.append(f"{target} = {'_add' if sign > 0 else '_sub'}({target}, _mul({a}, {b}))")
+        return lines
+
 
 @dataclass(frozen=True, repr=False)
 class PrimeField(Field):
@@ -418,6 +443,25 @@ class PrimeField(Field):
             return forward
 
         return list, (lambda row, j: row[j] % p), pivot_row, eliminator, reduced
+
+    def straight_line(self, program, namespace):
+        """As ``Field.straight_line``: each target one sum of unreduced
+        products, with its coefficients as literals, reduced once unless it
+        is an intermediate (the sums that read it are reduced); the products
+        are counted once, on entry."""
+        namespace["_count"] = self._count
+        lines = [f"_count({sum(len(terms) for _t, terms in program)})"]
+        intermediate = {}
+        for _target, terms in program:
+            for _sign, a, b in terms:
+                coefficient = not isinstance(a, str)
+                intermediate[b] = intermediate.get(b, True) and coefficient
+                if not coefficient:
+                    intermediate[a] = False
+        for target, terms in program:
+            expr = "".join(f"{'-' if sign < 0 else '+'}{a}*{b}" for sign, a, b in terms).lstrip("+") or "0"
+            lines.append(f"{target} = {expr}" if intermediate.get(target) else f"{target} = ({expr}) % {self.p}")
+        return lines
 
 
 _BINARY_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
@@ -699,6 +743,39 @@ class BinaryField(Field):
                     acc ^= exp[lc + logs[a]]
             out.append(acc)
         return out
+
+    def straight_line(self, program, namespace):
+        """As ``Field.straight_line``: with tables, each product one exp
+        read at the sum of its factors' logs, skipped when a factor is zero,
+        and counted once, on entry.  The tables are fetched on every run of
+        the statements, never bound.  A value's log is read before its first
+        use as a factor, also when the value is zero (log[0] is never used:
+        a product reads it only when every factor is nonzero)."""
+        if self.m > _TABLE_LIMIT:
+            return super().straight_line(program, namespace)
+        n = (1 << self.m) - 1
+        namespace.update(_count=self._count, _tables=self._tables)
+        lines = [f"_count({sum(len(terms) for _t, terms in program)})", "_exp, _log = _tables()"]
+        logged = set()
+
+        def log(name, stored):
+            # a left factor's log as ``stored`` keeps a coefficient's, log - n
+            key = f"_s{name}" if stored else f"_l{name}"
+            if key not in logged:
+                logged.add(key)
+                lines.append(f"{key} = _log[{name}]" + (f" - {n}" if stored else ""))
+            return key
+
+        for target, terms in program:
+            reads = []
+            for _sign, a, b in terms:
+                lb = log(b, False)
+                if isinstance(a, str):
+                    reads.append((b if a == b else f"{a} and {b}", f"{log(a, True)} + {lb}"))
+                else:
+                    reads.append((b, f"{a} + {lb}"))
+            lines.append(f"{target} = " + (" ^ ".join(f"(_exp[{index}] if {guard} else 0)" for guard, index in reads) or "0"))
+        return lines
 
     def row_ops(self, ncols):
         """As ``Field.row_ops``, for every m, with no field operation.  A row

@@ -24,11 +24,31 @@ union of its pivot's four supports and reads each form off them.  On the
 reference formula sets a ladder step costs 327 multiplications on
 ``m61_h2_f5`` (149 for ``xdbl``, 178 for ``xadd``) and 257 on
 ``c2_general_f`` (81 + 176), from 353 and 290 when each form was summed
-over its 100 coefficients.  Every product, the seven that combine the
-forms' values in ``xadd`` included, is made by the field's raw-integer
-kernels (``Field.pair_products``, ``symmetric_products``, ``dot``,
-``dots``), which over GF(p) and tabled GF(2^m) make no ``Field.mul`` call
-per product; the context holds no log/exp table.
+over its 100 coefficients.
+
+For a given formula set each step is a fixed sequence of products and
+sums, so a context runs it as straight-line code: ``xdbl`` and ``xadd``
+under each pivot are each one generated Python function, with every
+coefficient and index a constant and no loop.  The program of products
+and sums comes from the compiled forms (``quartic_program``,
+``biquadratic_program``, ``quadratic_program`` for the result's
+monomials), and the field turns it into statements
+(``Field.straight_line``): sums of unreduced products over GF(p), log/exp
+reads over tabled GF(2^m) with the tables fetched on every call and never
+held, and the counted ``mul`` and ``add`` over Q and GF(2^m) with m > 20.
+A step does the products the interpreted evaluators do, which the tests
+use as its reference, and counts them the same, so the costs above and
+``xdbl_muls``/``xadd_muls`` are unchanged.  Compilation is lazy and per
+function: ``xdbl`` on its first call, each pivot's ``xadd`` on its first
+call, each with its own ``compile``.  On a 2-vCPU Xeon under CPython 3.11
+one step compiles in 0.9 to 3.3 ms and all ten of the two reference
+curves in 18 ms, while a whole perfbench set-up takes about 36 ms, so
+compiling at ``make_context`` would show in set-up time; and a prototype
+that compiled each curve's five steps as one unit raised peak RSS from
+26.9 to 32.4 MB, where the two steps per curve that a ladder from a base
+with nonzero first coordinate runs, compiled one by one, add about
+0.25 MB.  Compiling does no field operation, so a counted window that
+compiles counts only the steps.
 The ladder keeps the invariant pair (kappa(mP), kappa((m+1)P)) whose
 difference is the fixed base point, consuming scalar bits from the top.
 """
@@ -38,9 +58,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .algebra import QUADRATIC_MULS, CompiledForms, quadratic_monomials
+from .algebra import QUADRATIC_MULS, CompiledForms, quadratic_monomials, quadratic_program
 from .curve import CurveModel
-from .errors import AllPivotsFailed, FormulaSetMissing, UnsupportedField, ZeroOutput
+from .errors import AllPivotsFailed, CrossCheckFailed, FormulaSetMissing, UnsupportedField, ZeroOutput
 from .field import OpCounter
 from .jacobian import working_model
 from .kummer import KummerPoint, KummerQuartic, quartic_from_curve, zero_class_point
@@ -52,21 +72,28 @@ _PIVOT_FORMS = [
     for j in range(4)
 ]
 
-# the products of xadd outside the forms, over (z_j, B_jj, the other three
-# B_ij, the other three z_i): z_j B_jj, then z_j B_ij and B_jj z_i per i
-_COMBINE_PAIRS = [(0, 1), (0, 2), (1, 5), (0, 3), (1, 6), (0, 4), (1, 7)]
-_COMBINE_MULS = len(_COMBINE_PAIRS)
+# the products of xadd outside the forms: z_j B_jj, then z_j B_ij and
+# B_jj z_i per i != j
+_COMBINE_MULS = 7
+
+# the value names of a compiled step: the quadratic monomials of x and y,
+# the coordinates of the difference z, the values b of the pivot's four
+# forms, and the result w with its quadratic monomials u
+_QX, _QY, _U = ([f"{v}{a}" for a in range(10)] for v in "xyu")
+_Z, _B, _W = ([f"{v}{i}" for i in range(4)] for v in "zbw")
 
 
 @dataclass
 class LadderContext:
-    """Immutable bundle of a curve, its quartic, its formula set and the
-    formula set compiled for evaluation."""
+    """A curve, its quartic, its formula set and the formula set compiled
+    for evaluation, with the ladder steps compiled from it on first use."""
 
     curve: CurveModel
     quartic: KummerQuartic
     formulas: FormulaSet
     forms: CompiledForms = field(init=False, repr=False)
+    # xdbl under the key None, xadd under its pivot
+    steps: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.formulas.fingerprint != fingerprint(self.curve):
@@ -88,6 +115,14 @@ class _Prepared(KummerPoint):
     def __init__(self, F, coords):
         super().__init__(F, coords)
         self.quad = quadratic_monomials(F, self.coords)
+
+
+def _made(F, coords: tuple, quad: list) -> _Prepared:
+    """The point a compiled step returns, which has checked that its four
+    coordinates are not all zero, with their monomials."""
+    point = object.__new__(_Prepared)
+    point.field, point.coords, point.quad = F, coords, quad
+    return point
 
 
 def _prepared(F, x: KummerPoint) -> _Prepared:
@@ -115,34 +150,58 @@ def xadd_muls(ctx: LadderContext, pivot: int) -> int:
     return ctx.forms.biquadratic_muls(_PIVOT_FORMS[pivot]) + _COMBINE_MULS + QUADRATIC_MULS
 
 
+def _compile_step(ctx: LadderContext, pivot):
+    """``xdbl`` (pivot None) or ``xadd`` under ``pivot`` as one function of
+    straight-line field code, ``step(qx)`` or ``step(qx, qy, zc)``, that
+    returns the result with its monomials or raises when it vanishes."""
+    F, forms = ctx.curve.field, ctx.forms
+    if pivot is None:
+        name, args = "xdbl", {"qx": _QX}
+        program = forms.quartic_program(_QX, _W)
+        error, message = ZeroOutput, "all duplication quartics vanished on a surface point"
+    else:
+        name, args = f"xadd_pivot{pivot}", {"qx": _QX, "qy": _QY, "zc": _Z}
+        others = [i for i in range(4) if i != pivot]
+        zj, bjj = _Z[pivot], _B[0]
+        # w~_j = z_j B_jj, w~_i = z_j B_ij - B_jj z_i
+        program = forms.biquadratic_program(_PIVOT_FORMS[pivot], _QX, _QY, _B) + [(_W[pivot], [(1, zj, bjj)])] + [
+            (_W[i], [(1, zj, bij), (-1, bjj, _Z[i])]) for i, bij in zip(others, _B[1:])
+        ]
+        error, message = AllPivotsFailed, "pseudo-addition produced zero, which it then does under every pivot"
+    program += quadratic_program(_W, _U)
+    namespace = {"made": _made, "F": F, "Error": error}
+    lines = [
+        f"def {name}({', '.join(args)}):",
+        *(f"{', '.join(names)} = {arg}" for arg, names in args.items()),
+        *F.straight_line(program, namespace),
+        # a raw zero is falsy in every field kind
+        f"if not ({' or '.join(_W)}): raise Error({message!r})",
+        f"return made(F, ({', '.join(_W)}), [{', '.join(_U)}])",
+    ]
+    exec(compile("\n    ".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _step(ctx: LadderContext, pivot):
+    """The compiled ``xdbl`` (pivot None) or ``xadd`` under ``pivot``,
+    compiled on its first use."""
+    step = ctx.steps.get(pivot)
+    if step is None:
+        step = ctx.steps[pivot] = _compile_step(ctx, pivot)
+    return step
+
+
 def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
-    F = ctx.curve.field
-    coords = ctx.forms.quartic_values(_quad(F, x))
-    if all(v == F.zero for v in coords):
-        raise ZeroOutput("all duplication quartics vanished on a surface point")
-    return _Prepared(F, coords)
-
-
-def _pseudo_sum(ctx: LadderContext, j: int, qx, qy, zc) -> list:
-    """The coordinates w~ of kappa(P+Q) under pivot j."""
-    F = ctx.curve.field
-    bjj, *bij = ctx.forms.biquadratic_values(_PIVOT_FORMS[j], qx, qy)
-    wj, *prods = F.pair_products([zc[j], bjj, *bij, *(zc[i] for i in range(4) if i != j)], _COMBINE_PAIRS)
-    w = [F.sub(prods[t], prods[t + 1]) for t in range(0, 6, 2)]
-    w.insert(j, wj)
-    return w
+    return _step(ctx, None)(_quad(ctx.curve.field, x))
 
 
 def xadd(ctx: LadderContext, x: KummerPoint, y: KummerPoint, z: KummerPoint) -> KummerPoint:
     """kappa(P+Q) from kappa(P), kappa(Q) and the difference kappa(P-Q)."""
     F = ctx.curve.field
-    zero = F.zero
-    zc = z.coords
-    j = next(j for j in range(4) if zc[j] != zero)
-    w = _pseudo_sum(ctx, j, _quad(F, x), _quad(F, y), zc)
-    if all(v == zero for v in w):
-        raise AllPivotsFailed("pseudo-addition produced zero, which it then does under every pivot")
-    return _Prepared(F, w)
+    zc, j = z.coords, 0
+    while zc[j] == F.zero:
+        j += 1
+    return _step(ctx, j)(_quad(F, x), _quad(F, y), zc)
 
 
 def ladder(ctx: LadderContext, x: KummerPoint, n: int) -> KummerPoint:
@@ -207,7 +266,11 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     elapsed = (time.perf_counter() - t0) / trials
     # the ladder is one initial doubling, then one xdbl + xadd per step
     steps = n.bit_length() - 1
-    per_step = {k: (ladder_counts[k] - dbl_counts[k]) / steps for k in ("mul", "sqr", "inv")}
+    per_step = {}
+    for k in ("mul", "sqr", "inv"):
+        per_step[k], rest = divmod(ladder_counts[k] - dbl_counts[k], steps)
+        if rest:
+            raise CrossCheckFailed(f"the {k} count is not the same on every ladder step")
     return {
         "xdbl": dbl_counts,
         "xadd": add_counts,

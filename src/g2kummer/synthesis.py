@@ -325,14 +325,17 @@ def _bqf_solve(F: Field, samples):
     if piv is None:
         raise KernelDimensionUnexpected("B11 came out identically zero")
     inv = F.inv(c11[piv])
-    c11 = [F.mul(inv, a) for a in c11]
+    c11_sym = [F.mul(inv, a) for a in v[:nsym]]
+    c11 = expand_symmetric(F, c11_sym)
     c12 = [F.mul(inv, a) for a in c12]
-    # stage 2: per sample, lam = B11(x,y)/t11; solve M c_ij = lam * t_ij
+    # stage 2: per sample, lam = B11(x,y)/t11, with B11(x,y) read off the
+    # sample's symmetric products by one sparse row; solve M c_ij = lam * t_ij
+    stored = F.stored(c11_sym)
+    b11 = [[(k, stored[k]) for k, c in enumerate(c11_sym) if c != zero]]
     rest = [(i, j) for (i, j) in BQF_INDEX_PAIRS if (i, j) not in ((1, 1), (1, 2))]
-    b11 = CompiledForms(F, biquadratics={(1, 1): c11})
     aug = []
-    for (x, y, _w, _z), mono, tg in zip(samples, monos, targets):
-        lam = F.div(b11.biquadratic_values([(1, 1)], quads[x], quads[y])[0], tg[(1, 1)])
+    for mono, tg in zip(monos, targets):
+        lam = F.div(F.dots(b11, mono)[0], tg[(1, 1)])
         aug.append(mono + [F.mul(lam, tg[p]) for p in rest])
     rank, pivots = _rref(F, aug, nsym)
     if rank != nsym:

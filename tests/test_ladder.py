@@ -1,12 +1,15 @@
 import random
+import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from g2kummer.algebra import QUADRATIC_MULS, Poly, eval_quartic
+from g2kummer.algebra import QUADRATIC_MULS, CompiledForms, Poly, eval_quartic, expand_symmetric, quadratic_monomials
 from g2kummer.curve import CurveModel, CurvePoint, normal_form_curve, pair_from_points, sample_point
-from g2kummer.errors import FormulaSetMissing
-from g2kummer.field import BinaryField, PrimeField
+from g2kummer.errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
+from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import (
     add,
     from_point_pair,
@@ -23,10 +26,10 @@ from g2kummer.kummer import (
     two_torsion_classes,
     zero_class_point,
 )
-from g2kummer.ladder import _pseudo_sum, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
+from g2kummer.ladder import _step, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set, synthesize_w_char2
 
-from .helpers import checked_ladder, eval_biquadratic, scalar_mul, xadd_every_pivot
+from .helpers import checked_ladder, eval_biquadratic, interpreted_pseudo_sum, scalar_mul, xadd_every_pivot
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -170,6 +173,8 @@ def test_bench_deterministic_counts(ctx):
     assert rep1["ladder_total"] == rep2["ladder_total"]
     assert rep1["inversions_per_step"] == 0
     assert rep1["ladder_total"]["inv"] == 0
+    # exact: (ladder - first doubling) divides evenly over the steps
+    assert all(isinstance(v, int) for v in rep1["per_step"].values())
     # one step is one doubling plus one differential addition; the ladder's
     # first doubling is not spread over the steps
     assert rep1["per_step"] == {k: rep1["xdbl"][k] + rep1["xadd"][k] for k in ("mul", "sqr", "inv")}
@@ -206,17 +211,22 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 M61_FORMULAS = REFERENCE / "m61_h2_f5.kfs"
 
 
-def _muls(fn):
+def _counted(fn):
+    """fn()'s result and the multiplications it counted."""
     from g2kummer import field as field_mod
     from g2kummer.field import OpCounter
 
     ctr = OpCounter()
     field_mod.Field.counter = ctr
     try:
-        fn()
+        out = fn()
     finally:
         field_mod.Field.counter = None
-    return ctr.mul
+    return out, ctr.mul
+
+
+def _muls(fn):
+    return _counted(fn)[1]
 
 
 def test_evaluation_cost_depends_only_on_the_form():
@@ -282,12 +292,13 @@ def test_static_op_counts_match_counted_muls(name):
     assert _muls(lambda: xadd(fast, x2, x3, x)) == xadd_muls(fast, 0)
     # the zero class as difference puts the pivot on the last coordinate
     assert _muls(lambda: xadd(fast, x2, x2, zero_class_point(c.field))) == xadd_muls(fast, 3)
-    # every pivot, through the per-pivot step that xadd_every_pivot runs,
-    # plus the result's monomials: x as difference has no zero coordinate
+    # every pivot, through the compiled step that xadd_every_pivot runs,
+    # which makes the result's monomials: x as difference has no zero
+    # coordinate
     assert all(v != c.field.zero for v in x.coords)
     qx, qy = x2.quad, x3.quad
     for j in range(4):
-        assert _muls(lambda: _pseudo_sum(fast, j, qx, qy, x.coords)) + QUADRATIC_MULS == xadd_muls(fast, j)
+        assert _muls(lambda: _step(fast, j)(qx, qy, x.coords)) == xadd_muls(fast, j)
     # a point from outside has its monomials computed on every use
     assert _muls(lambda: xdbl(fast, x)) == xdbl_muls(fast) + QUADRATIC_MULS
     n = (1 << 40) | 0b1101
@@ -296,6 +307,82 @@ def test_static_op_counts_match_counted_muls(name):
     step = xdbl_muls(fast) + xadd_muls(fast, 0)
     assert total - first == (n.bit_length() - 1) * step
     assert step == STEP_MULS[name]
+
+
+def _nonzero(F, rng):
+    while True:
+        v = F.random(rng) if F.order() else Fraction(rng.randrange(-20, 21), rng.randrange(1, 10))
+        if v != F.zero:
+            return v
+
+
+def _random_forms_context(F, rng):
+    """A stand-in ladder context over F with random duplication quartics and
+    random symmetric biquadratic forms, about one coefficient in three
+    nonzero: the steps and their counts read only the field, the compiled
+    forms and the step cache."""
+
+    def sparse(size):
+        return [_nonzero(F, rng) if rng.random() < 1 / 3 else F.zero for _ in range(size)]
+
+    forms = CompiledForms(F, [sparse(35) for _ in range(4)], {key: expand_symmetric(F, sparse(55)) for key in BQF_INDEX_PAIRS})
+    return SimpleNamespace(curve=SimpleNamespace(field=F), forms=forms, steps={})
+
+
+def _reference_context(name):
+    fs = deserialize_formula_set((REFERENCE / f"{name}.kfs").read_text())
+    return make_context(fs.curve, fs)
+
+
+# the field kinds of the emitted code: GF(p), tabled GF(2^m) on a reference
+# formula set and on a small field, and the counted generic operations of
+# GF(2^m) with m > 20 and of Q
+STEP_CASES = {
+    "prime61_reference": lambda _rng: _reference_context("m61_h2_f5"),
+    "gf2_16_reference": lambda _rng: _reference_context("c2_general_f"),
+    "gf2_4_random": lambda rng: _random_forms_context(BinaryField(4, 0x13), rng),
+    "gf2_23_random": lambda rng: _random_forms_context(BinaryField(23, 0x800021), rng),
+    "rational_random": lambda rng: _random_forms_context(RationalField(), rng),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_compiled_steps_match_the_interpreted_evaluators(case):
+    rng = random.Random(218)
+    ctx = STEP_CASES[case](rng)
+    F = ctx.curve.field
+
+    def quadruple():
+        # each coordinate zero with probability 1/3, so monomials vanish too
+        coords = [F.zero if rng.random() < 1 / 3 else _nonzero(F, rng) for _ in range(4)]
+        if all(v == F.zero for v in coords):
+            coords[rng.randrange(4)] = _nonzero(F, rng)
+        return tuple(coords)
+
+    seen = set()
+    for trial in range(16):
+        x, y = quadruple(), quadruple()
+        z = zero_class_point(F).coords if trial == 0 else quadruple()
+        qx, qy = quadratic_monomials(F, x), quadratic_monomials(F, y)
+        steps = [(None, lambda: ctx.forms.quartic_values(qx), (qx,), ZeroOutput, xdbl_muls(ctx))] + [
+            (j, lambda j=j: interpreted_pseudo_sum(ctx, j, qx, qy, z), (qx, qy, z), AllPivotsFailed, xadd_muls(ctx, j))
+            for j in range(4)
+            if z[j] != F.zero
+        ]
+        for pivot, interpreted, args, error, muls in steps:
+            seen.add(pivot)
+            want, counted = _counted(interpreted)
+            assert counted + QUADRATIC_MULS == muls
+            step = _step(ctx, pivot)
+            if all(v == F.zero for v in want):
+                with pytest.raises(error):
+                    step(*args)
+                continue
+            got, counted = _counted(lambda: step(*args))
+            assert counted == muls
+            assert got.coords == tuple(want)
+            assert got.quad == quadratic_monomials(F, want)
+    assert seen == {None, 0, 1, 2, 3}
 
 
 @pytest.fixture(scope="module", params=["p1009", "c2_general_f"])
@@ -370,14 +457,42 @@ def _reachable_ids(root):
 
 
 def test_a_binary_context_keeps_no_reference_to_the_field_tables():
-    # the log/exp lists are the field module's cache; a context holding them
-    # would keep every rebuilt copy alive
+    # the log/exp lists are the field module's cache; a context holding them,
+    # or a compiled step's globals, would keep every rebuilt copy alive
     fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
-    ctx = make_context(fs.curve, fs)
-    tables = fs.curve.field._tables()
-    reached = _reachable_ids(ctx)
+    c, F = fs.curve, fs.curve.field
+    ctx = make_context(c, fs)
+    wm = working_model(c)
+    x = _kappa(c, wm, random_divisor(wm, random.Random(219)))
+    ladder(ctx, x, 12345)
+    xadd(ctx, x, x, zero_class_point(F))
+    assert set(ctx.steps) == {None, 0, 3}
+    tables = F._tables()
+    reached = _reachable_ids([ctx, *(step.__globals__ for step in ctx.steps.values())])
     assert not {id(tables), id(tables[0]), id(tables[1])} & reached
     # the walk does find a table that an object or a closure holds
     assert id(tables[0]) in _reachable_ids([ctx, {"held": tables}])
     exp = tables[0]
     assert id(exp) in _reachable_ids(lambda i: exp[i])
+
+
+def test_make_context_compiles_nothing(monkeypatch):
+    # each step is compiled on its first use, on its own: set-up pays for
+    # none, and a ladder for the two it runs
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(sys.modules["g2kummer.ladder"], "compile", counting_compile, raising=False)
+    fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
+    c = fs.curve
+    ctx = make_context(c, fs)
+    assert compiled == [] and ctx.steps == {}
+    wm = working_model(c)
+    x = _kappa(c, wm, random_divisor(wm, random.Random(220)))
+    assert x.coords[0] != c.field.zero
+    ladder(ctx, x, 12345)
+    ladder(ctx, x, 54321)
+    assert compiled == ["<xdbl>", "<xadd_pivot0>"]

@@ -669,8 +669,9 @@ def test_lift_route_lifts_once(monkeypatch):
 
 
 def test_a_formula_set_compiles_each_form_family_once_per_use(monkeypatch):
-    # the solve's lambda, the forms' fresh check and the quartics' fresh
-    # check each compile their forms once, not once per sample
+    # the forms' fresh check and the quartics' fresh check each compile
+    # their forms once, not once per sample; the solve's lambda reads B11
+    # off each sample's row and compiles nothing
     import g2kummer.synthesis as synthesis
 
     built = []
@@ -682,4 +683,4 @@ def test_a_formula_set_compiles_each_form_family_once_per_use(monkeypatch):
 
     monkeypatch.setattr(synthesis, "CompiledForms", Counted)
     synthesize_formula_set(dict(default_corpus())["m61_h2_f5"], random.Random(117))
-    assert len(built) == 3
+    assert len(built) == 2
