@@ -522,10 +522,6 @@ def symmetric_square(F: Field, A) -> Matrix:
                        for s, t in _QUADRATIC_VARS] for u, v in _QUADRATIC_VARS])
 
 
-def eval_quartic(F: Field, coeffs: list, point) -> object:
-    return quartic_values(F, [coeffs], point)[0]
-
-
 class CompiledForms:
     """Forms over QUARTIC4 and BIQUADRATIC44 reduced to their nonzero
     coefficients, evaluated from the quadratic monomials of their arguments.
@@ -634,11 +630,6 @@ class CompiledForms:
         per coefficient."""
         pairs, forms = self._union(keys)
         return sum(1 if a == b else 2 for a, b in pairs) + sum(map(len, forms))
-
-
-def quartic_values(F: Field, forms, point) -> list:
-    """Values of QUARTIC4 forms at one point, sharing its monomials."""
-    return CompiledForms(F, quartics=forms).quartic_values(quadratic_monomials(F, point))
 
 
 def biquadratic_rows(F: Field, forms, x) -> list[list]:

@@ -15,6 +15,7 @@ is always drawn from an explicit ``random.Random`` passed by the caller.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -464,7 +465,7 @@ class PrimeField(Field):
         return lines
 
 
-_BINARY_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
+_BINARY_TABLES: dict[tuple[int, int], tuple[array, array]] = {}
 _TABLE_LIMIT = 20  # log/exp tables kept for m <= 20
 _ARTIN_SCHREIER_TABLES: dict[tuple[int, int], tuple[int, list]] = {}
 
@@ -491,13 +492,15 @@ class BinaryField(Field):
         key = (self.m, self.mod)
         tabs = _BINARY_TABLES.get(key)
         if tabs is None and self.m <= _TABLE_LIMIT:
+            # packed machine integers, not one int object per entry
+            code = "H" if self.m <= 16 else "L"
             if self.m == 1:
-                tabs = ([1], [0, 0])
+                tabs = (array(code, [1]), array(code, [0, 0]))
                 _BINARY_TABLES[key] = tabs
                 return tabs
             n = (1 << self.m) - 1
-            exp = [0] * n
-            log = [0] * (n + 1)
+            exp = array(code, [0]) * n
+            log = array(code, [0]) * (n + 1)
             # the first multiplicative generator: g^(n/q) != 1 for each prime q | n
             g = 2
             while any(self._pow_nolog(g, n // q) == 1 for q in _prime_factors(n)):

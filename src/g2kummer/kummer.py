@@ -39,12 +39,14 @@ check each one passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
+    CompiledForms,
     Matrix,
     Poly,
     QUARTIC4,
-    eval_quartic,
+    quadratic_monomials,
     roots_and_quadratic_factors,
 )
 from .curve import CurveModel, MumfordDivisor, simplified_rhs
@@ -132,7 +134,8 @@ class KummerQuartic:
     """Per-curve coefficient tables of the quartic K2*k4^2 + K1*k4 + K0.
 
     ``c2``, ``c1``, ``c0`` map exponent triples (e1, e2, e3) in k1..k3 to raw
-    coefficients; ``vector`` is the same quartic over the QUARTIC4 basis.
+    coefficients; ``vector`` is the same quartic over the QUARTIC4 basis,
+    and ``compiled`` that vector as a ``CompiledForms``, built on first use.
     """
 
     curve: CurveModel
@@ -140,6 +143,10 @@ class KummerQuartic:
     c1: dict
     c0: dict
     vector: tuple
+
+    @cached_property
+    def compiled(self) -> CompiledForms:
+        return CompiledForms(self.curve.field, [self.vector])
 
 
 def quartic_from_curve(c: CurveModel) -> KummerQuartic:
@@ -213,7 +220,7 @@ def quartic_from_curve(c: CurveModel) -> KummerQuartic:
 
 def on_surface(q: KummerQuartic, k: KummerPoint) -> bool:
     F = q.curve.field
-    return eval_quartic(F, q.vector, k.coords) == F.zero
+    return q.compiled.quartic_values(quadratic_monomials(F, k.coords)) == [F.zero]
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _surface_points(c: CurveModel):
     """All nonzero quadruples over a tiny field lying on the quartic."""
     F = c.field
     q = F.order()
-    surface = CompiledForms(F, [quartic_from_curve(c).vector])
+    surface = quartic_from_curve(c).compiled
     pts = []
     for a in range(q):
         for b in range(q):

@@ -4,6 +4,7 @@ translation matrix, the independent oracles that tests compare the library
 against, and small conveniences."""
 
 from g2kummer.algebra import (
+    CompiledForms,
     Matrix,
     Poly,
     biquadratic_rows,
@@ -131,6 +132,11 @@ def printed_translation(c, T):
 
 def kappa_of(c, wm, D):
     return kummer_coords(c, to_point_pair(wm, D)).normalized()
+
+
+def eval_quartic(F, coeffs, point):
+    """One QUARTIC4 form at the raw quadruple ``point``."""
+    return CompiledForms(F, [coeffs]).quartic_values(quadratic_monomials(F, point))[0]
 
 
 def eval_biquadratic(F, coeffs, x, y):

@@ -13,7 +13,6 @@ from g2kummer.algebra import (
     Poly,
     QUARTIC4,
     SYMMETRIC_PAIRS,
-    eval_quartic,
     expand_symmetric,
     roots,
     roots_and_quadratic_factors,
@@ -22,7 +21,7 @@ from g2kummer.algebra import (
 from g2kummer.errors import AsymmetricForm, DivisionByZero, LengthMismatch, UnsupportedField
 from g2kummer.field import BinaryField, PrimeField, RationalField
 
-from .helpers import eval_biquadratic
+from .helpers import eval_biquadratic, eval_quartic
 
 F7 = PrimeField(7)
 F1009 = PrimeField(1009)

@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from g2kummer.field import (
     BinaryField,
     PrimeField,
     RationalField,
+    _gf2x_inv,
+    _gf2x_mulmod,
     field_from_spec,
     gf2_poly_is_irreducible,
 )
@@ -274,6 +277,53 @@ def test_artin_schreier_matches_elimination_on_gf2_16():
     for _ in range(500):
         a = F.random(rng)
         assert F._artin_schreier_solve(a) == _eliminated_root(F, a)
+
+
+@pytest.mark.parametrize("F", [BinaryField(16, 0x1002B), BinaryField(17, 0x20009)], ids=["m16", "m17"])
+def test_packed_tables_agree_with_untabled_arithmetic(F):
+    # both sides of the 16-bit typecode boundary; every tabled kernel
+    # against the untabled product and inverse
+    exp, log = F._tables()
+    n = (1 << F.m) - 1
+    assert isinstance(exp, array) and isinstance(log, array)
+    assert (len(exp), len(log)) == (n, n + 1)
+    assert exp.itemsize * 8 >= F.m
+
+    def mul(a, b):
+        return _gf2x_mulmod(a, b, F.mod, F.m)
+
+    rng = random.Random(1617)
+    # 1 and the elements whose logs are 0 and n - 1, then random ones
+    special = [1, exp[0], exp[n - 1]]
+    assert (log[exp[0]], log[exp[n - 1]]) == (0, n - 1)
+    xs = special + [F.random(rng) for _ in range(60)]
+    ys = special[::-1] + [F.random(rng) for _ in range(60)]
+    xs[10] = ys[20] = 0
+    for x, y in zip(xs, ys):
+        assert F.mul(x, y) == mul(x, y)
+        assert F.sqr(x) == mul(x, x)
+        if x:
+            assert F.inv(x) == _gf2x_inv(x, F.mod)
+    pairs = [(rng.randrange(len(xs)), rng.randrange(len(xs))) for _ in range(80)] + [(0, 2), (2, 2), (1, 0)]
+    assert F.pair_products(xs, pairs) == [mul(xs[a], xs[b]) for a, b in pairs]
+    assert F.symmetric_products(xs, ys, pairs) == [
+        mul(xs[a], ys[a]) if a == b else mul(xs[a], ys[b]) ^ mul(xs[b], ys[a]) for a, b in pairs
+    ]
+    expected = 0
+    for x, y in zip(xs, ys):
+        expected ^= mul(x, y)
+    assert F.dot(xs, ys) == expected
+    coeffs = special + [F.random(rng) or 1 for _ in range(30)]
+    kept = F.stored(coeffs)
+    rows = [[(rng.randrange(len(xs)), t) for t in range(k, len(coeffs), 4)] for k in range(4)]
+    stored_rows = [[(a, kept[t]) for a, t in terms] for terms in rows]
+    expected = []
+    for terms in rows:
+        acc = 0
+        for a, t in terms:
+            acc ^= mul(coeffs[t], xs[a])
+        expected.append(acc)
+    assert F.dots(stored_rows, xs) == expected
 
 
 def test_field_element_str():

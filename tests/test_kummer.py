@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2kummer.algebra import Poly, eval_quartic
+from g2kummer.algebra import Poly
 from g2kummer.curve import (
     CurveModel,
     CurvePoint,
@@ -33,7 +33,7 @@ from g2kummer.kummer import (
 )
 from g2kummer.synthesis import synthesize_formula_set, synthesize_w_char2
 
-from .helpers import enumerate_divisors, printed_translation
+from .helpers import enumerate_divisors, eval_quartic, printed_translation
 
 F7 = PrimeField(7)
 F1009 = PrimeField(1009)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from g2kummer.algebra import QUADRATIC_MULS, CompiledForms, Poly, eval_quartic, expand_symmetric, quadratic_monomials
+from g2kummer.algebra import QUADRATIC_MULS, CompiledForms, Poly, expand_symmetric, quadratic_monomials
 from g2kummer.curve import CurveModel, CurvePoint, normal_form_curve, pair_from_points, sample_point
 from g2kummer.errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
 from g2kummer.field import BinaryField, PrimeField, RationalField
@@ -29,7 +29,7 @@ from g2kummer.kummer import (
 from g2kummer.ladder import _step, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set, synthesize_w_char2
 
-from .helpers import checked_ladder, eval_biquadratic, interpreted_pseudo_sum, scalar_mul, xadd_every_pivot
+from .helpers import checked_ladder, eval_biquadratic, eval_quartic, interpreted_pseudo_sum, scalar_mul, xadd_every_pivot
 
 F1009 = PrimeField(1009)
 B16 = BinaryField(16, 0x1002B)
@@ -457,7 +457,7 @@ def _reachable_ids(root):
 
 
 def test_a_binary_context_keeps_no_reference_to_the_field_tables():
-    # the log/exp lists are the field module's cache; a context holding them,
+    # the log/exp arrays are the field module's cache; a context holding them,
     # or a compiled step's globals, would keep every rebuilt copy alive
     fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
     c, F = fs.curve, fs.curve.field
