@@ -480,6 +480,8 @@ class BinaryField(Field):
     def __post_init__(self):
         if not (1 <= self.m <= 63):
             raise ValueError("binary extension degree must be in [1, 63]")
+        if self.mod < 0:
+            raise ValueError("binary modulus must be a nonnegative bit-pattern")
         if self.mod.bit_length() - 1 != self.m:
             raise ValueError("modulus degree does not match m")
         if not gf2_poly_is_irreducible(self.mod):
@@ -492,15 +494,13 @@ class BinaryField(Field):
         key = (self.m, self.mod)
         tabs = _BINARY_TABLES.get(key)
         if tabs is None and self.m <= _TABLE_LIMIT:
-            # packed machine integers, not one int object per entry
-            code = "H" if self.m <= 16 else "L"
-            if self.m == 1:
-                tabs = (array(code, [1]), array(code, [0, 0]))
-                _BINARY_TABLES[key] = tabs
-                return tabs
+            # packed machine integers, not one int object per entry; exp holds
+            # two periods of g^i and then zeros, and log[0] = 2n, so a sum of
+            # two logs indexes exp and reads 0 when a factor is zero
             n = (1 << self.m) - 1
-            exp = array(code, [0]) * n
-            log = array(code, [0]) * (n + 1)
+            exp = array("H" if self.m <= 16 else "I", [0]) * (4 * n + 1)
+            log = array("I", [2 * n]) * (n + 1)
+            assert log.itemsize == 4
             # the first multiplicative generator: g^(n/q) != 1 for each prime q | n
             g = 2
             while any(self._pow_nolog(g, n // q) == 1 for q in _prime_factors(n)):
@@ -510,6 +510,7 @@ class BinaryField(Field):
                 exp[i] = x
                 log[x] = i
                 x = _gf2x_mulmod(x, g, self.mod, self.m)
+            exp[n : 2 * n] = exp[:n]
             tabs = (exp, log)
             _BINARY_TABLES[key] = tabs
         return tabs
@@ -534,23 +535,19 @@ class BinaryField(Field):
     def mul(self, a, b):
         if self.counter is not None:
             self.counter.mul += 1
-        if a == 0 or b == 0:
-            return 0
         tabs = _BINARY_TABLES.get((self.m, self.mod)) or self._tables()
         if tabs is not None:
             exp, log = tabs
-            return exp[log[a] + log[b] - len(exp)]
+            return exp[log[a] + log[b]]
         return _gf2x_mulmod(a, b, self.mod, self.m)
 
     def sqr(self, a):
         if self.counter is not None:
             self.counter.sqr += 1
-        if a == 0:
-            return 0
         tabs = _BINARY_TABLES.get((self.m, self.mod)) or self._tables()
         if tabs is not None:
             exp, log = tabs
-            return exp[2 * log[a] - len(exp)]
+            return exp[2 * log[a]]
         return _gf2x_mulmod(a, a, self.mod, self.m)
 
     def inv(self, a):
@@ -561,7 +558,7 @@ class BinaryField(Field):
         tabs = _BINARY_TABLES.get((self.m, self.mod)) or self._tables()
         if tabs is not None:
             exp, log = tabs
-            return exp[-log[a]]
+            return exp[(1 << self.m) - 1 - log[a]]
         return _gf2x_inv(a, self.mod)
 
     def from_int(self, n: int):
@@ -684,18 +681,17 @@ class BinaryField(Field):
     def spec_string(self):
         return f"binary:m={self.m},mod={hex(self.mod)}"
 
-    # With tables (m <= 20) logarithms are added: exp has n = 2^m - 1 entries,
-    # so the index s - n of a log sum s in [0, 2n) wraps when negative, and a
-    # stored coefficient c is log c - n.
+    # With tables (m <= 20) logarithms are added and every product is one
+    # exp read, with no test for zero: a log sum with a zero factor is at
+    # least 2n, where exp is 0.  A stored coefficient c is log c.
     def pair_products(self, values, pairs):
         tabs = self._tables()
         if tabs is None:
             return super().pair_products(values, pairs)
         self._count(len(pairs))
         exp, log = tabs
-        n = len(exp)
-        logs = [log[v] if v else None for v in values]
-        return [0 if logs[a] is None or logs[b] is None else exp[logs[a] + logs[b] - n] for a, b in pairs]
+        logs = [log[v] for v in values]
+        return [exp[logs[a] + logs[b]] for a, b in pairs]
 
     def symmetric_products(self, qx, qy, pairs):
         tabs = self._tables()
@@ -704,16 +700,8 @@ class BinaryField(Field):
         if self.counter is not None:
             self.counter.mul += sum(1 if a == b else 2 for a, b in pairs)
         exp, log = tabs
-        n = len(exp)
-        lx = [log[v] - n if v else None for v in qx]
-        ly = [log[v] if v else None for v in qy]
-        out = []
-        for a, b in pairs:
-            s = 0 if lx[a] is None or ly[b] is None else exp[lx[a] + ly[b]]
-            if a != b and lx[b] is not None and ly[a] is not None:
-                s ^= exp[lx[b] + ly[a]]
-            out.append(s)
-        return out
+        lx, ly = [log[v] for v in qx], [log[v] for v in qy]
+        return [exp[lx[a] + ly[a]] if a == b else exp[lx[a] + ly[b]] ^ exp[lx[b] + ly[a]] for a, b in pairs]
 
     def dot(self, xs, ys):
         tabs = self._tables()
@@ -721,15 +709,14 @@ class BinaryField(Field):
             return super().dot(xs, ys)
         self._count(len(xs))
         exp, log = tabs
-        n = len(exp)
-        return reduce(operator.xor, [exp[log[x] + log[y] - n] for x, y in zip(xs, ys) if x and y], 0)
+        return reduce(operator.xor, [exp[log[x] + log[y]] for x, y in zip(xs, ys)], 0)
 
     def stored(self, coeffs):
         tabs = self._tables()
         if tabs is None:
             return super().stored(coeffs)
-        exp, log = tabs
-        return [log[c] - len(exp) for c in coeffs]
+        log = tabs[1]
+        return [log[c] for c in coeffs]
 
     def dots(self, rows, values):
         tabs = self._tables()
@@ -737,47 +724,33 @@ class BinaryField(Field):
             return super().dots(rows, values)
         self._count(sum(map(len, rows)))
         exp, log = tabs
-        logs = [log[v] if v else None for v in values]
-        out = []
-        for terms in rows:
-            acc = 0
-            for a, lc in terms:
-                if logs[a] is not None:
-                    acc ^= exp[lc + logs[a]]
-            out.append(acc)
-        return out
+        logs = [log[v] for v in values]
+        return [reduce(operator.xor, [exp[lc + logs[a]] for a, lc in terms], 0) for terms in rows]
 
     def straight_line(self, program, namespace):
         """As ``Field.straight_line``: with tables, each product one exp
-        read at the sum of its factors' logs, skipped when a factor is zero,
-        and counted once, on entry.  The tables are fetched on every run of
-        the statements, never bound.  A value's log is read before its first
-        use as a factor, also when the value is zero (log[0] is never used:
-        a product reads it only when every factor is nonzero)."""
+        read at the sum of its factors' logs, zero factors included, and
+        counted once, on entry.  The tables are fetched on every run of the
+        statements, never bound.  Each value's log is read once, before its
+        first use as a factor."""
         if self.m > _TABLE_LIMIT:
             return super().straight_line(program, namespace)
-        n = (1 << self.m) - 1
         namespace.update(_count=self._count, _tables=self._tables)
         lines = [f"_count({sum(len(terms) for _t, terms in program)})", "_exp, _log = _tables()"]
         logged = set()
 
-        def log(name, stored):
-            # a left factor's log as ``stored`` keeps a coefficient's, log - n
-            key = f"_s{name}" if stored else f"_l{name}"
-            if key not in logged:
-                logged.add(key)
-                lines.append(f"{key} = _log[{name}]" + (f" - {n}" if stored else ""))
-            return key
+        def log(a):
+            # a coefficient is already stored as its log
+            if not isinstance(a, str):
+                return a
+            if a not in logged:
+                logged.add(a)
+                lines.append(f"_l{a} = _log[{a}]")
+            return f"_l{a}"
 
         for target, terms in program:
-            reads = []
-            for _sign, a, b in terms:
-                lb = log(b, False)
-                if isinstance(a, str):
-                    reads.append((b if a == b else f"{a} and {b}", f"{log(a, True)} + {lb}"))
-                else:
-                    reads.append((b, f"{a} + {lb}"))
-            lines.append(f"{target} = " + (" ^ ".join(f"(_exp[{index}] if {guard} else 0)" for guard, index in reads) or "0"))
+            reads = [f"_exp[{log(a)} + {log(b)}]" for _sign, a, b in terms]
+            lines.append(f"{target} = " + (" ^ ".join(reads) or "0"))
         return lines
 
     def row_ops(self, ncols):

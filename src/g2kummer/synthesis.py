@@ -750,6 +750,16 @@ def deserialize_formula_set(text: str) -> FormulaSet:
     bqf = {}
     w = []
     seen = set()
+
+    def vector(rest, what, basis, size):
+        tag, _, csv = rest.partition(" ")
+        if tag != basis:
+            raise ValueError(f"{what} use the {basis} basis")
+        vec = tuple(F.parse(t) for t in csv.split(","))
+        if len(vec) != size:
+            raise ValueError(f"{basis} vectors have {size} coefficients")
+        return vec
+
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         name = " ".join(ln.split(" ", 2)[:2]) if key == "W" else key  # a W line per class label
@@ -763,20 +773,9 @@ def deserialize_formula_set(text: str) -> FormulaSet:
         elif key == "fingerprint":
             fp = rest.strip()
         elif key in _DELTA_KEYS:
-            basis, _, csv = rest.partition(" ")
-            if basis != "quartic4":
-                raise ValueError("duplication coordinates use the quartic4 basis")
-            vec = tuple(F.parse(t) for t in csv.split(","))
-            if len(vec) != 35:
-                raise ValueError("quartic4 vectors have 35 coefficients")
-            delta[_DELTA_KEYS[key]] = vec
+            delta[_DELTA_KEYS[key]] = vector(rest, "duplication coordinates", "quartic4", 35)
         elif key in _BQF_KEYS:
-            basis, _, csv = rest.partition(" ")
-            if basis != "biquadratic44":
-                raise ValueError("biquadratic forms use the biquadratic44 basis")
-            vec = tuple(F.parse(t) for t in csv.split(","))
-            if len(vec) != 100:
-                raise ValueError("biquadratic44 vectors have 100 coefficients")
+            vec = vector(rest, "biquadratic forms", "biquadratic44", 100)
             if any(vec[10 * a + b] != vec[10 * b + a] for a, b in SYMMETRIC_PAIRS):
                 raise ValueError(f"{key} is not symmetric in its two arguments")
             bqf[_BQF_KEYS[key]] = vec

@@ -214,6 +214,33 @@ def test_formula_file_without_field_line_is_usage_error(synth_file, tmp_path, ca
     _assert_usage_error(["dbl", cpath, "--formulas", str(bad), "--point", "0:0:0:1"], capsys)
 
 
+@pytest.mark.parametrize("spec", ["binary:m=2,mod=-0x7", "binary:m=16,mod=-0x1002b", "binary:m=1,mod=-3"])
+def test_negative_binary_modulus_is_usage_error(tmp_path, capsys, spec):
+    # rejected before the irreducibility test, which never ends on one
+    p = tmp_path / "neg.curve"
+    p.write_text(f"field {spec}\nf 0x1,0x1,0x0,0x0,0x0,0x1,0x0\nh 0x0,0x1,0x0,0x0\n")
+    err = _assert_usage_error(["validate", str(p)], capsys)
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("prefix,old,new,message", [
+    ("delta1 ", "quartic4 ", "biquadratic44 ", "duplication coordinates use the quartic4 basis"),
+    ("delta1 ", ",", ",0,", "quartic4 vectors have 35 coefficients"),
+    ("B12 ", "biquadratic44 ", "quartic4 ", "biquadratic forms use the biquadratic44 basis"),
+    ("B12 ", ",", ",0,", "biquadratic44 vectors have 100 coefficients"),
+], ids=["delta_basis", "delta_length", "b_basis", "b_length"])
+def test_malformed_formula_vector_is_usage_error(synth_file, tmp_path, capsys, prefix, old, new, message):
+    # a wrong basis tag or coefficient count on a duplication or a
+    # biquadratic line of a formula file
+    cpath, kfs = synth_file
+    text = Path(kfs).read_text()
+    bad = tmp_path / "bad.kfs"
+    bad.write_text("".join(ln.replace(old, new, 1) if ln.startswith(prefix) else ln for ln in text.splitlines(True)))
+    assert bad.read_text() != text
+    err = _assert_usage_error(["dbl", cpath, "--formulas", str(bad), "--point", "0:0:0:1"], capsys)
+    assert err == f"error: {message}\n"
+
+
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 

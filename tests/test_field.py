@@ -181,6 +181,13 @@ def test_reducible_modulus_rejected():
         PrimeField(2)
 
 
+@pytest.mark.parametrize("m,mod", [(1, -3), (2, -0x7), (16, -0x1002B)])
+def test_negative_binary_modulus_rejected(m, mod):
+    # the bit length of -mod matches m, but a negative int is no bit-pattern
+    with pytest.raises(ValueError, match="nonnegative"):
+        BinaryField(m, mod)
+
+
 def test_element_parse_format():
     assert GF7.parse("12") == 5
     B = BinaryField(16, 0x1002B)
@@ -279,15 +286,27 @@ def test_artin_schreier_matches_elimination_on_gf2_16():
         assert F._artin_schreier_solve(a) == _eliminated_root(F, a)
 
 
-@pytest.mark.parametrize("F", [BinaryField(16, 0x1002B), BinaryField(17, 0x20009)], ids=["m16", "m17"])
+@pytest.mark.parametrize(
+    "F",
+    [BinaryField(1, 0b11), BinaryField(2, 0b111), BinaryField(16, 0x1002B), BinaryField(17, 0x20009)],
+    ids=["m1", "m2", "m16", "m17"],
+)
 def test_packed_tables_agree_with_untabled_arithmetic(F):
-    # both sides of the 16-bit typecode boundary; every tabled kernel
-    # against the untabled product and inverse
+    # the two smallest fields and both sides of the 16-bit typecode
+    # boundary; every tabled kernel against the untabled product and
+    # inverse, with zero factors and zero coefficients
     exp, log = F._tables()
     n = (1 << F.m) - 1
     assert isinstance(exp, array) and isinstance(log, array)
-    assert (len(exp), len(log)) == (n, n + 1)
-    assert exp.itemsize * 8 >= F.m
+    # two periods of g^i and then zeros; log[0] = 2n, so a log sum with a
+    # zero factor lands among the zeros
+    assert (len(exp), len(log)) == (4 * n + 1, n + 1)
+    assert (exp.itemsize, log.itemsize) == (2 if F.m <= 16 else 4, 4)
+    assert sorted(exp[:n]) == list(range(1, n + 1)) and exp[n : 2 * n] == exp[:n]
+    assert exp[2 * n :] == array(exp.typecode, [0]) * (2 * n + 1)
+    assert log[0] == 2 * n and all(log[exp[i]] == i for i in range(n))
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
 
     def mul(a, b):
         return _gf2x_mulmod(a, b, F.mod, F.m)
@@ -298,13 +317,15 @@ def test_packed_tables_agree_with_untabled_arithmetic(F):
     assert (log[exp[0]], log[exp[n - 1]]) == (0, n - 1)
     xs = special + [F.random(rng) for _ in range(60)]
     ys = special[::-1] + [F.random(rng) for _ in range(60)]
-    xs[10] = ys[20] = 0
+    # 0 * x, x * 0 and 0 * 0 at positions 10, 20 and 11
+    xs[10] = ys[20] = xs[11] = ys[11] = 0
     for x, y in zip(xs, ys):
         assert F.mul(x, y) == mul(x, y)
         assert F.sqr(x) == mul(x, x)
         if x:
             assert F.inv(x) == _gf2x_inv(x, F.mod)
-    pairs = [(rng.randrange(len(xs)), rng.randrange(len(xs))) for _ in range(80)] + [(0, 2), (2, 2), (1, 0)]
+    zeros = [(10, 10), (10, 20), (20, 10), (11, 11), (11, 3), (3, 11), (10, 11)]
+    pairs = [(rng.randrange(len(xs)), rng.randrange(len(xs))) for _ in range(80)] + [(0, 2), (2, 2), (1, 0)] + zeros
     assert F.pair_products(xs, pairs) == [mul(xs[a], xs[b]) for a, b in pairs]
     assert F.symmetric_products(xs, ys, pairs) == [
         mul(xs[a], ys[a]) if a == b else mul(xs[a], ys[b]) ^ mul(xs[b], ys[a]) for a, b in pairs
@@ -313,9 +334,11 @@ def test_packed_tables_agree_with_untabled_arithmetic(F):
     for x, y in zip(xs, ys):
         expected ^= mul(x, y)
     assert F.dot(xs, ys) == expected
-    coeffs = special + [F.random(rng) or 1 for _ in range(30)]
+    coeffs = special + [F.random(rng) or 1 for _ in range(30)] + [0]
     kept = F.stored(coeffs)
     rows = [[(rng.randrange(len(xs)), t) for t in range(k, len(coeffs), 4)] for k in range(4)]
+    # the zero coefficient on a zero and on a nonzero value, and 1 on a zero
+    rows.append([(10, len(coeffs) - 1), (3, len(coeffs) - 1), (11, 0)])
     stored_rows = [[(a, kept[t]) for a, t in terms] for terms in rows]
     expected = []
     for terms in rows:

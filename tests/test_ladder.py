@@ -1,5 +1,8 @@
+import ast
 import random
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,7 +29,7 @@ from g2kummer.kummer import (
     two_torsion_classes,
     zero_class_point,
 )
-from g2kummer.ladder import _step, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
+from g2kummer.ladder import _PIVOT_FORMS, _step, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
 from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set, synthesize_w_char2
 
 from .helpers import checked_ladder, eval_biquadratic, eval_quartic, interpreted_pseudo_sum, scalar_mul, xadd_every_pivot
@@ -383,6 +386,21 @@ def test_compiled_steps_match_the_interpreted_evaluators(case):
             assert got.coords == tuple(want)
             assert got.quad == quadratic_monomials(F, want)
     assert seen == {None, 0, 1, 2, 3}
+
+
+def test_tabled_straight_line_tests_no_factor_and_reads_each_log_once():
+    # over GF(2^16) every product is one exp read, zero factors included:
+    # no statement holds a conditional expression, and each value's log is
+    # read once
+    ctx = _reference_context("c2_general_f")
+    F, forms = ctx.curve.field, ctx.forms
+    qx, qy, out = ([f"{v}{a}" for a in range(10)] for v in "xyo")
+    for program in (forms.quartic_program(qx, out), forms.biquadratic_program(_PIVOT_FORMS[0], qx, qy, out)):
+        lines = F.straight_line(program, {})
+        assert not any(isinstance(node, ast.IfExp) for line in lines for node in ast.walk(ast.parse(line)))
+        logged = Counter(re.findall(r"_log\[(\w+)\]", "\n".join(lines)))
+        values = {v for _t, terms in program for _s, a, b in terms for v in (a, b) if isinstance(v, str)}
+        assert set(logged) == values and set(logged.values()) == {1}
 
 
 @pytest.fixture(scope="module", params=["p1009", "c2_general_f"])
