@@ -12,43 +12,48 @@ with w = kappa(P+Q), so the result under any pivot is lam * z_j^2 * w.  It
 vanishes only when lam = 0, and then it vanishes under every pivot, so no
 other pivot is tried.
 
-The forms are compiled once per context (``algebra.CompiledForms``) and
-evaluated from the ten quadratic monomials of their arguments.  The points
-``xdbl`` and ``xadd`` return carry these monomials, so a ladder computes
-each point's monomials once, as it makes the point, and the doubling and
-the addition that consume it share them; a point from elsewhere has its
-monomials computed on each use and is never annotated.  Each B_ij is
-symmetric in x and y, so ``xadd`` forms the symmetric products s_ab =
-q_a(x) q_b(y) + q_b(x) q_a(y) (q_a(x) q_a(y) for a = b) once over the
-union of its pivot's four supports and reads each form off them.  On the
-reference formula sets a ladder step costs 327 multiplications on
-``m61_h2_f5`` (149 for ``xdbl``, 178 for ``xadd``) and 257 on
-``c2_general_f`` (81 + 176), from 353 and 290 when each form was summed
-over its 100 coefficients.
+The steps run on the odd-degree working model of the curve (deg f = 5,
+h3 = 0), whose forms are sparser.  A context carries the formula set there:
+B by ``synthesis.transport_forms`` with the Kummer matrix M of the link
+(``curve.kummer_matrix``), and delta re-derived from that B on the model's
+quartic (``synthesis._delta_solve``).  ``ladder`` maps its base in by M and
+its result out by M^-1, once each; ``xdbl`` and ``xadd`` take and return
+points on the curve's own model and map around one step.  A curve with no
+rational Weierstrass point, which only a tiny binary field's lift can give
+a formula set, runs on its own model (M = 1).  A map costs the same on
+every point, so a ladder still counts its first doubling plus one fixed
+cost per step.
 
-For a given formula set each step is a fixed sequence of products and
-sums, so a context runs it as straight-line code: ``xdbl`` and ``xadd``
-under each pivot are each one generated Python function, with every
-coefficient and index a constant and no loop.  The program of products
-and sums comes from the compiled forms (``quartic_program``,
+The forms are compiled (``algebra.CompiledForms``) and evaluated from the
+ten quadratic monomials of their arguments.  A step returns its result
+with these monomials, so a ladder makes each point's monomials once and
+its doubling and addition share them.  Each B_ij is symmetric in x and y,
+so ``xadd`` forms the symmetric products s_ab = q_a(x) q_b(y) + q_b(x)
+q_a(y) (q_a(x) q_a(y) for a = b) once over the union of its pivot's four
+supports and reads each form off them.  On the reference formula sets a
+ladder step costs 317 multiplications on ``m61_h2_f5`` (147 for ``xdbl``,
+170 for ``xadd``) and 201 on ``c2_general_f`` (79 + 122), where the
+curves' own models cost 327 (149 + 178) and 257 (81 + 176).
+
+Each step is a fixed sequence of products and sums, run as one generated
+Python function of straight-line code with every coefficient and index a
+constant: the program comes from the compiled forms (``quartic_program``,
 ``biquadratic_program``, ``quadratic_program`` for the result's
-monomials), and the field turns it into statements
+monomials) and the field turns it into statements
 (``Field.straight_line``): sums of unreduced products over GF(p), log/exp
 reads over tabled GF(2^m) with the tables fetched on every call and never
 held, and the counted ``mul`` and ``add`` over Q and GF(2^m) with m > 20.
-A step does the products the interpreted evaluators do, which the tests
-use as its reference, and counts them the same, so the costs above and
-``xdbl_muls``/``xadd_muls`` are unchanged.  Compilation is lazy and per
-function: ``xdbl`` on its first call, each pivot's ``xadd`` on its first
-call, each with its own ``compile``.  On a 2-vCPU Xeon under CPython 3.11
-one step compiles in 0.9 to 3.3 ms and all ten of the two reference
-curves in 18 ms, while a whole perfbench set-up takes about 36 ms, so
-compiling at ``make_context`` would show in set-up time; and a prototype
-that compiled each curve's five steps as one unit raised peak RSS from
-26.9 to 32.4 MB, where the two steps per curve that a ladder from a base
-with nonzero first coordinate runs, compiled one by one, add about
-0.25 MB.  Compiling does no field operation, so a counted window that
-compiles counts only the steps.
+A step does and counts the products the interpreted evaluators do, which
+the tests use as its reference (``xdbl_muls``, ``xadd_muls``).  All of it
+is built lazily: the working-model forms in the first step a context runs
+(about 10 ms on ``c2_general_f``), and each step with its own ``compile``
+on its first use (0.9 to 3.3 ms; a 2-vCPU Xeon under CPython 3.11).  A
+perfbench set-up takes about 35 ms, so building in ``make_context`` would
+show there, and compiling each curve's five steps as one unit raised peak
+RSS from 26.9 to 32.4 MB in a prototype.  Set-up and the build run with
+``Field.counter`` set aside and compiling does no field operation, so a
+counted window counts only the steps and the maps.
+
 The ladder keeps the invariant pair (kappa(mP), kappa((m+1)P)) whose
 difference is the fixed base point, consuming scalar bits from the top.
 """
@@ -56,15 +61,16 @@ difference is the fixed base point, consuming scalar bits from the top.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .algebra import QUADRATIC_MULS, CompiledForms, quadratic_monomials, quadratic_program
-from .curve import CurveModel
-from .errors import AllPivotsFailed, CrossCheckFailed, FormulaSetMissing, UnsupportedField, ZeroOutput
-from .field import OpCounter
+from .algebra import QUADRATIC_MULS, CompiledForms, Matrix, quadratic_monomials, quadratic_program
+from .curve import CurveModel, kummer_matrix
+from .errors import AllPivotsFailed, CrossCheckFailed, FormulaSetMissing, NoRationalWeierstrassPoint, UnsupportedField, ZeroOutput
+from .field import Field, OpCounter
 from .jacobian import working_model
 from .kummer import KummerPoint, KummerQuartic, quartic_from_curve, zero_class_point
-from .synthesis import FormulaSet, fingerprint, oracle_draws
+from .synthesis import FormulaSet, _delta_solve, fingerprint, oracle_draws, transport_forms
 
 # per pivot j: the key of B_jj, then the key of B_ij for each i != j
 _PIVOT_FORMS = [
@@ -85,13 +91,17 @@ _Z, _B, _W = ([f"{v}{i}" for i in range(4)] for v in "zbw")
 
 @dataclass
 class LadderContext:
-    """A curve, its quartic, its formula set and the formula set compiled
-    for evaluation, with the ladder steps compiled from it on first use."""
+    """A curve, its quartic and its formula set; on first use (``_working``)
+    also the Kummer matrix ``into`` of the link to the working model, its
+    inverse ``out`` and the formula set carried there and compiled for
+    evaluation (``forms``), with the ladder steps compiled from it."""
 
     curve: CurveModel
     quartic: KummerQuartic
     formulas: FormulaSet
-    forms: CompiledForms = field(init=False, repr=False)
+    into: Matrix = field(init=False, repr=False, default=None)
+    out: Matrix = field(init=False, repr=False, default=None)
+    forms: CompiledForms = field(init=False, repr=False, default=None)
     # xdbl under the key None, xadd under its pivot
     steps: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -100,60 +110,67 @@ class LadderContext:
             raise FormulaSetMissing(
                 "formula set fingerprint does not match the curve"
             )
-        self.forms = CompiledForms(self.curve.field, self.formulas.delta, self.formulas.bqf)
+
+
+@contextmanager
+def _uncounted():
+    """Set-up work, with the field counter set aside."""
+    saved, Field.counter = Field.counter, None
+    try:
+        yield
+    finally:
+        Field.counter = saved
 
 
 def make_context(curve: CurveModel, formulas: FormulaSet) -> LadderContext:
-    return LadderContext(curve, quartic_from_curve(curve), formulas)
+    with _uncounted():
+        return LadderContext(curve, quartic_from_curve(curve), formulas)
 
 
-class _Prepared(KummerPoint):
-    """A Kummer point carrying its ten quadratic monomials."""
-
-    __slots__ = ("quad",)
-
-    def __init__(self, F, coords):
-        super().__init__(F, coords)
-        self.quad = quadratic_monomials(F, self.coords)
-
-
-def _made(F, coords: tuple, quad: list) -> _Prepared:
-    """The point a compiled step returns, which has checked that its four
-    coordinates are not all zero, with their monomials."""
-    point = object.__new__(_Prepared)
-    point.field, point.coords, point.quad = F, coords, quad
-    return point
+def _working(ctx: LadderContext) -> LadderContext:
+    """``ctx`` with its working-model data, built on first use."""
+    if ctx.forms is None:
+        c, F = ctx.curve, ctx.curve.field
+        with _uncounted():
+            try:
+                wm = working_model(c)
+                model, M = wm.model, kummer_matrix(c, wm.link)
+            except NoRationalWeierstrassPoint:
+                model, M = c, Matrix.identity(F, 4)
+            bqf = transport_forms(F, ctx.formulas.bqf, M)
+            ctx.forms = CompiledForms(F, _delta_solve(F, bqf, quartic_from_curve(model).vector), bqf)
+            ctx.into, ctx.out = M, M.inverse()
+    return ctx
 
 
-def _prepared(F, x: KummerPoint) -> _Prepared:
-    return x if isinstance(x, _Prepared) else _Prepared(F, x.coords)
-
-
-def _quad(F, x: KummerPoint) -> list:
-    return x.quad if isinstance(x, _Prepared) else quadratic_monomials(F, x.coords)
+def _pivot(F, zc) -> int:
+    j = 0
+    while zc[j] == F.zero:
+        j += 1
+    return j
 
 
 def xdbl_muls(ctx: LadderContext) -> int:
-    """Multiplications of one ``xdbl`` on a point that carries its
-    monomials (a point ``xdbl`` or ``xadd`` returned), from the sparsity of
-    the duplication quartics alone."""
-    return ctx.forms.quartic_muls() + QUADRATIC_MULS
+    """Multiplications of one compiled ``xdbl`` step, from the sparsity of
+    the working model's duplication quartics alone."""
+    return _working(ctx).forms.quartic_muls() + QUADRATIC_MULS
 
 
 def xadd_muls(ctx: LadderContext, pivot: int) -> int:
-    """Multiplications of one ``xadd`` whose x and y carry their monomials
-    and whose difference has its first nonzero coordinate at ``pivot``
-    (0-based), from the sparsity of the biquadratic forms alone: the
-    symmetric products over the union of the pivot's four supports and one
-    product per coefficient (``CompiledForms.biquadratic_muls``), the seven
-    that combine the values, and the result's ten quadratic monomials."""
-    return ctx.forms.biquadratic_muls(_PIVOT_FORMS[pivot]) + _COMBINE_MULS + QUADRATIC_MULS
+    """Multiplications of one compiled ``xadd`` step whose difference has
+    its first nonzero working coordinate at ``pivot`` (0-based), from the
+    sparsity of the working model's biquadratic forms alone: the symmetric
+    products over the union of the pivot's four supports and one product
+    per coefficient (``CompiledForms.biquadratic_muls``), the seven that
+    combine the values, and the result's ten quadratic monomials."""
+    return _working(ctx).forms.biquadratic_muls(_PIVOT_FORMS[pivot]) + _COMBINE_MULS + QUADRATIC_MULS
 
 
 def _compile_step(ctx: LadderContext, pivot):
     """``xdbl`` (pivot None) or ``xadd`` under ``pivot`` as one function of
     straight-line field code, ``step(qx)`` or ``step(qx, qy, zc)``, that
-    returns the result with its monomials or raises when it vanishes."""
+    returns the result's coordinates and monomials or raises when it
+    vanishes."""
     F, forms = ctx.curve.field, ctx.forms
     if pivot is None:
         name, args = "xdbl", {"qx": _QX}
@@ -169,43 +186,51 @@ def _compile_step(ctx: LadderContext, pivot):
         ]
         error, message = AllPivotsFailed, "pseudo-addition produced zero, which it then does under every pivot"
     program += quadratic_program(_W, _U)
-    namespace = {"made": _made, "F": F, "Error": error}
+    namespace = {"Error": error}
     lines = [
         f"def {name}({', '.join(args)}):",
         *(f"{', '.join(names)} = {arg}" for arg, names in args.items()),
         *F.straight_line(program, namespace),
         # a raw zero is falsy in every field kind
         f"if not ({' or '.join(_W)}): raise Error({message!r})",
-        f"return made(F, ({', '.join(_W)}), [{', '.join(_U)}])",
+        f"return ({', '.join(_W)}), [{', '.join(_U)}]",
     ]
     exec(compile("\n    ".join(lines), f"<{name}>", "exec"), namespace)
     return namespace[name]
 
 
 def _step(ctx: LadderContext, pivot):
-    """The compiled ``xdbl`` (pivot None) or ``xadd`` under ``pivot``,
-    compiled on its first use."""
+    """The compiled ``xdbl`` (pivot None) or ``xadd`` under ``pivot`` on
+    working coordinates, compiled on its first use."""
     step = ctx.steps.get(pivot)
     if step is None:
-        step = ctx.steps[pivot] = _compile_step(ctx, pivot)
+        step = ctx.steps[pivot] = _compile_step(_working(ctx), pivot)
     return step
 
 
+def _monomials_in(ctx: LadderContext, x: KummerPoint) -> list:
+    return quadratic_monomials(ctx.curve.field, ctx.into.apply(x.coords))
+
+
+def _out(ctx: LadderContext, coords) -> KummerPoint:
+    return KummerPoint(ctx.curve.field, ctx.out.apply(coords))
+
+
 def xdbl(ctx: LadderContext, x: KummerPoint) -> KummerPoint:
-    return _step(ctx, None)(_quad(ctx.curve.field, x))
+    step = _step(ctx, None)
+    return _out(ctx, step(_monomials_in(ctx, x))[0])
 
 
 def xadd(ctx: LadderContext, x: KummerPoint, y: KummerPoint, z: KummerPoint) -> KummerPoint:
     """kappa(P+Q) from kappa(P), kappa(Q) and the difference kappa(P-Q)."""
-    F = ctx.curve.field
-    zc, j = z.coords, 0
-    while zc[j] == F.zero:
-        j += 1
-    return _step(ctx, j)(_quad(F, x), _quad(F, y), zc)
+    zc = _working(ctx).into.apply(z.coords)
+    step = _step(ctx, _pivot(ctx.curve.field, zc))
+    return _out(ctx, step(_monomials_in(ctx, x), _monomials_in(ctx, y), zc)[0])
 
 
 def ladder(ctx: LadderContext, x: KummerPoint, n: int) -> KummerPoint:
-    """kappa(n P) from kappa(P) by a double-and-differential-add chain."""
+    """kappa(n P) from kappa(P) by a double-and-differential-add chain, run
+    on working coordinates: (coordinates, monomials) pairs."""
     F = ctx.curve.field
     if n < 0:
         raise ValueError("nonnegative scalars only")
@@ -213,14 +238,17 @@ def ladder(ctx: LadderContext, x: KummerPoint, n: int) -> KummerPoint:
         return zero_class_point(F)
     if n == 1:
         return x
-    x = _prepared(F, x)  # the base's monomials, once
-    r0, r1 = x, xdbl(ctx, x)
+    dbl = _step(ctx, None)
+    zc = ctx.into.apply(x.coords)
+    add = _step(ctx, _pivot(F, zc))
+    r0 = (zc, quadratic_monomials(F, zc))
+    r1 = dbl(r0[1])
     for bit_pos in range(n.bit_length() - 2, -1, -1):
         if (n >> bit_pos) & 1:
-            r0, r1 = xadd(ctx, r0, r1, x), xdbl(ctx, r1)
+            r0, r1 = add(r0[1], r1[1], zc), dbl(r1[1])
         else:
-            r0, r1 = xdbl(ctx, r0), xadd(ctx, r0, r1, x)
-    return r0
+            r0, r1 = dbl(r0[1]), add(r0[1], r1[1], zc)
+    return _out(ctx, r0[0])
 
 
 def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
@@ -230,36 +258,43 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     differential addition per bit regardless of the bit pattern); squarings
     are executed as generic multiplications, so the squaring count tallies
     the explicit squaring calls only.  Inversions per step must be zero.
-    Over Q the ladder never rescales and kappa(nP) has about 4.8 n^2 digits
-    (see ``verify.RATIONAL_CHAIN_MAX_SUM``), so a ``bits``-bit ladder is out
-    of reach there: UnsupportedField.
+    ``xdbl`` and ``xadd`` are the compiled steps on working coordinates,
+    the addition with the base as difference, as in the ladder; the
+    ladder's first doubling, with the maps in and out, is not spread over
+    the steps.  Over Q the ladder never rescales and kappa(nP) has about
+    4.8 n^2 digits (see ``verify.RATIONAL_CHAIN_MAX_SUM``), so a
+    ``bits``-bit ladder is out of reach there: UnsupportedField.
     """
     if trials < 1:
         raise ValueError(f"bench needs at least one timed trial, got {trials}")
-    if ctx.curve.field.order() is None:
+    F = ctx.curve.field
+    if F.order() is None:
         raise UnsupportedField(f"bench times {bits}-bit ladders, out of reach over the rationals")
-    from . import field as field_mod
 
-    # a surface point to run on: kappa of a sampled class, with its
-    # monomials, as the ladder holds its base and the points it makes
+    # a surface point to run on: kappa of a sampled class, with its working
+    # coordinates and monomials, as the ladder holds its base
     ((x,),) = oracle_draws(working_model(ctx.curve), rng, 1)
-    x = _prepared(ctx.curve.field, x)
+    dbl = _step(ctx, None)
+    zc = ctx.into.apply(x.coords)
+    add = _step(ctx, _pivot(F, zc))
+    qx = quadratic_monomials(F, zc)
+    qx2, n = dbl(qx)[1], (1 << bits) | 1
     ctr = OpCounter()
-    field_mod.Field.counter = ctr
+    Field.counter = ctr
     try:
-        x2 = xdbl(ctx, x)
-        ctr.reset()
-        xdbl(ctx, x)
+        dbl(qx)
         dbl_counts = ctr.snapshot()
         ctr.reset()
-        xadd(ctx, x, x2, x)
+        add(qx, qx2, zc)
         add_counts = ctr.snapshot()
         ctr.reset()
-        n = (1 << bits) | 1
+        xdbl(ctx, x)
+        first_counts = ctr.snapshot()
+        ctr.reset()
         ladder(ctx, x, n)
         ladder_counts = ctr.snapshot()
     finally:
-        field_mod.Field.counter = None
+        Field.counter = None
     t0 = time.perf_counter()
     for _ in range(trials):
         ladder(ctx, x, n)
@@ -268,7 +303,7 @@ def bench(ctx: LadderContext, rng, trials: int = 5, bits: int = 40) -> dict:
     steps = n.bit_length() - 1
     per_step = {}
     for k in ("mul", "sqr", "inv"):
-        per_step[k], rest = divmod(ladder_counts[k] - dbl_counts[k], steps)
+        per_step[k], rest = divmod(ladder_counts[k] - first_counts[k], steps)
         if rest:
             raise CrossCheckFailed(f"the {k} count is not the same on every ladder step")
     return {

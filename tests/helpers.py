@@ -14,8 +14,8 @@ from g2kummer.algebra import (
 )
 from g2kummer.curve import CurvePoint, simplified_model
 from g2kummer.jacobian import MumfordDivisor, add, to_point_pair, working_model
-from g2kummer.kummer import kummer_coords, on_surface, two_torsion_classes, zero_class_point
-from g2kummer.ladder import _step, xdbl
+from g2kummer.kummer import KummerPoint, kummer_coords, on_surface, two_torsion_classes, zero_class_point
+from g2kummer.ladder import _step, _working, xdbl
 from g2kummer.synthesis import synthesize_bqf, synthesize_delta
 
 
@@ -227,29 +227,32 @@ def two_torsion_count_check(c):
     }
 
 
-def interpreted_pseudo_sum(ctx, j, qx, qy, zc):
+def interpreted_pseudo_sum(forms, j, qx, qy, zc):
     """The coordinates w~ of kappa(P+Q) under pivot j, from
     ``CompiledForms.biquadratic_values`` and the counted ``mul`` and
-    ``sub``: the interpreted reference of ``ladder.xadd``'s compiled step,
-    w~_j = z_j B_jj and w~_i = z_j B_ij - B_jj z_i."""
-    F = ctx.curve.field
+    ``sub``: the interpreted reference of a compiled ``xadd`` step on the
+    same forms, w~_j = z_j B_jj and w~_i = z_j B_ij - B_jj z_i."""
+    F = forms.field
     others = [i for i in range(4) if i != j]
     keys = [(j + 1, j + 1)] + [(min(i, j) + 1, max(i, j) + 1) for i in others]
-    bjj, *bij = ctx.forms.biquadratic_values(keys, qx, qy)
+    bjj, *bij = forms.biquadratic_values(keys, qx, qy)
     w = [F.sub(F.mul(zc[j], b), F.mul(bjj, zc[i])) for i, b in zip(others, bij)]
     w.insert(j, F.mul(zc[j], bjj))
     return w
 
 
 def xadd_every_pivot(ctx, x, y, z):
-    """kappa(P+Q) as ``ladder.xadd`` computes it, under every pivot j with
-    z_j != 0 in turn (a pivot whose result vanishes raises): asserts that
-    all are proportional, and returns the first."""
+    """kappa(P+Q) as ``ladder.xadd`` computes it, on the working model,
+    under every pivot j with z_j != 0 there in turn (a pivot whose result
+    vanishes raises): asserts that all are proportional, and returns the
+    first, mapped back to the curve's own model."""
     F = ctx.curve.field
-    qx, qy = quadratic_monomials(F, x.coords), quadratic_monomials(F, y.coords)
-    first, *rest = [_step(ctx, j)(qx, qy, z.coords) for j in range(4) if z.coords[j] != F.zero]
+    into = _working(ctx).into
+    qx, qy = (quadratic_monomials(F, into.apply(p.coords)) for p in (x, y))
+    zc = into.apply(z.coords)
+    first, *rest = [KummerPoint(F, _step(ctx, j)(qx, qy, zc)[0]) for j in range(4) if zc[j] != F.zero]
     assert all(first.proportional(w) for w in rest), "pivot results disagree"
-    return first
+    return KummerPoint(F, ctx.out.apply(first.coords))
 
 
 def checked_ladder(ctx, x, n):

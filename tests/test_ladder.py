@@ -9,9 +9,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from g2kummer.algebra import QUADRATIC_MULS, CompiledForms, Poly, expand_symmetric, quadratic_monomials
-from g2kummer.curve import CurveModel, CurvePoint, normal_form_curve, pair_from_points, sample_point
-from g2kummer.errors import AllPivotsFailed, FormulaSetMissing, ZeroOutput
+from g2kummer.algebra import QUADRATIC_MULS, CompiledForms, Poly, expand_symmetric, quadratic_monomials, roots
+from g2kummer.curve import (
+    CurveModel,
+    CurvePoint,
+    MumfordDivisor,
+    normal_form_curve,
+    pair_from_points,
+    sample_point,
+    validate,
+)
+from g2kummer.errors import AllPivotsFailed, FormulaSetMissing, UnsupportedDivisor, ZeroOutput
 from g2kummer.field import BinaryField, PrimeField, RationalField
 from g2kummer.jacobian import (
     add,
@@ -29,8 +37,25 @@ from g2kummer.kummer import (
     two_torsion_classes,
     zero_class_point,
 )
-from g2kummer.ladder import _PIVOT_FORMS, _step, bench, ladder, make_context, xadd, xadd_muls, xdbl, xdbl_muls
-from g2kummer.synthesis import BQF_INDEX_PAIRS, deserialize_formula_set, synthesize_formula_set, synthesize_w_char2
+from g2kummer.ladder import (
+    _PIVOT_FORMS,
+    _step,
+    _working,
+    bench,
+    ladder,
+    make_context,
+    xadd,
+    xadd_muls,
+    xdbl,
+    xdbl_muls,
+)
+from g2kummer.synthesis import (
+    BQF_INDEX_PAIRS,
+    deserialize_formula_set,
+    oracle_draws,
+    synthesize_formula_set,
+    synthesize_w_char2,
+)
 
 from .helpers import checked_ladder, eval_biquadratic, eval_quartic, interpreted_pseudo_sum, scalar_mul, xadd_every_pivot
 
@@ -215,7 +240,7 @@ M61_FORMULAS = REFERENCE / "m61_h2_f5.kfs"
 
 
 def _counted(fn):
-    """fn()'s result and the multiplications it counted."""
+    """fn()'s result and the field operations it counted."""
     from g2kummer import field as field_mod
     from g2kummer.field import OpCounter
 
@@ -225,11 +250,11 @@ def _counted(fn):
         out = fn()
     finally:
         field_mod.Field.counter = None
-    return out, ctr.mul
+    return out, ctr.snapshot()
 
 
 def _muls(fn):
-    return _counted(fn)[1]
+    return _counted(fn)[1]["mul"]
 
 
 def test_evaluation_cost_depends_only_on_the_form():
@@ -276,36 +301,37 @@ def _kappa(c, wm, D):
     return kummer_coords(c, to_point_pair(wm, D)).normalized()
 
 
-# one ladder step, xdbl plus xadd under the first pivot, on the reference
-# formula sets
-STEP_MULS = {"m61_h2_f5": 327, "c2_general_f": 257}
+# one ladder step, xdbl plus xadd under the first pivot, on the working
+# models of the reference formula sets
+STEP_MULS = {"m61_h2_f5": 317, "c2_general_f": 201}
+
+# the products of the boundary of a public xdbl or xadd: each 4x4 map in or
+# out is one dot product of four terms per coordinate
+MAP_MULS = 16
 
 
 @pytest.mark.parametrize("name", sorted(STEP_MULS))
 def test_static_op_counts_match_counted_muls(name):
     fs = deserialize_formula_set((REFERENCE / f"{name}.kfs").read_text())
     c = fs.curve
+    F = c.field
     fast = make_context(c, fs)
     wm = working_model(c)
     x = _kappa(c, wm, random_divisor(wm, random.Random(215)))
-    assert x.coords[0] != c.field.zero
-    x2 = xdbl(fast, x)  # made by the ladder's operations: carries its monomials
-    x3 = xadd(fast, x2, x, x)
-    assert _muls(lambda: xdbl(fast, x2)) == xdbl_muls(fast)
-    assert _muls(lambda: xadd(fast, x2, x3, x)) == xadd_muls(fast, 0)
-    # the zero class as difference puts the pivot on the last coordinate
-    assert _muls(lambda: xadd(fast, x2, x2, zero_class_point(c.field))) == xadd_muls(fast, 3)
-    # every pivot, through the compiled step that xadd_every_pivot runs,
-    # which makes the result's monomials: x as difference has no zero
-    # coordinate
-    assert all(v != c.field.zero for v in x.coords)
-    qx, qy = x2.quad, x3.quad
+    # the compiled steps on x's working coordinates, with x as difference:
+    # it has no zero coordinate there, so every pivot applies
+    dbl = _step(fast, None)
+    zc = fast.into.apply(x.coords)
+    assert all(v != F.zero for v in zc)
+    qx = quadratic_monomials(F, zc)
+    qx2 = dbl(qx)[1]
+    assert _muls(lambda: dbl(qx)) == xdbl_muls(fast)
     for j in range(4):
-        assert _muls(lambda: _step(fast, j)(qx, qy, x.coords)) == xadd_muls(fast, j)
-    # a point from outside has its monomials computed on every use
-    assert _muls(lambda: xdbl(fast, x)) == xdbl_muls(fast) + QUADRATIC_MULS
-    n = (1 << 40) | 0b1101
+        assert _muls(lambda: _step(fast, j)(qx, qx2, zc)) == xadd_muls(fast, j)
+    # the public xdbl maps in, makes the monomials, runs the step and maps out
     first = _muls(lambda: xdbl(fast, x))
+    assert first == MAP_MULS + QUADRATIC_MULS + xdbl_muls(fast) + MAP_MULS
+    n = (1 << 40) | 0b1101
     total = _muls(lambda: ladder(fast, x, n))
     step = xdbl_muls(fast) + xadd_muls(fast, 0)
     assert total - first == (n.bit_length() - 1) * step
@@ -333,8 +359,9 @@ def _random_forms_context(F, rng):
 
 
 def _reference_context(name):
+    """A context on a reference formula set, with its working-model forms."""
     fs = deserialize_formula_set((REFERENCE / f"{name}.kfs").read_text())
-    return make_context(fs.curve, fs)
+    return _working(make_context(fs.curve, fs))
 
 
 # the field kinds of the emitted code: GF(p), tabled GF(2^m) on a reference
@@ -368,23 +395,23 @@ def test_compiled_steps_match_the_interpreted_evaluators(case):
         z = zero_class_point(F).coords if trial == 0 else quadruple()
         qx, qy = quadratic_monomials(F, x), quadratic_monomials(F, y)
         steps = [(None, lambda: ctx.forms.quartic_values(qx), (qx,), ZeroOutput, xdbl_muls(ctx))] + [
-            (j, lambda j=j: interpreted_pseudo_sum(ctx, j, qx, qy, z), (qx, qy, z), AllPivotsFailed, xadd_muls(ctx, j))
+            (j, lambda j=j: interpreted_pseudo_sum(ctx.forms, j, qx, qy, z), (qx, qy, z), AllPivotsFailed, xadd_muls(ctx, j))
             for j in range(4)
             if z[j] != F.zero
         ]
         for pivot, interpreted, args, error, muls in steps:
             seen.add(pivot)
             want, counted = _counted(interpreted)
-            assert counted + QUADRATIC_MULS == muls
+            assert counted["mul"] + QUADRATIC_MULS == muls
             step = _step(ctx, pivot)
             if all(v == F.zero for v in want):
                 with pytest.raises(error):
                     step(*args)
                 continue
-            got, counted = _counted(lambda: step(*args))
-            assert counted == muls
-            assert got.coords == tuple(want)
-            assert got.quad == quadratic_monomials(F, want)
+            (coords, quad), counted = _counted(lambda: step(*args))
+            assert counted["mul"] == muls
+            assert coords == tuple(want)
+            assert quad == quadratic_monomials(F, want)
     assert seen == {None, 0, 1, 2, 3}
 
 
@@ -495,8 +522,10 @@ def test_a_binary_context_keeps_no_reference_to_the_field_tables():
 
 
 def test_make_context_compiles_nothing(monkeypatch):
-    # each step is compiled on its first use, on its own: set-up pays for
-    # none, and a ladder for the two it runs
+    # set-up builds, compiles and counts nothing; the first step a context
+    # runs builds its working-model forms with the field counter set aside,
+    # and each step is compiled on its first use, on its own: a ladder
+    # compiles the two it runs
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -506,11 +535,171 @@ def test_make_context_compiles_nothing(monkeypatch):
     monkeypatch.setattr(sys.modules["g2kummer.ladder"], "compile", counting_compile, raising=False)
     fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
     c = fs.curve
-    ctx = make_context(c, fs)
-    assert compiled == [] and ctx.steps == {}
+    ctx, counted = _counted(lambda: make_context(c, fs))
+    assert counted == {"mul": 0, "sqr": 0, "inv": 0}
+    assert compiled == [] and ctx.steps == {} and ctx.forms is None
     wm = working_model(c)
     x = _kappa(c, wm, random_divisor(wm, random.Random(220)))
-    assert x.coords[0] != c.field.zero
-    ladder(ctx, x, 12345)
+    n = 12345
+    _out, counted = _counted(lambda: ladder(ctx, x, n))
+    assert ctx.into.apply(x.coords)[0] != c.field.zero
+    assert compiled == ["<xdbl>", "<xadd_pivot0>"]
+    # the first ladder's window counts one public xdbl and the steps, and
+    # none of the build's products or inversions
+    first = _muls(lambda: xdbl(ctx, x))
+    step = xdbl_muls(ctx) + xadd_muls(ctx, 0)
+    assert counted == {"mul": first + (n.bit_length() - 1) * step, "sqr": 0, "inv": 0}
     ladder(ctx, x, 54321)
     assert compiled == ["<xdbl>", "<xadd_pivot0>"]
+
+
+def _user_model_reference(fs):
+    """xdbl, xadd and the ladder's chain on the curve's own model, by the
+    interpreted evaluators (``eval_quartic``, and ``interpreted_pseudo_sum``
+    under the first nonzero coordinate of the difference there), on raw
+    coordinates: the reference of the working-model steps after the map
+    back.  A vanishing step gives zeros, which every later step keeps."""
+    F = fs.curve.field
+    forms = CompiledForms(F, (), fs.bqf)
+
+    def dbl(x):
+        return tuple(eval_quartic(F, d, x) for d in fs.delta)
+
+    def add(x, y, z):
+        j = next(i for i, v in enumerate(z) if v != F.zero)
+        return tuple(interpreted_pseudo_sum(forms, j, quadratic_monomials(F, x), quadratic_monomials(F, y), z))
+
+    def chain(x, n):
+        r0, r1 = x, dbl(x)
+        for bit in bin(n)[3:]:
+            r0, r1 = (add(r0, r1, x), dbl(r1)) if bit == "1" else (dbl(r0), add(r0, r1, x))
+        return r0
+
+    return dbl, add, chain
+
+
+def _agrees(F, run, want):
+    """run() normalized equals the raw coordinates ``want`` normalized, or
+    raises a step's vanishing error when ``want`` is zero."""
+    if all(v == F.zero for v in want):
+        with pytest.raises((ZeroOutput, AllPivotsFailed)):
+            run()
+        return
+    assert run().normalized() == KummerPoint(F, want).normalized()
+
+
+def _curve_points_kappa(c, rng):
+    """kappa of the class of two sampled affine points, on c alone (no
+    working model), redrawn while the pair has no Kummer image."""
+    while True:
+        try:
+            return kummer_coords(c, pair_from_points(c, sample_point(c, rng), sample_point(c, rng))).normalized()
+        except UnsupportedDivisor:
+            continue
+
+
+def _tiny_binary_case(m, mod, seed):
+    """The formula set of a curve over GF(2^m) (m < 13, synthesized on its
+    lift) with h3 != 0, the first drawn whose h has a rational root (a
+    working model over the field) or, with ``seed`` negative, none (the
+    curve's own model)."""
+    F = BinaryField(m, mod)
+    rng = random.Random(abs(seed))
+    while True:
+        h = Poly(F, [F.random(rng) for _ in range(3)] + [F.one])
+        c = CurveModel(F, Poly(F, [F.random(rng) for _ in range(7)]), h)
+        if bool(roots(h)) == (seed >= 0) and validate(c).ok:
+            return synthesize_formula_set(c, rng)
+
+
+EQUIVALENCE_CASES = {
+    "gf8_rooted_h": lambda: _tiny_binary_case(3, 0b1011, 221),
+    "gf32_no_weierstrass_point": lambda: _tiny_binary_case(5, 0b100101, -222),
+    "rational_small": lambda: deserialize_formula_set((REFERENCE / "rational_small.kfs").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", ["m61_h2_f5", "c2_general_f"])
+def test_working_model_ladder_equals_the_user_model_reference(name):
+    fs = deserialize_formula_set((REFERENCE / f"{name}.kfs").read_text())
+    c, F = fs.curve, fs.curve.field
+    ctx = make_context(c, fs)
+    ref_dbl, ref_add, ref_ladder = _user_model_reference(fs)
+    wm = working_model(c)
+    rng = random.Random(223)
+    x = _kappa(c, wm, random_divisor(wm, rng))
+    _agrees(F, lambda: xdbl(ctx, x), ref_dbl(x.coords))
+    # 2P + P from the difference P
+    x2 = xdbl(ctx, x)
+    _agrees(F, lambda: xadd(ctx, x2, x, x), ref_add(x2.coords, x.coords, x.coords))
+    for _ in range(16):
+        n = rng.getrandbits(256) | (1 << 255)
+        _agrees(F, lambda: ladder(ctx, x, n), ref_ladder(x.coords, n))
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_small_field_and_rational_ladders_equal_the_user_model_reference(case):
+    fs = EQUIVALENCE_CASES[case]()
+    c, F = fs.curve, fs.curve.field
+    ctx = make_context(c, fs)
+    ref_dbl, ref_add, ref_ladder = _user_model_reference(fs)
+    rng = random.Random(224)
+    ((x,),) = oracle_draws(working_model(c), rng, 1) if F.order() is None else [(_curve_points_kappa(c, rng),)]
+    _agrees(F, lambda: xdbl(ctx, x), ref_dbl(x.coords))
+    x2 = xdbl(ctx, x)
+    _agrees(F, lambda: xadd(ctx, x2, x, x), ref_add(x2.coords, x.coords, x.coords))
+    for n in range(2, 21 if F.order() is None else 64):
+        _agrees(F, lambda: ladder(ctx, x, n), ref_ladder(x.coords, n))
+
+
+def _double_of_x0(c):
+    """The class of twice an affine point with x = 0 on c, as Mumford data on
+    c: a = x^2, so kappa has k2 = k3 = 0."""
+    zero = c.field.zero
+    (y, *_rest) = c.field.quad_solve(c.h(zero), c.f(zero))
+    return pair_from_points(c, CurvePoint("affine", x=zero, y=y), CurvePoint("affine", x=zero, y=y))
+
+
+def test_bases_with_different_pivots_on_the_two_models():
+    # on c2_general_f the link swaps k1 and k3, so a first coordinate that
+    # vanishes on one model need not vanish on the other: the two models
+    # then run xadd under different pivots, and the results still agree
+    fs = deserialize_formula_set((REFERENCE / "c2_general_f.kfs").read_text())
+    c, F = fs.curve, fs.curve.field
+    ctx = _working(make_context(c, fs))
+    _ref_dbl, ref_add, ref_ladder = _user_model_reference(fs)
+    wm = working_model(c)
+    rng = random.Random(225)
+
+    def pivot(v):
+        return next(i for i, a in enumerate(v) if a != F.zero)
+
+    # a generic class, a class with k1 = 0 on the curve's own model, one with
+    # k1 = 0 and one with k2 = k3 = 0 on the working model, and the zero
+    # class; the working model has no class with k1 = k2 = 0 but zero, so
+    # pivot 2 shows on the curve's own model only
+    model_point = sample_point(wm.model, rng)
+    classes = [
+        random_divisor(wm, rng),
+        _infinite_class(c, wm, rng),
+        MumfordDivisor(Poly(F, [F.neg(model_point.x), F.one]), Poly.const(F, model_point.y)),
+        _double_of_x0(wm.model),
+        wm.zero(),
+    ]
+    pivots = set()
+    for D in classes:
+        # kappa(D) from the working model's coordinates: twice its point at
+        # x = 0 is twice a point at infinity of c, which to_point_pair does
+        # not send
+        z = KummerPoint(F, ctx.out.apply(kummer_coords(wm.model, D).coords))
+        assert on_surface(ctx.quartic, z)
+        P = random_divisor(wm, rng)
+        Q = add(wm, P, negate(wm, D))
+        x, y = _kappa(c, wm, P), _kappa(c, wm, Q)
+        pivots.add((pivot(z.coords), pivot(ctx.into.apply(z.coords))))
+        _agrees(F, lambda: xadd(ctx, x, y, z), ref_add(x.coords, y.coords, z.coords))
+        assert xadd(ctx, x, y, z).proportional(_kappa(c, wm, add(wm, P, Q)))
+        if D != wm.zero():
+            for n in (2, 3, 1000003, rng.getrandbits(64) | (1 << 63)):
+                _agrees(F, lambda: ladder(ctx, z, n), ref_ladder(z.coords, n))
+    assert pivots == {(0, 0), (1, 0), (0, 1), (2, 0), (3, 3)}
